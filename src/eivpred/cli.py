@@ -404,6 +404,9 @@ def main(argv=None) -> int:
     except EivError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_RUNTIME
+    except (OverflowError, FloatingPointError, np.linalg.LinAlgError) as exc:
+        sys.stderr.write(f"numeric error: {type(exc).__name__}: {exc}\n")
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 from scipy import optimize
 
 from .errors import DimensionError, InsufficientData, InvalidInput, NonConvergence
-from .linalg import pinv
+from .linalg import min_eigenvalue, pinv, sym_sqrt
 from .models import Dataset
 from .transform import (
     AbsObservable,
@@ -87,6 +88,20 @@ class FittedModel:
     def predict(self, z0, x0):
         return self.params.predict(z0, x0)
 
+    @cached_property
+    def region_shape(self) -> tuple[np.ndarray, tuple[str, ...]]:
+        """Symmetric square root of the pseudo-inverted residual moment, shared
+        by every ellipsoidal region on this fit, plus a note when that moment
+        is near-singular.  Computed on first use, once per fit."""
+        resid_cov = self.residual_moment
+        notes: tuple[str, ...] = ()
+        scale = max(float(np.max(np.abs(resid_cov))), 0.0)
+        if scale == 0.0 or min_eigenvalue(resid_cov) <= 1e-12 * scale:
+            notes = ("residual covariance near-singular; region lives on a subspace",)
+        shape = sym_sqrt(pinv(resid_cov))
+        shape.setflags(write=False)  # shared by every region built on this fit
+        return shape, notes
+
 
 def _regressors(data: Dataset, family: str, degree: Optional[int]) -> tuple[np.ndarray, int]:
     """Regressor rows per family; returns (r, degree_used)."""
@@ -113,10 +128,15 @@ def _regressors(data: Dataset, family: str, degree: Optional[int]) -> tuple[np.n
 
 def sample_moments(data: Dataset, family: str = "linear", degree: Optional[int] = None) -> SampleMoments:
     """All bar-means and S-matrices for the family's regressor vector."""
-    n = data.n
-    if n < 2:
+    if data.n < 2:
         raise InsufficientData("need at least two observations")
     r, _ = _regressors(data, family, degree)
+    return _moments(data, r)
+
+
+def _moments(data: Dataset, r: np.ndarray) -> SampleMoments:
+    """Moments of the response against the regressor rows ``r`` (n >= 2)."""
+    n = data.n
     y = data.y
     y_mean = y.mean(axis=0)
     r_mean = r.mean(axis=0)
@@ -157,7 +177,7 @@ def ols_fit(data: Dataset, family: str = "linear", degree: Optional[int] = None)
     p = r.shape[1]
     if data.n < p + 1:
         raise InsufficientData(f"need n >= {p + 1} for {p} regressors")
-    moments = sample_moments(data, family, degree)
+    moments = _moments(data, r)
     coefs = pinv(moments.s_rr) @ moments.s_ry  # (p, d)
     intercept = moments.y_mean - moments.r_mean @ coefs
     resid = data.y - intercept - r @ coefs
@@ -377,7 +397,7 @@ def nls_fit(
             starts = [np.asarray(s, float) for s in init_strategy]
         params, objective, ok = _fit_abs(x, y, starts)
 
-    moments = _plain_moments(data)
+    moments = _moments(data, data.x)  # the raw surrogate as the only regressor
     resid = y - predict_rows(params, None, data.x)[:, 0]
     resid_moment = np.array([[float(resid @ resid) / n]])
     return FittedModel(
@@ -388,24 +408,6 @@ def nls_fit(
         n=n,
         objective=float(objective),
         converged=ok,
-    )
-
-
-def _plain_moments(data: Dataset) -> SampleMoments:
-    """Moments with the raw surrogate as the only regressor."""
-    n = data.n
-    y_mean = data.y.mean(axis=0)
-    x_mean = data.x.mean(axis=0)
-    xc = data.x - x_mean
-    yc = data.y - y_mean
-    return SampleMoments(
-        y_mean=y_mean,
-        r_mean=x_mean.copy(),
-        s_rr=xc.T @ xc / n,
-        s_ry=xc.T @ yc / n,
-        x_mean=x_mean,
-        x_cov=xc.T @ xc / (n - 1),
-        n=n,
     )
 
 

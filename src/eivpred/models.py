@@ -43,6 +43,7 @@ __all__ = [
     "HiddenTruth",
     "Dataset",
     "NewSubject",
+    "Sampler",
     "validate",
     "sample",
     "new_subject",
@@ -109,22 +110,6 @@ class ZDistribution:
             if np.max(np.abs(off)) > 0:
                 out.append(f"{self.kind} z distribution requires diagonal covariance")
         return out
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        q = self.dim
-        if q == 0:
-            return np.zeros((n, 0))
-        if self.kind == "gaussian":
-            g = rng.standard_normal((n, q))
-            return self.mean + g @ cholesky_psd(self.cov).T
-        var = np.diag(self.cov)
-        if self.kind == "uniform":
-            half = np.sqrt(3.0 * var)
-            return self.mean + rng.uniform(-1.0, 1.0, size=(n, q)) * half
-        if self.kind == "two_point":
-            signs = 2.0 * rng.integers(0, 2, size=(n, q)) - 1.0
-            return self.mean + signs * np.sqrt(var)
-        raise SpecError([f"unknown z distribution kind {self.kind!r}"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -536,33 +521,81 @@ class NewSubject:
     xi0: np.ndarray  # (m,), hidden latent draw (kept for oracle checks)
 
 
-def _draw(spec: ModelSpec, n: int, rng: np.random.Generator):
-    """Draw n i.i.d. observations; returns (y, z, x, hidden)."""
-    if isinstance(spec, LinearSpec):
-        d, q, m = spec.response_dim, spec.z_dim, spec.latent_dim
-        mu = spec.latent_mean
-        latent_cov = spec.latent_cov
-        errors = spec.errors
-        z_dist = spec.z_dist
-    else:
-        d, m = 1, 1
-        q = spec.z_dim
-        mu = np.array([spec.latent_mean])
-        latent_cov = np.array([[spec.latent_var]])
-        if isinstance(spec, PolynomialSpec):
-            errors = spec.error_structure()
-        else:
-            errors = ErrorStructure.scalar(sigma2_e=spec.sigma2_e, sigma2_delta=spec.sigma2_delta)
-        z_dist = getattr(spec, "z_dist", None)
+class Sampler:
+    """A spec validated once, with the Cholesky factors of its fixed covariances.
 
-    z = z_dist.sample(rng, n) if (q and z_dist is not None) else np.zeros((n, q))
-    xi = mu + rng.standard_normal((n, m)) @ cholesky_psd(latent_cov).T
-    meas = rng.standard_normal((n, d + m)) @ cholesky_psd(errors.stacked_measurement_cov()).T
-    eps, delta = meas[:, :d], meas[:, d:]
-    e = rng.standard_normal((n, d)) @ cholesky_psd(errors.sigma_e).T
-    x = xi + delta
-    y = spec.regression(z, xi) + e + eps
-    return y, z, x, HiddenTruth(xi=xi, delta=delta, e=e, eps=eps)
+    Construction runs the blocking model checks and raises :class:`SpecError`
+    on a violation; the factors of the latent, stacked (eps, delta),
+    equation-error and Gaussian-z covariances are computed here and reused by
+    every draw.  The spec must not be mutated while a sampler built from it
+    is in use.
+    """
+
+    def __init__(self, spec: ModelSpec):
+        violations = [v for v, blocking in _checks(spec) if blocking]
+        if violations:
+            raise SpecError(violations)
+        self.spec = spec
+        if isinstance(spec, LinearSpec):
+            self._mu = spec.latent_mean
+            latent_cov = spec.latent_cov
+            errors = spec.errors
+        else:
+            self._mu = np.array([spec.latent_mean])
+            latent_cov = np.array([[spec.latent_var]])
+            if isinstance(spec, PolynomialSpec):
+                errors = spec.error_structure()
+            else:
+                errors = ErrorStructure.scalar(sigma2_e=spec.sigma2_e, sigma2_delta=spec.sigma2_delta)
+        self._d, self._q, self._m = spec.response_dim, spec.z_dim, spec.latent_dim
+        self._z_dist = getattr(spec, "z_dist", None) if self._q else None
+        self._latent_factor = cholesky_psd(latent_cov).T
+        self._meas_factor = cholesky_psd(errors.stacked_measurement_cov()).T
+        self._e_factor = cholesky_psd(errors.sigma_e).T
+        if self._z_dist is None:
+            self._z_factor = None
+        elif self._z_dist.kind == "gaussian":
+            self._z_factor = cholesky_psd(self._z_dist.cov).T
+        elif self._z_dist.kind == "uniform":
+            self._z_factor = np.sqrt(3.0 * np.diag(self._z_dist.cov))  # half-widths
+        else:
+            self._z_factor = np.sqrt(np.diag(self._z_dist.cov))  # two-point offsets
+
+    def _draw_z(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        z_dist, shape = self._z_dist, (n, self._q)
+        if z_dist is None:
+            return np.zeros(shape)
+        if z_dist.kind == "gaussian":
+            return z_dist.mean + rng.standard_normal(shape) @ self._z_factor
+        if z_dist.kind == "uniform":
+            return z_dist.mean + rng.uniform(-1.0, 1.0, size=shape) * self._z_factor
+        signs = 2.0 * rng.integers(0, 2, size=shape) - 1.0
+        return z_dist.mean + signs * self._z_factor
+
+    def draw(self, rng: np.random.Generator, n: int):
+        """Draw n i.i.d. observations; returns (y, z, x, hidden)."""
+        d, m = self._d, self._m
+        z = self._draw_z(rng, n)
+        xi = self._mu + rng.standard_normal((n, m)) @ self._latent_factor
+        meas = rng.standard_normal((n, d + m)) @ self._meas_factor
+        eps, delta = meas[:, :d], meas[:, d:]
+        e = rng.standard_normal((n, d)) @ self._e_factor
+        x = xi + delta
+        y = self.spec.regression(z, xi) + e + eps
+        return y, z, x, HiddenTruth(xi=xi, delta=delta, e=e, eps=eps)
+
+    def sample(self, n: int, seed: int, *, keep_hidden: bool = True) -> Dataset:
+        """Draw ``n`` i.i.d. observations; deterministic given ``seed``."""
+        if n < 1:
+            raise SpecError(["sample size must be >= 1"])
+        y, z, x, hidden = self.draw(make_rng(seed), n)
+        return Dataset(y=y, z=z, x=x, seed=int(seed), hidden=hidden if keep_hidden else None)
+
+    def new_subject(self, seed: int) -> NewSubject:
+        """One fresh draw plus the noiseless regression value at its covariates."""
+        y, z, x, hidden = self.draw(make_rng(seed, 0x5EED), 1)
+        eta = self.spec.regression(z, hidden.xi)
+        return NewSubject(z0=z[0], x0=x[0], y0=y[0], eta0=eta[0], xi0=hidden.xi[0])
 
 
 def sample(spec: ModelSpec, n: int, seed: int, *, keep_hidden: bool = True) -> Dataset:
@@ -571,24 +604,14 @@ def sample(spec: ModelSpec, n: int, seed: int, *, keep_hidden: bool = True) -> D
     Rejects specs whose joint law is ill-defined; degenerate-but-valid laws
     (point masses, singular surrogate covariance) can still be drawn from
     even though :func:`validate` reports them for estimation purposes.
+    Repeated draws from one spec should build a :class:`Sampler` once.
     """
-    violations = [v for v, blocking in _checks(spec) if blocking]
-    if violations:
-        raise SpecError(violations)
-    if n < 1:
-        raise SpecError(["sample size must be >= 1"])
-    y, z, x, hidden = _draw(spec, n, make_rng(seed))
-    return Dataset(y=y, z=z, x=x, seed=int(seed), hidden=hidden if keep_hidden else None)
+    return Sampler(spec).sample(n, seed, keep_hidden=keep_hidden)
 
 
 def new_subject(spec: ModelSpec, seed: int) -> NewSubject:
     """One fresh draw plus the noiseless regression value at its covariates."""
-    violations = [v for v, blocking in _checks(spec) if blocking]
-    if violations:
-        raise SpecError(violations)
-    y, z, x, hidden = _draw(spec, 1, make_rng(seed, 0x5EED))
-    eta = spec.regression(z, hidden.xi)
-    return NewSubject(z0=z[0], x0=x[0], y0=y[0], eta0=eta[0], xi0=hidden.xi[0])
+    return Sampler(spec).new_subject(seed)
 
 
 # ---------------------------------------------------------------------------

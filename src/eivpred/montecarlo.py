@@ -5,6 +5,14 @@ empirical checks: consistency curves for the plug-in predictors, coverage
 tables for the confidence regions, and the head-to-head comparison that
 demonstrates where the naive plug-in predictor fails.
 
+Each driver compiles its experiment once before the replication loop: the
+spec into a validated :class:`~eivpred.models.Sampler` with cached Cholesky
+factors, the fixed-subject conditional law (when requested) into its
+moments and factors, and the region settings into checked values.  Invalid
+specs and region settings therefore raise :class:`~eivpred.errors.SpecError`
+up front instead of failing every replication, and the spec must not be
+mutated while a run is in progress.
+
 Replications run on a work queue with per-replication counter-based seeds
 and are merged in replication order, so a report is byte-identical for a
 fixed master seed regardless of the worker count.  Wall-clock time is kept
@@ -25,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .errors import EivError, InvalidInput
+from .errors import EivError, InvalidInput, SpecError
 from .estimators import FittedModel, naive_ols_abs, nls_fit, ols_fit
 from .linalg import cholesky_psd
 from .models import (
@@ -35,8 +43,7 @@ from .models import (
     NewSubject,
     PolynomialSpec,
     QuadraticSpec,
-    new_subject,
-    sample,
+    Sampler,
     spec_to_dict,
 )
 from .predictors import (
@@ -204,44 +211,42 @@ def _true_mean_point(spec: ModelSpec, best_point: np.ndarray, x0: np.ndarray) ->
     return best_point - cross / spec.x_var * (x0 - spec.latent_mean)
 
 
-def _conditional_subject(spec: ModelSpec, z0, x0, rng: np.random.Generator) -> NewSubject:
-    """Fresh response at a fixed (z0, x0), drawn from the exact conditional law."""
+def _conditional_subject(spec: ModelSpec, fixed: NewSubject):
+    """Draws of a fresh response at the fixed (z0, x0) of ``fixed``, from the
+    exact conditional law; its moments and factors are computed once here."""
     cg = condition_gaussian(spec)
     m = cg.xi_coef.shape[0]
-    mean_xi = cg.xi_offset + cg.xi_coef @ x0
     if isinstance(spec, LinearSpec):
         mu = spec.latent_mean
         sigma_e = spec.errors.sigma_e
     else:
         mu = np.array([spec.latent_mean])
         sigma_e = np.array([[spec.sigma2_e]])
+    x0 = fixed.x0
+    mean_xi = cg.xi_offset + cg.xi_coef @ x0
     mean_eps = cg.eps_coef @ (x0 - mu)
-    g = cholesky_psd(cg.cond_cov) @ rng.standard_normal(cg.cond_cov.shape[0])
-    xi0 = mean_xi + g[:m]
-    eps0 = mean_eps + g[m:]
-    e0 = cholesky_psd(sigma_e) @ rng.standard_normal(sigma_e.shape[0])
-    zrow = np.zeros((1, 0)) if z0 is None else np.asarray(z0, float)[None, :]
-    eta0 = spec.regression(zrow, xi0[None, :])[0]
-    return NewSubject(
-        z0=np.zeros(0) if z0 is None else np.asarray(z0, float),
-        x0=np.asarray(x0, float),
-        y0=eta0 + e0 + eps0,
-        eta0=eta0,
-        xi0=xi0,
-    )
+    cond_factor = cholesky_psd(cg.cond_cov)
+    e_factor = cholesky_psd(sigma_e)
+    zrow = fixed.z0[None, :]
+
+    def draw(rng: np.random.Generator) -> NewSubject:
+        g = cond_factor @ rng.standard_normal(cond_factor.shape[0])
+        xi0 = mean_xi + g[:m]
+        eps0 = mean_eps + g[m:]
+        e0 = e_factor @ rng.standard_normal(e_factor.shape[0])
+        eta0 = spec.regression(zrow, xi0[None, :])[0]
+        return NewSubject(z0=fixed.z0, x0=x0, y0=eta0 + e0 + eps0, eta0=eta0, xi0=xi0)
+
+    return draw
 
 
-def _draw_subject(cfg: ExperimentConfig, n_idx: int, rep: int, fixed: Optional[NewSubject]):
+def _subject_drawer(cfg: ExperimentConfig, sampler: Sampler):
+    """``(n_idx, rep) -> NewSubject`` for the prediction target of each
+    replication: a fresh subject, or a fresh response at one fixed subject."""
     if not cfg.fixed_subject:
-        return new_subject(cfg.spec, derive_seed(cfg.master_seed, 2, n_idx, rep))
-    rng = make_rng(cfg.master_seed, 3, n_idx, rep)
-    return _conditional_subject(cfg.spec, fixed.z0 if fixed.z0.size else None, fixed.x0, rng)
-
-
-def _fixed_subject(cfg: ExperimentConfig) -> Optional[NewSubject]:
-    if not cfg.fixed_subject:
-        return None
-    return new_subject(cfg.spec, derive_seed(cfg.master_seed, 4))
+        return lambda n_idx, rep: sampler.new_subject(derive_seed(cfg.master_seed, 2, n_idx, rep))
+    conditional = _conditional_subject(cfg.spec, sampler.new_subject(derive_seed(cfg.master_seed, 4)))
+    return lambda n_idx, rep: conditional(make_rng(cfg.master_seed, 3, n_idx, rep))
 
 
 def _run_tasks(cfg: ExperimentConfig, tasks, worker):
@@ -270,10 +275,11 @@ def run_consistency(cfg: ExperimentConfig) -> McReport:
     """Prediction and coefficient errors of the fitted predictor versus the
     true best predictor, across the sample-size grid."""
     t0 = time.perf_counter()
+    sampler = Sampler(cfg.spec)
     true_params = transform(cfg.spec)
     true_vec = _coef_vector(true_params)
     true_norm = float(np.linalg.norm(true_vec))
-    fixed = _fixed_subject(cfg)
+    draw_subject = _subject_drawer(cfg, sampler)
     cross = _known_cross_cov(cfg.spec) if cfg.mean_prediction else None
 
     report = McReport("consistency", provenance=_provenance(cfg, "consistency"))
@@ -282,9 +288,9 @@ def run_consistency(cfg: ExperimentConfig) -> McReport:
         n_idx, rep = task
         n = cfg.n_grid[n_idx]
         try:
-            data = sample(cfg.spec, n, derive_seed(cfg.master_seed, 1, n_idx, rep), keep_hidden=False)
+            data = sampler.sample(n, derive_seed(cfg.master_seed, 1, n_idx, rep), keep_hidden=False)
             fit = _fit(cfg, data)
-            subject = _draw_subject(cfg, n_idx, rep, fixed)
+            subject = draw_subject(n_idx, rep)
             z0 = subject.z0 if subject.z0.size else None
             pred = predict_individual(fit, z0, subject.x0)
             best = np.atleast_1d(true_params.predict(z0, subject.x0))
@@ -353,31 +359,50 @@ def run_consistency(cfg: ExperimentConfig) -> McReport:
     return report
 
 
+_REGION_KINDS = ("chebyshev", "chi_square", "quadratic_bound")
+
+
+def _check_regions(cfg: ExperimentConfig) -> None:
+    """Reject region settings that would fail every replication."""
+    problems = []
+    if not all(0 < alpha < 1 for alpha in cfg.alphas):
+        problems.append(f"alphas must lie in (0, 1), got {list(cfg.alphas)}")
+    unknown = [kind for kind in cfg.region_kinds if kind not in _REGION_KINDS]
+    if unknown:
+        problems.append(f"unknown region kinds {unknown}")
+    if "quadratic_bound" in cfg.region_kinds:
+        if not isinstance(cfg.spec, QuadraticSpec):
+            problems.append("quadratic_bound regions apply to the quadratic family only")
+        if not (cfg.k0 is not None and 0 < cfg.k0 <= 0.5):
+            problems.append("quadratic_bound regions need k0 in (0, 1/2] in the experiment config")
+    if problems:
+        raise SpecError(problems)
+
+
 def _build_region(cfg: ExperimentConfig, kind: str, fit, pred, alpha: float):
+    """One region; ``kind``, ``alpha`` and ``k0`` were checked by :func:`_check_regions`."""
     if kind == "chebyshev":
         return region_chebyshev(fit, pred, alpha)
     if kind == "chi_square":
         return region_chisquare(fit, pred, alpha, purely_normal=cfg.purely_normal)
-    if kind == "quadratic_bound":
-        if cfg.k0 is None:
-            raise InvalidInput("quadratic_bound regions need k0 in the experiment config")
-        return region_quadratic(fit, pred, alpha, cfg.k0)
-    raise InvalidInput(f"unknown region kind {kind!r}")
+    return region_quadratic(fit, pred, alpha, cfg.k0)
 
 
 def run_coverage(cfg: ExperimentConfig) -> McReport:
     """Empirical coverage of the requested regions at each (n, alpha)."""
     t0 = time.perf_counter()
-    fixed = _fixed_subject(cfg)
+    _check_regions(cfg)
+    sampler = Sampler(cfg.spec)
+    draw_subject = _subject_drawer(cfg, sampler)
     report = McReport("coverage", provenance=_provenance(cfg, "coverage"))
 
     def one(task):
         n_idx, rep = task
         n = cfg.n_grid[n_idx]
         try:
-            data = sample(cfg.spec, n, derive_seed(cfg.master_seed, 1, n_idx, rep), keep_hidden=False)
+            data = sampler.sample(n, derive_seed(cfg.master_seed, 1, n_idx, rep), keep_hidden=False)
             fit = _fit(cfg, data)
-            subject = _draw_subject(cfg, n_idx, rep, fixed)
+            subject = draw_subject(n_idx, rep)
             z0 = subject.z0 if subject.z0.size else None
             pred = predict_individual(fit, z0, subject.x0)
             hits = {}
@@ -432,6 +457,7 @@ def run_abs_failure(cfg: ExperimentConfig) -> McReport:
     if not isinstance(cfg.spec, AbsSpec):
         raise InvalidInput("run_abs_failure needs an absolute-value family spec")
     t0 = time.perf_counter()
+    sampler = Sampler(cfg.spec)
     true_params = transform(cfg.spec)
     report = McReport("abs_failure", provenance=_provenance(cfg, "abs_failure"))
 
@@ -439,12 +465,11 @@ def run_abs_failure(cfg: ExperimentConfig) -> McReport:
         n_idx, rep = task
         n = cfg.n_grid[n_idx]
         try:
-            data = sample(cfg.spec, n, derive_seed(cfg.master_seed, 1, n_idx, rep), keep_hidden=False)
+            data = sampler.sample(n, derive_seed(cfg.master_seed, 1, n_idx, rep), keep_hidden=False)
             fit = nls_fit(data, "absolute_value")
             naive_scale, naive_shift = naive_ols_abs(data)
-            test = sample(
-                cfg.spec, cfg.test_subjects, derive_seed(cfg.master_seed, 5, n_idx, rep),
-                keep_hidden=False,
+            test = sampler.sample(
+                cfg.test_subjects, derive_seed(cfg.master_seed, 5, n_idx, rep), keep_hidden=False
             )
             xs = test.x
             best = predict_rows(true_params, None, xs)[:, 0]

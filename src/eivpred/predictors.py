@@ -14,6 +14,7 @@ a known lower bound on the reliability ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -21,7 +22,7 @@ from scipy.special import gammaincc
 
 from .errors import DimensionError, InvalidInput, SingularCovariance
 from .estimators import FittedModel
-from .linalg import min_eigenvalue, pinv, sym_sqrt
+from .linalg import min_eigenvalue
 from .transform import QuadraticObservable, quadratic_bound_term
 
 __all__ = [
@@ -128,9 +129,12 @@ def predict_mean(fit: FittedModel, z0, x0, sigma_eps_delta) -> Prediction:
     return Prediction(point=base.point - correction, kind="mean", z0=base.z0, x0=base.x0)
 
 
+@lru_cache
 def chi2_upper_quantile(dim: int, alpha: float, tol: float = 1e-12) -> float:
     """Upper alpha-quantile of the chi-square law with ``dim`` degrees of
-    freedom, by bisection on the regularized upper incomplete gamma."""
+    freedom, by bisection on the regularized upper incomplete gamma.
+
+    Cached per argument tuple, so the bisection runs once per (dim, alpha)."""
     if not 0 < alpha < 1:
         raise InvalidInput("alpha must lie in (0, 1)")
     if dim < 1:
@@ -150,15 +154,6 @@ def chi2_upper_quantile(dim: int, alpha: float, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def _resid_shape(fit: FittedModel) -> tuple[np.ndarray, tuple[str, ...]]:
-    resid_cov = fit.residual_moment
-    notes: tuple[str, ...] = ()
-    scale = max(float(np.max(np.abs(resid_cov))), 0.0)
-    if scale == 0.0 or min_eigenvalue(resid_cov) <= 1e-12 * scale:
-        notes = ("residual covariance near-singular; region lives on a subspace",)
-    return sym_sqrt(pinv(resid_cov)), notes
-
-
 def region_chebyshev(fit: FittedModel, pred: Prediction, alpha: float) -> ConfidenceRegion:
     """Distribution-free region with threshold d / alpha.
 
@@ -167,7 +162,7 @@ def region_chebyshev(fit: FittedModel, pred: Prediction, alpha: float) -> Confid
     """
     if not 0 < alpha < 1:
         raise InvalidInput("alpha must lie in (0, 1)")
-    shape, notes = _resid_shape(fit)
+    shape, notes = fit.region_shape
     d = pred.point.shape[0]
     return ConfidenceRegion(
         kind="chebyshev",
@@ -190,7 +185,7 @@ def region_chisquare(
     """
     if not 0 < alpha < 1:
         raise InvalidInput("alpha must lie in (0, 1)")
-    shape, notes = _resid_shape(fit)
+    shape, notes = fit.region_shape
     if not purely_normal:
         notes = notes + ("purely-normal assumption not asserted",)
     d = pred.point.shape[0]

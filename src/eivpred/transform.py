@@ -217,7 +217,8 @@ class ExponentialObservable:
     family = "exponential"
 
     def predict(self, z0, x0) -> float:
-        return self.scale * math.exp(self.rate * float(np.squeeze(x0)))
+        exponent = self.rate * float(np.squeeze(x0))
+        return self.scale * math.exp(min(max(exponent, -700.0), 700.0))  # clipped as in predict_rows
 
 
 @dataclass(frozen=True, eq=False)

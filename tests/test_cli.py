@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eivpred import models
-from eivpred.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main
+from eivpred import cli, models
+from eivpred.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -287,3 +287,34 @@ class TestExperiment:
         monkeypatch.setenv("EIVPRED_THREADS", "2")
         cfg = self.experiment_config(tmp_path)
         assert main(["experiment", "--config", cfg]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("alphas", [1.5], "alphas must lie in (0, 1)"),
+            ("latent_cov", [[-1.0]], "latent covariance not PSD"),
+        ],
+    )
+    def test_invalid_experiment_exits_2_without_report(self, tmp_path, capsys, field, value, message):
+        extra = {"replications": 5}
+        if field == "alphas":
+            extra["alphas"] = value
+        else:
+            extra["spec"] = dict(linear_spec_dict(), latent_cov=value)
+        cfg = self.experiment_config(tmp_path, **extra)
+        assert main(["experiment", "--config", cfg]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("error", [OverflowError, FloatingPointError, np.linalg.LinAlgError])
+def test_numeric_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch, error):
+    def failing(spec):
+        raise error("numbers went wrong")
+
+    monkeypatch.setattr(cli, "transform", failing)
+    cfg = write_config(tmp_path, "tr.json", {"spec": linear_spec_dict()})
+    assert main(["transform", "--config", cfg]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"numeric error: {error.__name__}: numbers went wrong"]

@@ -1,5 +1,6 @@
 """Model specifications, samplers, and dataset serialization."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -10,9 +11,11 @@ from eivpred.errors import SpecError
 
 from conftest import (
     make_abs_spec,
+    make_exponential_spec,
     make_linear_spec,
     make_poly_spec,
     make_quadratic_spec,
+    make_trig_spec,
 )
 
 
@@ -188,3 +191,110 @@ class TestSerialization:
             back = models.spec_from_dict(json.loads(json.dumps(models.spec_to_dict(spec))))
             assert back.family == spec.family
             assert back.latent_var == spec.latent_var
+
+
+def _two_point_z_poly():
+    z_dist = models.ZDistribution("two_point", mean=[0.0, 1.0], cov=[[1.0, 0.0], [0.0, 0.25]])
+    return make_poly_spec(z_slopes=[0.4, -0.2], z_dist=z_dist)
+
+
+# One spec per family and z distribution, plus a point mass (pivoted Cholesky).
+PINNED_SPECS = {
+    "linear_gaussian_z": lambda: make_linear_spec(
+        d=2,
+        q=2,
+        m=2,
+        latent_cov=[[1.0, 0.3], [0.3, 0.9]],
+        sigma_e=[[0.2, 0.05], [0.05, 0.1]],
+        sigma_eps_delta=[[0.1, 0.0], [0.05, 0.02]],
+    ),
+    "linear_uniform_z": lambda: make_linear_spec(q=2, sigma_eps_delta=[[0.1]], z_kind="uniform"),
+    "linear_two_point_z": lambda: make_linear_spec(q=1, sigma_e=[[0.1]], z_kind="two_point"),
+    "polynomial_two_point_z": _two_point_z_poly,
+    "linear_point_mass": lambda: make_linear_spec(
+        q=0, latent_cov=[[0.0]], sigma_eps=[[0.0]], sigma_delta=[[0.0]]
+    ),
+    "quadratic": make_quadratic_spec,
+    "exponential": make_exponential_spec,
+    "trigonometric": make_trig_spec,
+    "absolute_value": make_abs_spec,
+}
+
+# SHA-256 of (sample(spec, 40, seed=2024) arrays, new_subject(spec, seed=77) arrays),
+# recorded on x86-64 Linux with numpy 2.4 / OpenBLAS before the sampler was
+# compiled once per spec; any change to the draw order or arithmetic shows here.
+PINNED_DIGESTS = {
+    "linear_gaussian_z": (
+        "076e313be810afb7765231b70ea3a4d4205c5eae759cd054b4886ca4cea60a2a",
+        "16aa5498f51f1b57105671ad0af41ebdb0227f44ccd42e50c330cfd41a5bfcfb",
+    ),
+    "linear_uniform_z": (
+        "6460d78a450bbed590b6e0baf23567e69563b97a5bd4e571fe48b7dba8030444",
+        "d866255c89e83b73e1ee52f4da9a63cd69c07f0a6b6bfd75d7811c9b0c2fc4b7",
+    ),
+    "linear_two_point_z": (
+        "a1253f37dc1926637eea723a1a020721c9d9edbc49e2070d682b6436c6cb04c1",
+        "762767cc069ac3944fcc54665d5f831c95acbc8ddd35cd7d2f2e3570e97d8bf9",
+    ),
+    "polynomial_two_point_z": (
+        "f2f61942862edaa6b6b84b255748ee449e41a9c7488d4fbe2fd0c7f4f4f9dd21",
+        "0e168012ecd2169e33a5fccb81ecfa1c58ccc152dc2d10e94c34b14ef7ef521c",
+    ),
+    "linear_point_mass": (
+        "f2910a273c0c4c877cca1a1781b63d99777be2a6cdcdf04e7d4a4c96146fe7e8",
+        "69134cb4983a45f8e59f2bed1b8bdbff6e02d1e26936ee65f37da58b35a00751",
+    ),
+    "quadratic": (
+        "5b689ee81ff568eab49af18d39c388566f93879ddba6fa40415d395a59ac25f3",
+        "d1b2660c85b10db289070f890a0e98b4e66abd3afc05399580da5e042ad6b466",
+    ),
+    "exponential": (
+        "410a9518f32e4c7a7cb96732ed1afd24bc0269ccff8e2787e0fa78ed637a5f54",
+        "b48de9be81cb80e07fe4bb10c4106f5cdb6c338aae8cf7de464e7fb2521ad7da",
+    ),
+    "trigonometric": (
+        "118db6bb2f80c5bd1b937c2d9b5283204eedc56c4c653ddabf0658e210299578",
+        "84b2d445e61f74eb4aa43a3b0e01a1d14f5c42ee505b7f72e2b23e8174004564",
+    ),
+    "absolute_value": (
+        "f27b2e1b70c1752a8be6eb76072368082238133e020257556e5f76f5abf25e56",
+        "755d2cfea175a4aa2b17f3c8dd1874ba6e404da4f2da8df696743d3007e315a2",
+    ),
+}
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype="<f8")
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestSampler:
+    @pytest.mark.parametrize("name", sorted(PINNED_SPECS))
+    def test_draws_match_pinned_digests(self, name):
+        spec = PINNED_SPECS[name]()
+        data = models.sample(spec, 40, seed=2024)
+        h = data.hidden
+        sub = models.new_subject(spec, seed=77)
+        assert (
+            _digest(data.y, data.z, data.x, h.xi, h.delta, h.e, h.eps),
+            _digest(sub.z0, sub.x0, sub.y0, sub.eta0, sub.xi0),
+        ) == PINNED_DIGESTS[name]
+
+    def test_compiled_sampler_matches_module_functions(self):
+        spec = PINNED_SPECS["linear_gaussian_z"]()
+        sampler = models.Sampler(spec)
+        for seed in (1, 2):
+            a, b = sampler.sample(30, seed), models.sample(spec, 30, seed)
+            assert all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("y", "z", "x"))
+            assert np.array_equal(sampler.new_subject(seed).y0, models.new_subject(spec, seed).y0)
+
+    def test_blocking_violation_raises_at_construction(self):
+        with pytest.raises(SpecError, match="not PSD"):
+            models.Sampler(make_linear_spec(latent_cov=[[-1.0]]))
+
+    def test_single_draw_path(self):
+        assert not hasattr(models, "_draw")

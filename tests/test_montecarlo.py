@@ -1,10 +1,12 @@
 """Monte Carlo experiment drivers: determinism, coverage, comparisons."""
 
+import re
+
 import numpy as np
 import pytest
 
-from eivpred import montecarlo
-from eivpred.errors import InvalidInput
+from eivpred import estimators, linalg, models, montecarlo, predictors, transform
+from eivpred.errors import InvalidInput, SpecError
 
 from conftest import make_abs_spec, make_linear_spec, make_quadratic_spec
 
@@ -219,3 +221,114 @@ class TestAbsFailure:
         )
         with pytest.raises(InvalidInput):
             montecarlo.run_abs_failure(cfg)
+
+
+class TestFailFast:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(alphas=(1.5,)), "alphas must lie in (0, 1)"),
+            (dict(alphas=(0.0, 0.1)), "alphas must lie in (0, 1)"),
+            (dict(spec=make_quadratic_spec(), region_kinds=("quadratic_bound",)), "k0 in (0, 1/2]"),
+            (
+                dict(spec=make_quadratic_spec(), region_kinds=("quadratic_bound",), k0=0.7),
+                "k0 in (0, 1/2]",
+            ),
+            (dict(region_kinds=("quadratic_bound",), k0=0.5), "quadratic family only"),
+            (dict(region_kinds=("ellipse",)), "unknown region kinds"),
+            (dict(spec=make_linear_spec(latent_cov=[[-1.0]])), "not PSD"),
+        ],
+    )
+    def test_invalid_coverage_run_raises_before_the_loop(self, overrides, message):
+        cfg = coverage_config(replications=5, threads=1, **overrides)
+        with pytest.raises(SpecError, match=re.escape(message)):
+            montecarlo.run_coverage(cfg)
+
+    @pytest.mark.parametrize("driver", [montecarlo.run_consistency, montecarlo.run_abs_failure])
+    def test_invalid_spec_raises_before_the_loop(self, driver):
+        cfg = montecarlo.ExperimentConfig(
+            spec=make_abs_spec(sigma2_e=-1.0), n_grid=(50,), replications=2, master_seed=0
+        )
+        with pytest.raises(SpecError, match="sigma2_e negative"):
+            driver(cfg)
+
+
+# Where the package binds each counted function; callers look them up there.
+_MODULES = (models, estimators, predictors, montecarlo, transform, linalg)
+_COUNTED = (
+    (linalg, "cholesky_psd"),
+    (linalg, "min_eigenvalue"),
+    (linalg, "pinv"),
+    (linalg, "sym_sqrt"),
+    (predictors, "gammaincc"),  # the chi-square bisection's only callee
+)
+
+
+def _count_calls(monkeypatch) -> dict:
+    counts = {}
+    for owner, name in _COUNTED:
+        original = getattr(owner, name)
+        counts[name] = 0
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in _MODULES:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def _coverage_counts(replications: int, **overrides) -> dict:
+    predictors.chi2_upper_quantile.cache_clear()
+    cfg = coverage_config(
+        n_grid=(60,), replications=replications, alphas=(0.05, 0.1), threads=1, **overrides
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        counts = _count_calls(mp)
+        report = montecarlo.run_coverage(cfg)
+    assert report.failures == []
+    return counts
+
+
+class TestSpecCompiledOnce:
+    @pytest.mark.parametrize("fixed_subject", [False, True])
+    def test_spec_work_does_not_grow_with_replications(self, fixed_subject):
+        small = _coverage_counts(5, fixed_subject=fixed_subject)
+        large = _coverage_counts(10, fixed_subject=fixed_subject)
+        assert small["gammaincc"] > 0 and small["cholesky_psd"] > 0
+        extra = {name: large[name] - small[name] for name in small}
+        # Per extra replication only the fit's own work remains, with two region
+        # kinds at two alphas: pinv in OLS and once for the shared region shape,
+        # one sym_sqrt and one near-singularity check for that shape.
+        assert extra == {
+            "cholesky_psd": 0,
+            "min_eigenvalue": 5,
+            "pinv": 10,
+            "sym_sqrt": 5,
+            "gammaincc": 0,
+        }
+
+    @pytest.mark.parametrize(
+        "driver, spec",
+        [
+            (montecarlo.run_coverage, make_linear_spec()),
+            (montecarlo.run_consistency, make_linear_spec()),
+            (montecarlo.run_abs_failure, make_abs_spec()),
+        ],
+    )
+    def test_one_sampler_per_run(self, driver, spec, monkeypatch):
+        built = []
+
+        class CountingSampler(models.Sampler):
+            def __init__(self, spec):
+                built.append(spec)
+                super().__init__(spec)
+
+        monkeypatch.setattr(montecarlo, "Sampler", CountingSampler)
+        cfg = montecarlo.ExperimentConfig(
+            spec=spec, n_grid=(50, 80), replications=3, master_seed=1, test_subjects=20
+        )
+        assert driver(cfg).failures == []
+        assert built == [spec]

@@ -402,6 +402,14 @@ class TestTransformExponential:
                 oracle.conditional_expectation(spec, x), abs=1e-8
             )
 
+    @pytest.mark.parametrize("x0", [1000.0, -1000.0, 350.0])
+    def test_scalar_and_row_paths_agree_at_large_x0(self, x0):
+        params = transform.ExponentialObservable(scale=1.0, rate=2.0)
+        scalar = params.predict(None, [x0])  # the exponent is clipped, not overflowed
+        rows = transform.predict_rows(params, None, np.array([[x0]]))[0, 0]
+        assert np.isfinite(scalar)
+        assert scalar == pytest.approx(rows, rel=1e-15)
+
 
 class TestTransformTrig:
     def test_no_error_identity(self):
