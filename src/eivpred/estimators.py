@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -88,11 +87,23 @@ class FittedModel:
     def predict(self, z0, x0):
         return self.params.predict(z0, x0)
 
-    @cached_property
+    @property
     def region_shape(self) -> tuple[np.ndarray, tuple[str, ...]]:
         """Symmetric square root of the pseudo-inverted residual moment, shared
         by every ellipsoidal region on this fit, plus a note when that moment
-        is near-singular.  Computed on first use, once per fit."""
+        is near-singular.  Computed on first use, once per fit.
+
+        Cached in the instance by hand: before Python 3.12,
+        ``functools.cached_property`` holds one lock shared by every instance
+        of the class, so pool threads working on different fits would queue
+        on it around the LAPACK calls."""
+        cached = self.__dict__.get("_region_shape")
+        if cached is None:
+            cached = self._compute_region_shape()
+            object.__setattr__(self, "_region_shape", cached)  # frozen dataclass
+        return cached
+
+    def _compute_region_shape(self) -> tuple[np.ndarray, tuple[str, ...]]:
         resid_cov = self.residual_moment
         notes: tuple[str, ...] = ()
         scale = max(float(np.max(np.abs(resid_cov))), 0.0)

@@ -13,10 +13,11 @@ specs and region settings therefore raise :class:`~eivpred.errors.SpecError`
 up front instead of failing every replication, and the spec must not be
 mutated while a run is in progress.
 
-Replications run on a work queue with per-replication counter-based seeds
-and are merged in replication order, so a report is byte-identical for a
-fixed master seed regardless of the worker count.  Wall-clock time is kept
-out of the serialized payload for the same reason.
+Replications are dealt to the worker threads in interleaved shares, use
+per-replication counter-based seeds and are merged in replication order, so
+a report is byte-identical for a fixed master seed regardless of the worker
+count.  Wall-clock time is kept out of the serialized payload for the same
+reason.
 """
 
 from __future__ import annotations
@@ -250,11 +251,20 @@ def _subject_drawer(cfg: ExperimentConfig, sampler: Sampler):
 
 
 def _run_tasks(cfg: ExperimentConfig, tasks, worker):
-    """Run ``worker(task)`` over all tasks; results in task order."""
-    if cfg.threads <= 1:
+    """Run ``worker(task)`` over all tasks; results in task order.
+
+    With k > 1 threads, thread j runs every k-th task starting at j, so each
+    thread gets an even share of every sample size, and the waiting main
+    thread wakes (and takes the GIL) k times rather than once per task."""
+    k = min(cfg.threads, len(tasks))
+    if k <= 1:
         return [worker(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        return list(pool.map(worker, tasks))
+    with ThreadPoolExecutor(max_workers=k) as pool:
+        shares = list(pool.map(lambda j: [worker(t) for t in tasks[j::k]], range(k)))
+    results = [None] * len(tasks)
+    for j, share in enumerate(shares):
+        results[j::k] = share
+    return results
 
 
 def _slope(ns: list[int], values: list[float]) -> float:

@@ -84,6 +84,21 @@ class TestOlsFit:
                 regs[:, k]
             ).max().clip(1.0)
 
+    def test_region_shape_cached_per_fit(self, linear_spec, monkeypatch):
+        calls = []
+        real_pinv = estimators.pinv
+        monkeypatch.setattr(estimators, "pinv", lambda a: calls.append(1) or real_pinv(a))
+        fits = [
+            estimators.ols_fit(models.sample(linear_spec, 200, seed=s, keep_hidden=False), "linear")
+            for s in (1, 2)
+        ]
+        calls.clear()  # the fits use pinv too
+        first = [fit.region_shape for fit in fits]
+        assert all(fit.region_shape is shape for fit, shape in zip(fits, first))
+        assert len(calls) == 2
+        assert not np.array_equal(first[0][0], first[1][0])
+        assert not first[0][0].flags.writeable
+
     def test_objective_is_global_minimum(self):
         rng = np.random.default_rng(7)
         spec = make_linear_spec()

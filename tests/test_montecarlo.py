@@ -181,6 +181,25 @@ class TestDeterminism:
         a, b = (montecarlo.run_consistency(c) for c in cfgs)
         assert a.to_json() == b.to_json()
 
+    @pytest.mark.parametrize("threads", [2, 3, 12])
+    def test_pool_runs_each_task_once_in_interleaved_shares(self, threads):
+        import threading
+
+        tasks = [(0, r) for r in range(10)]
+        ran = []
+
+        def worker(task):
+            ran.append((task, threading.get_ident()))
+            return task[1] ** 2
+
+        cfg = coverage_config(replications=10, threads=threads)
+        assert montecarlo._run_tasks(cfg, tasks, worker) == [r**2 for r in range(10)]
+        assert sorted(t for t, _ in ran) == tasks
+        k = min(threads, len(tasks))
+        owner = dict(ran)
+        for j in range(k):
+            assert len({owner[t] for t in tasks[j::k]}) == 1
+
     def test_wall_clock_not_serialized(self):
         cfg = coverage_config(replications=50)
         report = montecarlo.run_coverage(cfg)
