@@ -23,16 +23,10 @@ import jsonschema
 import numpy as np
 
 from .errors import EivError, SpecError
-from .estimators import nls_fit, ols_fit
-from .models import load_dataset, sample, save_dataset, spec_from_dict, validate
+from .estimators import fit_family
+from .models import FAMILIES, load_dataset, sample, save_dataset, spec_from_dict, validate
 from .montecarlo import ExperimentConfig, run_abs_failure, run_consistency, run_coverage
-from .predictors import (
-    predict_individual,
-    predict_mean,
-    region_chebyshev,
-    region_chisquare,
-    region_quadratic,
-)
+from .predictors import REGION_KINDS, build_region, predict_individual, predict_mean
 from .transform import params_to_dict, transform
 
 EXIT_OK = 0
@@ -50,7 +44,7 @@ _REGION_SCHEMA = {
     "additionalProperties": False,
     "required": ["kind", "alpha"],
     "properties": {
-        "kind": {"enum": ["chebyshev", "chi_square", "quadratic_bound"]},
+        "kind": {"enum": list(REGION_KINDS)},
         "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
         "purely_normal": {"type": "boolean"},
         "k0": {"type": "number"},
@@ -99,16 +93,7 @@ CONFIG_SCHEMAS = {
         "properties": {
             "schema_version": {"type": "integer"},
             "data": {"type": "string"},
-            "family": {
-                "enum": [
-                    "linear",
-                    "polynomial",
-                    "quadratic",
-                    "exponential",
-                    "trigonometric",
-                    "absolute_value",
-                ]
-            },
+            "family": {"enum": list(FAMILIES)},
             "degree": {"type": "integer", "minimum": 1},
             "harmonics": {"type": "integer", "minimum": 1},
             "predict": {
@@ -148,10 +133,7 @@ CONFIG_SCHEMAS = {
             "alphas": {"type": "array", "items": {"type": "number"}},
             "master_seed": {"type": "integer"},
             "threads": {"type": "integer", "minimum": 1},
-            "region_kinds": {
-                "type": "array",
-                "items": {"enum": ["chebyshev", "chi_square", "quadratic_bound"]},
-            },
+            "region_kinds": {"type": "array", "items": {"enum": list(REGION_KINDS)}},
             "purely_normal": {"type": "boolean"},
             "k0": {"type": "number"},
             "fixed_subject": {"type": "boolean"},
@@ -234,11 +216,9 @@ def _fit_report(fit) -> dict:
 
 def cmd_fit_predict(config: dict, args) -> int:
     data, _spec = load_dataset(config["data"])
-    family = config["family"]
-    if family in ("linear", "polynomial", "quadratic"):
-        fit = ols_fit(data, family, degree=config.get("degree"))
-    else:
-        fit = nls_fit(data, family, harmonics=config.get("harmonics", 1))
+    fit = fit_family(
+        data, config["family"], degree=config.get("degree"), harmonics=config.get("harmonics", 1)
+    )
 
     report = {"schema_version": 1, "fit": _fit_report(fit), "predictions": []}
     cross = config.get("sigma_eps_delta")
@@ -255,16 +235,14 @@ def cmd_fit_predict(config: dict, args) -> int:
         if cross is not None:
             entry["mean"] = predict_mean(fit, z0, x0, cross).point.tolist()
         for reg_cfg in config.get("regions", []):
-            kind = reg_cfg["kind"]
-            alpha = reg_cfg["alpha"]
-            if kind == "chebyshev":
-                region = region_chebyshev(fit, pred, alpha)
-            elif kind == "chi_square":
-                region = region_chisquare(
-                    fit, pred, alpha, purely_normal=reg_cfg.get("purely_normal", False)
-                )
-            else:
-                region = region_quadratic(fit, pred, alpha, reg_cfg.get("k0", 0.5))
+            region = build_region(
+                reg_cfg["kind"],
+                fit,
+                pred,
+                reg_cfg["alpha"],
+                purely_normal=reg_cfg.get("purely_normal", False),
+                k0=reg_cfg.get("k0", 0.5),
+            )
             entry["regions"].append(
                 {
                     "kind": region.kind,
@@ -313,24 +291,14 @@ def _evaluate_checks(report, checks: list[dict]) -> list[str]:
 
 
 def cmd_experiment(config: dict, args) -> int:
-    spec = spec_from_dict(config["spec"])
-    threads = args.threads or config.get("threads") or int(os.environ.get(THREADS_ENV, "1"))
-    cfg = ExperimentConfig(
-        spec=spec,
-        n_grid=tuple(config["n_grid"]),
-        replications=config["replications"],
-        alphas=tuple(config.get("alphas", [0.05])),
+    # the config keys that name ExperimentConfig fields; absent ones take its defaults
+    options = {k: config[k] for k in ExperimentConfig.__dataclass_fields__ if k in config}
+    options.update(
+        spec=spec_from_dict(config["spec"]),
         master_seed=args.seed if args.seed is not None else config["master_seed"],
-        threads=threads,
-        region_kinds=tuple(config.get("region_kinds", ["chebyshev"])),
-        purely_normal=config.get("purely_normal", False),
-        k0=config.get("k0"),
-        fixed_subject=config.get("fixed_subject", False),
-        mean_prediction=config.get("mean_prediction", False),
-        degree=config.get("degree"),
-        harmonics=config.get("harmonics", 1),
-        test_subjects=config.get("test_subjects", 1000),
+        threads=args.threads or config.get("threads") or int(os.environ.get(THREADS_ENV, "1")),
     )
+    cfg = ExperimentConfig(**options)
     report = _SUITES[config["suite"]](cfg)
     out = args.out or config.get("out")
     if not out:

@@ -33,6 +33,10 @@ class InsufficientData(EivError):
     """Sample too small for the requested fit or statistic."""
 
 
+class ReplicationsFailed(EivError):
+    """Every replication of a Monte Carlo run failed."""
+
+
 class NonConvergence(EivError):
     """All optimizer starts failed to converge."""
 

@@ -38,6 +38,7 @@ __all__ = [
     "ols_fit",
     "residual_covariance",
     "nls_fit",
+    "fit_family",
     "naive_ols_abs",
 ]
 
@@ -420,6 +421,17 @@ def nls_fit(
         objective=float(objective),
         converged=ok,
     )
+
+
+def fit_family(
+    data: Dataset, family: str, degree: Optional[int] = None, harmonics: int = 1
+) -> FittedModel:
+    """Fit ``family``: :func:`ols_fit` for the families linear in their
+    coefficients (``degree`` for the polynomial one), :func:`nls_fit` for the
+    others (``harmonics`` for the trigonometric one)."""
+    if family in ("linear", "polynomial", "quadratic"):
+        return ols_fit(data, family, degree=degree)
+    return nls_fit(data, family, harmonics=harmonics)
 
 
 def naive_ols_abs(data: Dataset) -> tuple[float, float]:

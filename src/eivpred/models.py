@@ -44,6 +44,7 @@ __all__ = [
     "Dataset",
     "NewSubject",
     "Sampler",
+    "FAMILIES",
     "validate",
     "sample",
     "new_subject",
@@ -216,6 +217,10 @@ class LinearSpec:
     def x_cov(self) -> np.ndarray:
         return self.latent_cov + self.errors.sigma_delta
 
+    def gaussian_blocks(self) -> tuple[np.ndarray, np.ndarray, ErrorStructure]:
+        """Mean and covariance of the latent covariate, and the error moments."""
+        return self.latent_mean, self.latent_cov, self.errors
+
     def regression(self, z: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """Regression surface evaluated at exact covariates, (n, d)."""
         out = self.intercept + xi @ self.latent_slopes
@@ -225,11 +230,18 @@ class LinearSpec:
 
 
 class _ScalarLatentSpec:
-    """Shared accessors for families with a scalar latent covariate."""
+    """Shared accessors for families with a scalar latent covariate.
+
+    Families without a response measurement error read its variance and its
+    covariance with the covariate error as zero.
+    """
 
     latent_mean: float
     latent_var: float
+    sigma2_e: float
     sigma2_delta: float
+    sigma2_eps = 0.0
+    sigma_eps_delta = 0.0
 
     @property
     def latent_dim(self) -> int:
@@ -251,6 +263,13 @@ class _ScalarLatentSpec:
     def reliability(self) -> float:
         """Share of surrogate variance carried by the true covariate."""
         return self.latent_var / self.x_var
+
+    def gaussian_blocks(self) -> tuple[np.ndarray, np.ndarray, ErrorStructure]:
+        """The linear family's Gaussian blocks, as (1,) and 1 x 1 arrays."""
+        errors = ErrorStructure.scalar(
+            self.sigma2_e, self.sigma2_eps, self.sigma2_delta, self.sigma_eps_delta
+        )
+        return np.array([self.latent_mean]), np.array([[self.latent_var]]), errors
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,11 +300,6 @@ class PolynomialSpec(_ScalarLatentSpec):
     @property
     def z_dim(self) -> int:
         return self.z_slopes.shape[0]
-
-    def error_structure(self) -> ErrorStructure:
-        return ErrorStructure.scalar(
-            self.sigma2_e, self.sigma2_eps, self.sigma2_delta, self.sigma_eps_delta
-        )
 
     def regression(self, z: np.ndarray, xi: np.ndarray) -> np.ndarray:
         powers = xi[:, 0][:, None] ** np.arange(1, self.degree + 1)
@@ -435,12 +449,7 @@ def _checks(spec: ModelSpec) -> list[tuple[str, bool]]:
     if isinstance(spec, PolynomialSpec):
         if spec.degree < 2:
             out.append(("polynomial degree must be a fixed, known k >= 2", False))
-        stacked = np.array(
-            [
-                [spec.sigma2_eps, spec.sigma_eps_delta],
-                [spec.sigma_eps_delta, spec.sigma2_delta],
-            ]
-        )
+        stacked = spec.gaussian_blocks()[2].stacked_measurement_cov()
         if min_eigenvalue(stacked) < -_PSD_TOL * max(np.max(np.abs(stacked)), 1.0):
             out.append(("error covariance not PSD (stacked (eps, delta) covariance)", True))
         out += _z_violations(spec, spec.z_dim)
@@ -536,17 +545,7 @@ class Sampler:
         if violations:
             raise SpecError(violations)
         self.spec = spec
-        if isinstance(spec, LinearSpec):
-            self._mu = spec.latent_mean
-            latent_cov = spec.latent_cov
-            errors = spec.errors
-        else:
-            self._mu = np.array([spec.latent_mean])
-            latent_cov = np.array([[spec.latent_var]])
-            if isinstance(spec, PolynomialSpec):
-                errors = spec.error_structure()
-            else:
-                errors = ErrorStructure.scalar(sigma2_e=spec.sigma2_e, sigma2_delta=spec.sigma2_delta)
+        self._mu, latent_cov, errors = spec.gaussian_blocks()
         self._d, self._q, self._m = spec.response_dim, spec.z_dim, spec.latent_dim
         self._z_dist = getattr(spec, "z_dist", None) if self._q else None
         self._latent_factor = cholesky_psd(latent_cov).T
@@ -622,6 +621,7 @@ _SPEC_CLASSES = {
     cls.family: cls
     for cls in (LinearSpec, PolynomialSpec, QuadraticSpec, ExponentialSpec, TrigSpec, AbsSpec)
 }
+FAMILIES = tuple(_SPEC_CLASSES)
 
 
 def _to_jsonable(value):

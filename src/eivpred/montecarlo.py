@@ -34,26 +34,16 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .errors import EivError, InvalidInput, SpecError
-from .estimators import FittedModel, naive_ols_abs, nls_fit, ols_fit
+from .errors import EivError, InvalidInput, ReplicationsFailed, SpecError
+from .estimators import fit_family, naive_ols_abs, nls_fit
 from .linalg import cholesky_psd
-from .models import (
-    AbsSpec,
-    LinearSpec,
-    ModelSpec,
-    NewSubject,
-    PolynomialSpec,
-    QuadraticSpec,
-    Sampler,
-    spec_to_dict,
-)
+from .models import AbsSpec, LinearSpec, ModelSpec, NewSubject, QuadraticSpec, Sampler, spec_to_dict
 from .predictors import (
+    REGION_KINDS,
+    build_region,
     predict_individual,
     predict_mean,
-    region_chebyshev,
-    region_chisquare,
     region_contains,
-    region_quadratic,
 )
 from .rng import derive_seed, make_rng
 from .transform import condition_gaussian, predict_rows, transform
@@ -77,7 +67,7 @@ class ExperimentConfig:
     fixed_subject: bool = False  # condition on one (z0, x0) instead of redrawing
     mean_prediction: bool = False  # also track the noiseless-value predictor
     degree: Optional[int] = None  # polynomial fit degree; defaults to the model's
-    harmonics: int = 1
+    harmonics: Optional[int] = None  # trigonometric fit harmonics; defaults to the model's
     test_subjects: int = 1000  # fresh subjects per replication (abs comparison)
 
     def __post_init__(self):
@@ -173,17 +163,6 @@ def _provenance(cfg: ExperimentConfig, experiment: str) -> dict:
     }
 
 
-def _fit(cfg: ExperimentConfig, data) -> FittedModel:
-    spec = cfg.spec
-    if isinstance(spec, LinearSpec):
-        return ols_fit(data, "linear")
-    if isinstance(spec, PolynomialSpec):
-        return ols_fit(data, "polynomial", degree=cfg.degree or spec.degree)
-    if isinstance(spec, QuadraticSpec):
-        return ols_fit(data, "quadratic")
-    return nls_fit(data, spec.family, harmonics=cfg.harmonics)
-
-
 def _coef_vector(params) -> np.ndarray:
     fields = {
         "linear": ("intercept", "z_slopes", "x_slopes"),
@@ -196,19 +175,13 @@ def _coef_vector(params) -> np.ndarray:
     return np.concatenate([np.ravel(getattr(params, f)) for f in fields])
 
 
-def _known_cross_cov(spec: ModelSpec):
-    if isinstance(spec, LinearSpec):
-        return spec.errors.sigma_eps_delta
-    return float(getattr(spec, "sigma_eps_delta", 0.0))
-
-
 def _true_mean_point(spec: ModelSpec, best_point: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Noiseless-value predictor from the true model parameters."""
     if isinstance(spec, LinearSpec):
         cross = spec.errors.sigma_eps_delta
         corr = cross @ np.linalg.solve(spec.x_cov, x0 - spec.latent_mean)
         return best_point - corr
-    cross = float(getattr(spec, "sigma_eps_delta", 0.0))
+    cross = float(spec.sigma_eps_delta)
     return best_point - cross / spec.x_var * (x0 - spec.latent_mean)
 
 
@@ -217,17 +190,12 @@ def _conditional_subject(spec: ModelSpec, fixed: NewSubject):
     exact conditional law; its moments and factors are computed once here."""
     cg = condition_gaussian(spec)
     m = cg.xi_coef.shape[0]
-    if isinstance(spec, LinearSpec):
-        mu = spec.latent_mean
-        sigma_e = spec.errors.sigma_e
-    else:
-        mu = np.array([spec.latent_mean])
-        sigma_e = np.array([[spec.sigma2_e]])
+    mu, _, errors = spec.gaussian_blocks()
     x0 = fixed.x0
     mean_xi = cg.xi_offset + cg.xi_coef @ x0
     mean_eps = cg.eps_coef @ (x0 - mu)
     cond_factor = cholesky_psd(cg.cond_cov)
-    e_factor = cholesky_psd(sigma_e)
+    e_factor = cholesky_psd(errors.sigma_e)
     zrow = fixed.z0[None, :]
 
     def draw(rng: np.random.Generator) -> NewSubject:
@@ -250,6 +218,29 @@ def _subject_drawer(cfg: ExperimentConfig, sampler: Sampler):
     return lambda n_idx, rep: conditional(make_rng(cfg.master_seed, 3, n_idx, rep))
 
 
+def _fitted_prediction(cfg: ExperimentConfig):
+    """``(n_idx, rep) -> (fit, subject, prediction)``: one replication's fit
+    and its individual prediction for the replication's subject.
+
+    Compiles the spec into one :class:`Sampler` for the run.  The fit's
+    ``degree`` and ``harmonics`` default to the spec's own."""
+    spec = cfg.spec
+    sampler = Sampler(spec)
+    draw_subject = _subject_drawer(cfg, sampler)
+    degree = cfg.degree or getattr(spec, "degree", None)
+    harmonics = cfg.harmonics or getattr(spec, "harmonics", 1)
+
+    def replicate(n_idx: int, rep: int):
+        seed = derive_seed(cfg.master_seed, 1, n_idx, rep)
+        data = sampler.sample(cfg.n_grid[n_idx], seed, keep_hidden=False)
+        fit = fit_family(data, spec.family, degree=degree, harmonics=harmonics)
+        subject = draw_subject(n_idx, rep)
+        pred = predict_individual(fit, subject.z0 if subject.z0.size else None, subject.x0)
+        return fit, subject, pred
+
+    return replicate
+
+
 def _run_tasks(cfg: ExperimentConfig, tasks, worker):
     """Run ``worker(task)`` over all tasks; results in task order.
 
@@ -267,13 +258,57 @@ def _run_tasks(cfg: ExperimentConfig, tasks, worker):
     return results
 
 
-def _slope(ns: list[int], values: list[float]) -> float:
-    pairs = [(n, v) for n, v in zip(ns, values) if v > 0]
+def _replications(cfg: ExperimentConfig, report: McReport, one):
+    """Run ``one(n_idx, rep)`` for every replication on the pool, then yield
+    ``(n, results)`` per sample size, in grid order, over the replications
+    that succeeded.
+
+    A replication that raises :class:`EivError` becomes a failure row of
+    ``report``; a sample size where every replication failed yields nothing
+    and gets a ``failure_rate`` row of 1.0 instead.  When no replication
+    succeeded at all, raises :class:`ReplicationsFailed` before yielding.
+    """
+
+    def attempt(task):
+        try:
+            return True, one(*task)
+        except EivError as exc:
+            return False, str(exc)
+
+    tasks = [(i, r) for i in range(len(cfg.n_grid)) for r in range(cfg.replications)]
+    results = _run_tasks(cfg, tasks, attempt)
+    if not any(ok for ok, _ in results):
+        raise ReplicationsFailed(
+            f"all {len(results)} replications failed; first failure: {results[0][1]}"
+        )
+    for i, n in enumerate(cfg.n_grid):
+        chunk = results[i * cfg.replications : (i + 1) * cfg.replications]
+        report.failures += [{"n": n, "message": value} for ok, value in chunk if not ok]
+        oks = [value for ok, value in chunk if ok]
+        if oks:
+            yield n, oks
+        else:
+            report.rows.append({"n": n, "statistic": "failure_rate", "value": 1.0})
+
+
+def _slope(curve: dict[int, float]) -> float:
+    """Log-log slope of the positive values of ``curve`` (n -> value)."""
+    pairs = [(n, v) for n, v in curve.items() if v > 0]
     if len(pairs) < 2:
         return float("nan")
     logs_n = np.log([p[0] for p in pairs])
     logs_v = np.log([p[1] for p in pairs])
     return float(np.polyfit(logs_n, logs_v, 1)[0])
+
+
+def _check_fit_size(cfg: ExperimentConfig) -> None:
+    """Reject a fit whose coefficients would not line up with the truth's."""
+    for name in ("degree", "harmonics"):
+        given, own = getattr(cfg, name), getattr(cfg.spec, name, None)
+        if given is not None and own is not None and given != own:
+            raise SpecError(
+                [f"{name} {given} differs from the spec's {own}; coefficient errors need the spec's"]
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -285,70 +320,47 @@ def run_consistency(cfg: ExperimentConfig) -> McReport:
     """Prediction and coefficient errors of the fitted predictor versus the
     true best predictor, across the sample-size grid."""
     t0 = time.perf_counter()
-    sampler = Sampler(cfg.spec)
+    replicate = _fitted_prediction(cfg)
+    _check_fit_size(cfg)
     true_params = transform(cfg.spec)
     true_vec = _coef_vector(true_params)
     true_norm = float(np.linalg.norm(true_vec))
-    draw_subject = _subject_drawer(cfg, sampler)
-    cross = _known_cross_cov(cfg.spec) if cfg.mean_prediction else None
+    cross = cfg.spec.gaussian_blocks()[2].sigma_eps_delta if cfg.mean_prediction else None
 
     report = McReport("consistency", provenance=_provenance(cfg, "consistency"))
 
-    def one(task):
-        n_idx, rep = task
-        n = cfg.n_grid[n_idx]
-        try:
-            data = sampler.sample(n, derive_seed(cfg.master_seed, 1, n_idx, rep), keep_hidden=False)
-            fit = _fit(cfg, data)
-            subject = draw_subject(n_idx, rep)
-            z0 = subject.z0 if subject.z0.size else None
-            pred = predict_individual(fit, z0, subject.x0)
-            best = np.atleast_1d(true_params.predict(z0, subject.x0))
-            err = float(np.linalg.norm(pred.point - best))
-            coef_rel = float(
-                np.linalg.norm(_coef_vector(fit.params) - true_vec) / max(true_norm, 1e-300)
+    def one(n_idx, rep):
+        fit, subject, pred = replicate(n_idx, rep)
+        best = np.atleast_1d(true_params.predict(pred.z0, subject.x0))
+        err = float(np.linalg.norm(pred.point - best))
+        coef_rel = float(
+            np.linalg.norm(_coef_vector(fit.params) - true_vec) / max(true_norm, 1e-300)
+        )
+        mean_rel = None
+        if cross is not None:
+            mpred = predict_mean(fit, pred.z0, subject.x0, cross)
+            mtrue = _true_mean_point(cfg.spec, best, subject.x0)
+            mean_rel = float(
+                np.linalg.norm(mpred.point - mtrue) / max(float(np.linalg.norm(mtrue)), 1e-12)
             )
-            mean_rel = None
-            if cross is not None:
-                mpred = predict_mean(fit, z0, subject.x0, cross)
-                mtrue = _true_mean_point(cfg.spec, best, subject.x0)
-                mean_rel = float(
-                    np.linalg.norm(mpred.point - mtrue) / max(float(np.linalg.norm(mtrue)), 1e-12)
-                )
-            return ("ok", err, coef_rel, mean_rel)
-        except EivError as exc:
-            return ("fail", str(exc))
+        return err, coef_rel, mean_rel
 
-    tasks = [(i, r) for i in range(len(cfg.n_grid)) for r in range(cfg.replications)]
-    results = _run_tasks(cfg, tasks, one)
-
-    medians = []
-    coef_medians = []
-    for i, n in enumerate(cfg.n_grid):
-        chunk = results[i * cfg.replications : (i + 1) * cfg.replications]
-        oks = [r for r in chunk if r[0] == "ok"]
-        for r in chunk:
-            if r[0] == "fail":
-                report.failures.append({"n": n, "message": r[1]})
-        if not oks:
-            medians.append(float("nan"))
-            coef_medians.append(float("nan"))
-            continue
-        errs = np.array([r[1] for r in oks])
-        coefs = np.array([r[2] for r in oks])
-        medians.append(float(np.median(errs)))
-        coef_medians.append(float(np.median(coefs)))
+    medians = {}
+    coef_medians = {}
+    for n, oks in _replications(cfg, report, one):
+        errs = np.array([r[0] for r in oks])
+        coefs = np.array([r[1] for r in oks])
+        medians[n] = float(np.median(errs))
+        coef_medians[n] = float(np.median(coefs))
         report.rows.append(
-            {"n": n, "statistic": "median_abs_prediction_error", "value": float(np.median(errs))}
+            {"n": n, "statistic": "median_abs_prediction_error", "value": medians[n]}
         )
         report.rows.append(
             {"n": n, "statistic": "q90_abs_prediction_error", "value": float(np.quantile(errs, 0.9))}
         )
-        report.rows.append(
-            {"n": n, "statistic": "median_rel_coef_error", "value": float(np.median(coefs))}
-        )
+        report.rows.append({"n": n, "statistic": "median_rel_coef_error", "value": coef_medians[n]})
         if cross is not None:
-            mean_rels = np.array([r[3] for r in oks])
+            mean_rels = np.array([r[2] for r in oks])
             report.rows.append(
                 {
                     "n": n,
@@ -359,17 +371,10 @@ def run_consistency(cfg: ExperimentConfig) -> McReport:
         report.rows.append(
             {"n": n, "statistic": "failure_rate", "value": 1.0 - len(oks) / cfg.replications}
         )
-    report.rows.append(
-        {"statistic": "prediction_error_loglog_slope", "value": _slope(list(cfg.n_grid), medians)}
-    )
-    report.rows.append(
-        {"statistic": "coef_error_loglog_slope", "value": _slope(list(cfg.n_grid), coef_medians)}
-    )
+    report.rows.append({"statistic": "prediction_error_loglog_slope", "value": _slope(medians)})
+    report.rows.append({"statistic": "coef_error_loglog_slope", "value": _slope(coef_medians)})
     report.elapsed_seconds = time.perf_counter() - t0
     return report
-
-
-_REGION_KINDS = ("chebyshev", "chi_square", "quadratic_bound")
 
 
 def _check_regions(cfg: ExperimentConfig) -> None:
@@ -377,7 +382,7 @@ def _check_regions(cfg: ExperimentConfig) -> None:
     problems = []
     if not all(0 < alpha < 1 for alpha in cfg.alphas):
         problems.append(f"alphas must lie in (0, 1), got {list(cfg.alphas)}")
-    unknown = [kind for kind in cfg.region_kinds if kind not in _REGION_KINDS]
+    unknown = [kind for kind in cfg.region_kinds if kind not in REGION_KINDS]
     if unknown:
         problems.append(f"unknown region kinds {unknown}")
     if "quadratic_bound" in cfg.region_kinds:
@@ -389,55 +394,28 @@ def _check_regions(cfg: ExperimentConfig) -> None:
         raise SpecError(problems)
 
 
-def _build_region(cfg: ExperimentConfig, kind: str, fit, pred, alpha: float):
-    """One region; ``kind``, ``alpha`` and ``k0`` were checked by :func:`_check_regions`."""
-    if kind == "chebyshev":
-        return region_chebyshev(fit, pred, alpha)
-    if kind == "chi_square":
-        return region_chisquare(fit, pred, alpha, purely_normal=cfg.purely_normal)
-    return region_quadratic(fit, pred, alpha, cfg.k0)
-
-
 def run_coverage(cfg: ExperimentConfig) -> McReport:
     """Empirical coverage of the requested regions at each (n, alpha)."""
     t0 = time.perf_counter()
     _check_regions(cfg)
-    sampler = Sampler(cfg.spec)
-    draw_subject = _subject_drawer(cfg, sampler)
+    replicate = _fitted_prediction(cfg)
     report = McReport("coverage", provenance=_provenance(cfg, "coverage"))
 
-    def one(task):
-        n_idx, rep = task
-        n = cfg.n_grid[n_idx]
-        try:
-            data = sampler.sample(n, derive_seed(cfg.master_seed, 1, n_idx, rep), keep_hidden=False)
-            fit = _fit(cfg, data)
-            subject = draw_subject(n_idx, rep)
-            z0 = subject.z0 if subject.z0.size else None
-            pred = predict_individual(fit, z0, subject.x0)
-            hits = {}
-            for kind in cfg.region_kinds:
-                for alpha in cfg.alphas:
-                    region = _build_region(cfg, kind, fit, pred, alpha)
-                    hits[(kind, alpha)] = region_contains(region, subject.y0)
-            return ("ok", hits)
-        except EivError as exc:
-            return ("fail", str(exc))
+    def one(n_idx, rep):
+        fit, subject, pred = replicate(n_idx, rep)
+        return {
+            (kind, alpha): region_contains(
+                build_region(kind, fit, pred, alpha, purely_normal=cfg.purely_normal, k0=cfg.k0),
+                subject.y0,
+            )
+            for kind in cfg.region_kinds
+            for alpha in cfg.alphas
+        }
 
-    tasks = [(i, r) for i in range(len(cfg.n_grid)) for r in range(cfg.replications)]
-    results = _run_tasks(cfg, tasks, one)
-
-    for i, n in enumerate(cfg.n_grid):
-        chunk = results[i * cfg.replications : (i + 1) * cfg.replications]
-        oks = [r[1] for r in chunk if r[0] == "ok"]
-        for r in chunk:
-            if r[0] == "fail":
-                report.failures.append({"n": n, "message": r[1]})
+    for n, oks in _replications(cfg, report, one):
         reps = len(oks)
         for kind in cfg.region_kinds:
             for alpha in cfg.alphas:
-                if reps == 0:
-                    continue
                 p = float(np.mean([h[(kind, alpha)] for h in oks]))
                 se = float(np.sqrt(p * (1.0 - p) / reps))
                 report.rows.append(
@@ -471,56 +449,36 @@ def run_abs_failure(cfg: ExperimentConfig) -> McReport:
     true_params = transform(cfg.spec)
     report = McReport("abs_failure", provenance=_provenance(cfg, "abs_failure"))
 
-    def one(task):
-        n_idx, rep = task
-        n = cfg.n_grid[n_idx]
-        try:
-            data = sampler.sample(n, derive_seed(cfg.master_seed, 1, n_idx, rep), keep_hidden=False)
-            fit = nls_fit(data, "absolute_value")
-            naive_scale, naive_shift = naive_ols_abs(data)
-            test = sampler.sample(
-                cfg.test_subjects, derive_seed(cfg.master_seed, 5, n_idx, rep), keep_hidden=False
-            )
-            xs = test.x
-            best = predict_rows(true_params, None, xs)[:, 0]
-            ls_pred = predict_rows(fit.params, None, xs)[:, 0]
-            naive_pred = naive_scale * np.abs(xs[:, 0] + naive_shift)
-            ls_sq = (ls_pred - best) ** 2
-            naive_sq = (naive_pred - best) ** 2
-            diff = naive_sq - ls_sq
-            return (
-                "ok",
-                float(np.mean(ls_sq)),
-                float(np.mean(naive_sq)),
-                float(np.mean(diff)),
-                float(np.std(diff, ddof=1) / np.sqrt(diff.shape[0])),
-            )
-        except EivError as exc:
-            return ("fail", str(exc))
+    def one(n_idx, rep):
+        data = sampler.sample(
+            cfg.n_grid[n_idx], derive_seed(cfg.master_seed, 1, n_idx, rep), keep_hidden=False
+        )
+        fit = nls_fit(data, "absolute_value")
+        naive_scale, naive_shift = naive_ols_abs(data)
+        test = sampler.sample(
+            cfg.test_subjects, derive_seed(cfg.master_seed, 5, n_idx, rep), keep_hidden=False
+        )
+        xs = test.x
+        best = predict_rows(true_params, None, xs)[:, 0]
+        ls_pred = predict_rows(fit.params, None, xs)[:, 0]
+        naive_pred = naive_scale * np.abs(xs[:, 0] + naive_shift)
+        ls_sq = (ls_pred - best) ** 2
+        naive_sq = (naive_pred - best) ** 2
+        diff = naive_sq - ls_sq
+        return (
+            float(np.mean(ls_sq)),
+            float(np.mean(naive_sq)),
+            float(np.mean(diff)),
+            float(np.std(diff, ddof=1) / np.sqrt(diff.shape[0])),
+        )
 
-    tasks = [(i, r) for i in range(len(cfg.n_grid)) for r in range(cfg.replications)]
-    results = _run_tasks(cfg, tasks, one)
-
-    ls_curve = []
-    for i, n in enumerate(cfg.n_grid):
-        chunk = results[i * cfg.replications : (i + 1) * cfg.replications]
-        oks = [r for r in chunk if r[0] == "ok"]
-        for r in chunk:
-            if r[0] == "fail":
-                report.failures.append({"n": n, "message": r[1]})
-        if not oks:
-            ls_curve.append(float("nan"))
-            continue
-        ls_mse = float(np.median([r[1] for r in oks]))
-        naive_mse = float(np.median([r[2] for r in oks]))
-        gap = float(np.median([r[3] for r in oks]))
-        gap_se = float(np.median([r[4] for r in oks]))
-        ls_curve.append(ls_mse)
+    ls_curve = {}
+    for n, oks in _replications(cfg, report, one):
+        ls_mse, naive_mse, gap, gap_se = (float(np.median(column)) for column in zip(*oks))
+        ls_curve[n] = ls_mse
         report.rows.append({"n": n, "statistic": "ls_predictor_mse", "value": ls_mse})
         report.rows.append({"n": n, "statistic": "naive_predictor_mse", "value": naive_mse})
         report.rows.append({"n": n, "statistic": "mse_gap", "value": gap, "se": gap_se})
-    report.rows.append(
-        {"statistic": "ls_mse_loglog_slope", "value": _slope(list(cfg.n_grid), ls_curve)}
-    )
+    report.rows.append({"statistic": "ls_mse_loglog_slope", "value": _slope(ls_curve)})
     report.elapsed_seconds = time.perf_counter() - t0
     return report

@@ -34,6 +34,8 @@ __all__ = [
     "region_chebyshev",
     "region_chisquare",
     "region_quadratic",
+    "REGION_KINDS",
+    "build_region",
     "region_contains",
 ]
 
@@ -234,6 +236,29 @@ def region_quadratic(fit: FittedModel, pred: Prediction, alpha: float, k0: float
         shape=None,
         notes=notes,
     )
+
+
+REGION_KINDS = ("chebyshev", "chi_square", "quadratic_bound")
+
+
+def build_region(
+    kind: str,
+    fit: FittedModel,
+    pred: Prediction,
+    alpha: float,
+    *,
+    purely_normal: bool = False,
+    k0: Optional[float] = None,
+) -> ConfidenceRegion:
+    """The region of one of :data:`REGION_KINDS`; ``purely_normal`` applies
+    to the chi-square kind and ``k0`` to the quadratic-bound kind."""
+    if kind == "chebyshev":
+        return region_chebyshev(fit, pred, alpha)
+    if kind == "chi_square":
+        return region_chisquare(fit, pred, alpha, purely_normal=purely_normal)
+    if kind == "quadratic_bound":
+        return region_quadratic(fit, pred, alpha, k0)
+    raise InvalidInput(f"unknown region kind {kind!r}")
 
 
 def region_contains(region: ConfidenceRegion, h) -> bool:

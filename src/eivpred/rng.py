@@ -12,20 +12,19 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
-def make_rng(seed: int, *stream: int) -> np.random.Generator:
-    """Generator for the stream identified by ``(seed, *stream)``."""
-    ss = np.random.SeedSequence(
+def _seed_sequence(seed: int, stream) -> np.random.SeedSequence:
+    return np.random.SeedSequence(
         entropy=int(seed) & _MASK64,
         spawn_key=tuple(int(s) & _MASK64 for s in stream),
     )
-    key = ss.generate_state(2, dtype=np.uint64)
+
+
+def make_rng(seed: int, *stream: int) -> np.random.Generator:
+    """Generator for the stream identified by ``(seed, *stream)``."""
+    key = _seed_sequence(seed, stream).generate_state(2, dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def derive_seed(seed: int, *stream: int) -> int:
     """64-bit child seed for the stream identified by ``(seed, *stream)``."""
-    ss = np.random.SeedSequence(
-        entropy=int(seed) & _MASK64,
-        spawn_key=tuple(int(s) & _MASK64 for s in stream),
-    )
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    return int(_seed_sequence(seed, stream).generate_state(1, dtype=np.uint64)[0])

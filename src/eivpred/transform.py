@@ -90,29 +90,10 @@ class ConditionalGaussian:
         return self.cond_cov[:m, :m]
 
 
-def _linear_blocks(spec: ModelSpec):
-    """(mu, sigma_xi, sigma_eps, sigma_delta, sigma_eps_delta) as matrices."""
-    if isinstance(spec, LinearSpec):
-        e = spec.errors
-        return (
-            spec.latent_mean,
-            spec.latent_cov,
-            e.sigma_eps,
-            e.sigma_delta,
-            e.sigma_eps_delta,
-        )
-    return (
-        np.array([spec.latent_mean]),
-        np.array([[spec.latent_var]]),
-        np.array([[getattr(spec, "sigma2_eps", 0.0)]]),
-        np.array([[spec.sigma2_delta]]),
-        np.array([[getattr(spec, "sigma_eps_delta", 0.0)]]),
-    )
-
-
 def condition_gaussian(spec: ModelSpec) -> ConditionalGaussian:
     """Condition the stacked vector (xi, eps) on the surrogate x."""
-    mu, s_xi, s_eps, s_delta, s_cross = _linear_blocks(spec)
+    mu, s_xi, errors = spec.gaussian_blocks()
+    s_eps, s_delta, s_cross = errors.sigma_eps, errors.sigma_delta, errors.sigma_eps_delta
     s_x = s_xi + s_delta
     scale = max(float(np.max(np.abs(s_x))), 1.0)
     if min_eigenvalue(s_x) <= _SING_TOL * scale:
@@ -152,8 +133,19 @@ def gaussian_central_moment(p: int, variance: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+class _Observable:
+    """Shared point evaluation of an observable regression surface."""
+
+    def predict(self, z0, x0):
+        """Surface at one point through :func:`predict_rows`: a float for the
+        scalar-response families, a (d,) vector for the linear family."""
+        z = None if z0 is None else np.asarray(z0, dtype=float).reshape(1, -1)
+        row = predict_rows(self, z, np.asarray(x0, dtype=float).reshape(1, -1))[0]
+        return row if self.family == "linear" else float(row[0])
+
+
 @dataclass(frozen=True, eq=False)
-class LinearObservable:
+class LinearObservable(_Observable):
     """Observable-regression parameters of the linear family."""
 
     intercept: np.ndarray  # (d,)
@@ -163,15 +155,9 @@ class LinearObservable:
 
     family = "linear"
 
-    def predict(self, z0, x0) -> np.ndarray:
-        out = self.intercept + np.asarray(x0, dtype=float) @ self.x_slopes
-        if self.z_slopes.shape[0]:
-            out = out + np.asarray(z0, dtype=float) @ self.z_slopes
-        return out
-
 
 @dataclass(frozen=True, eq=False)
-class PolynomialObservable:
+class PolynomialObservable(_Observable):
     """Observable-regression parameters of the polynomial family."""
 
     intercept: float
@@ -183,17 +169,9 @@ class PolynomialObservable:
 
     family = "polynomial"
 
-    def predict(self, z0, x0) -> float:
-        x0 = float(np.squeeze(x0))
-        powers = x0 ** np.arange(1, self.coefs.shape[0] + 1)
-        out = self.intercept + float(powers @ self.coefs)
-        if self.z_slopes.shape[0]:
-            out += float(np.asarray(z0, dtype=float) @ self.z_slopes)
-        return out
-
 
 @dataclass(frozen=True, eq=False)
-class QuadraticObservable:
+class QuadraticObservable(_Observable):
     """Observable-regression parameters of the quadratic family."""
 
     intercept: float
@@ -204,25 +182,17 @@ class QuadraticObservable:
 
     family = "quadratic"
 
-    def predict(self, z0, x0) -> float:
-        x0 = float(np.squeeze(x0))
-        return self.intercept + self.slope * x0 + self.curvature * x0**2
-
 
 @dataclass(frozen=True, eq=False)
-class ExponentialObservable:
+class ExponentialObservable(_Observable):
     scale: float
     rate: float
 
     family = "exponential"
 
-    def predict(self, z0, x0) -> float:
-        exponent = self.rate * float(np.squeeze(x0))
-        return self.scale * math.exp(min(max(exponent, -700.0), 700.0))  # clipped as in predict_rows
-
 
 @dataclass(frozen=True, eq=False)
-class TrigObservable:
+class TrigObservable(_Observable):
     const: float
     cos_amps: np.ndarray
     sin_amps: np.ndarray
@@ -230,15 +200,9 @@ class TrigObservable:
 
     family = "trigonometric"
 
-    def predict(self, z0, x0) -> float:
-        x0 = float(np.squeeze(x0))
-        k = np.arange(1, self.cos_amps.shape[0] + 1)
-        phase = self.freq * x0 * k
-        return self.const + float(np.cos(phase) @ self.cos_amps + np.sin(phase) @ self.sin_amps)
-
 
 @dataclass(frozen=True, eq=False)
-class AbsObservable:
+class AbsObservable(_Observable):
     """Observable mean shape scale * F(gain * x + offset) of the
     absolute-value family, with F the folded-normal mean function."""
 
@@ -247,10 +211,6 @@ class AbsObservable:
     offset: float
 
     family = "absolute_value"
-
-    def predict(self, z0, x0) -> float:
-        x0 = float(np.squeeze(x0))
-        return self.scale * float(abs_F(self.gain * x0 + self.offset))
 
 
 TransformedParams = Union[
@@ -331,7 +291,7 @@ def transform_polynomial(spec: Union[PolynomialSpec, QuadraticSpec]) -> Polynomi
             weight = beta[j - 1] * math.comb(j, p) * moment
             poly = npoly.polypow(base, j - p)
             coef[: poly.shape[0]] += weight * poly
-    cross = getattr(spec, "sigma_eps_delta", 0.0)
+    cross = spec.sigma_eps_delta
     if cross:
         s2x = spec.x_var
         coef[0] += -cross * spec.latent_mean / s2x

@@ -7,8 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eivpred import cli, models
+from eivpred import cli, estimators, models, montecarlo, predictors
 from eivpred.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from eivpred.transform import params_to_dict
+
+from conftest import make_poly_spec, make_quadratic_spec, make_trig_spec
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -306,6 +309,102 @@ class TestExperiment:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
         assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize(
+        "spec, extra, code, message",
+        [
+            (make_poly_spec(), {"degree": 2}, EXIT_CONFIG, "degree 2 differs from the spec's 3"),
+            (
+                make_trig_spec(),
+                {"harmonics": 1},
+                EXIT_CONFIG,
+                "harmonics 1 differs from the spec's 2",
+            ),
+            (make_trig_spec(), {}, EXIT_OK, ""),  # harmonics default to the spec's two
+        ],
+        ids=["degree-mismatch", "harmonics-mismatch", "harmonics-default"],
+    )
+    def test_consistency_fit_size_defaults_to_the_spec(
+        self, tmp_path, capsys, spec, extra, code, message
+    ):
+        cfg = self.experiment_config(
+            tmp_path,
+            suite="consistency",
+            spec=models.spec_to_dict(spec),
+            n_grid=[400],
+            replications=2,
+            **extra,
+        )
+        assert main(["experiment", "--config", cfg]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        if code == EXIT_OK:
+            report = json.loads((tmp_path / "report.json").read_text())
+            rates = [r["value"] for r in report["rows"] if r["statistic"] == "failure_rate"]
+            assert rates == [0.0]
+
+    def test_every_replication_failed_exits_3_with_one_line(self, tmp_path, capsys):
+        cfg = self.experiment_config(tmp_path, suite="consistency", n_grid=[2], replications=3)
+        assert main(["experiment", "--config", cfg]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: all 3 replications failed; first failure: need n >= 3 for 2 regressors"
+        ]
+        assert not (tmp_path / "report.json").exists()
+
+
+def test_fit_predict_and_coverage_build_the_same_regions(tmp_path, capsys, monkeypatch):
+    """Both paths get their regions from predictors.build_region: on the same
+    fit and point, every kind has the same threshold and shape."""
+    seen = []
+
+    def recording_fit(data, family, **options):
+        fit = estimators.fit_family(data, family, **options)
+        seen.append((data, fit))
+        return fit
+
+    def recording_region(kind, fit, pred, alpha, **options):
+        region = predictors.build_region(kind, fit, pred, alpha, **options)
+        seen.append((pred, region))
+        return region
+
+    monkeypatch.setattr(montecarlo, "fit_family", recording_fit)
+    monkeypatch.setattr(montecarlo, "build_region", recording_region)
+    spec = make_quadratic_spec()
+    cfg = montecarlo.ExperimentConfig(
+        spec=spec,
+        n_grid=(400,),
+        replications=1,
+        alphas=(0.1,),
+        master_seed=5,
+        region_kinds=predictors.REGION_KINDS,
+        purely_normal=True,
+        k0=0.4,
+    )
+    assert montecarlo.run_coverage(cfg).failures == []
+    (data, fit), *built = seen
+    assert [region.kind for _, region in built] == list(predictors.REGION_KINDS)
+
+    models.save_dataset(data, spec, tmp_path / "replication")
+    regions = [
+        {"kind": kind, "alpha": 0.1, "purely_normal": True, "k0": 0.4}
+        for kind in predictors.REGION_KINDS
+    ]
+    point = {"x0": built[0][0].x0.tolist()}
+    fp_config = {
+        "data": str(tmp_path / "replication"),
+        "family": "quadratic",
+        "predict": [point],
+        "regions": regions,
+    }
+    fp = write_config(tmp_path, "fp.json", fp_config)
+    assert main(["fit-predict", "--config", fp]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["fit"]["params"] == params_to_dict(fit.params)
+    for (_, region), entry in zip(built, report["predictions"][0]["regions"], strict=True):
+        assert entry["kind"] == region.kind
+        assert entry["threshold"] == region.threshold
+        assert entry["shape"] == (None if region.shape is None else region.shape.tolist())
 
 
 @pytest.mark.parametrize("error", [OverflowError, FloatingPointError, np.linalg.LinAlgError])

@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 
 from eivpred import estimators, linalg, models, montecarlo, predictors, transform
-from eivpred.errors import InvalidInput, SpecError
+from eivpred.errors import InvalidInput, ReplicationsFailed, SpecError
 
-from conftest import make_abs_spec, make_linear_spec, make_quadratic_spec
+from conftest import (
+    make_abs_spec,
+    make_linear_spec,
+    make_poly_spec,
+    make_quadratic_spec,
+    make_trig_spec,
+)
 
 
 def coverage_config(**overrides):
@@ -86,6 +92,44 @@ class TestConsistency:
         )
         report = montecarlo.run_consistency(cfg)
         assert report.value("median_rel_mean_prediction_error", n=20_000) < 0.05
+
+    def test_sample_size_where_every_replication_failed_reports_rate_one(self):
+        cfg = montecarlo.ExperimentConfig(
+            spec=make_linear_spec(), n_grid=(2, 200, 400), replications=4, master_seed=3
+        )
+        report = montecarlo.run_consistency(cfg)
+        assert report.value("failure_rate", n=2) == 1.0
+        assert [f["n"] for f in report.failures] == [2] * 4
+        assert [r["statistic"] for r in report.rows if r.get("n") == 2] == ["failure_rate"]
+        assert report.rows[0] == {"n": 2, "statistic": "failure_rate", "value": 1.0}
+        assert report.value("failure_rate", n=200) == 0.0
+
+    @pytest.mark.parametrize(
+        "driver, spec",
+        [
+            (montecarlo.run_consistency, make_linear_spec()),
+            (montecarlo.run_coverage, make_linear_spec()),
+            (montecarlo.run_abs_failure, make_abs_spec()),
+        ],
+    )
+    def test_every_replication_failed_raises(self, driver, spec):
+        cfg = montecarlo.ExperimentConfig(spec=spec, n_grid=(2,), replications=3, master_seed=0)
+        with pytest.raises(ReplicationsFailed, match="all 3 replications failed; first failure: "):
+            driver(cfg)
+
+    @pytest.mark.parametrize(
+        "spec, overrides, message",
+        [
+            (make_poly_spec(), dict(degree=2), "degree 2 differs from the spec's 3"),
+            (make_trig_spec(), dict(harmonics=1), "harmonics 1 differs from the spec's 2"),
+        ],
+    )
+    def test_fit_size_other_than_the_spec_raises_before_the_loop(self, spec, overrides, message):
+        cfg = montecarlo.ExperimentConfig(
+            spec=spec, n_grid=(200,), replications=2, master_seed=0, **overrides
+        )
+        with pytest.raises(SpecError, match=re.escape(message)):
+            montecarlo.run_consistency(cfg)
 
     def test_consistency_with_nonlinear_family(self):
         from conftest import make_exponential_spec

@@ -411,6 +411,37 @@ class TestTransformExponential:
         assert scalar == pytest.approx(rows, rel=1e-15)
 
 
+_ONE_ROW_SPECS = {
+    "linear": lambda: make_linear_spec(d=2, q=2, m=2, latent_cov=[[1.0, 0.3], [0.3, 0.8]]),
+    "polynomial": lambda: make_poly_spec(
+        z_slopes=[0.4], z_dist=models.ZDistribution("gaussian", mean=[0.0], cov=[[1.0]])
+    ),
+    "quadratic": make_quadratic_spec,
+    "exponential": make_exponential_spec,
+    "trigonometric": make_trig_spec,
+    "absolute_value": make_abs_spec,
+}
+
+
+@pytest.mark.parametrize("family", sorted(_ONE_ROW_SPECS))
+def test_predict_is_one_row_of_predict_rows(family):
+    spec = _ONE_ROW_SPECS[family]()
+    params = transform.transform(spec)
+    assert params.family == family
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        x0 = rng.normal(scale=4.0, size=spec.latent_dim)
+        z0 = rng.normal(size=spec.z_dim) if spec.z_dim else None
+        row = transform.predict_rows(params, None if z0 is None else z0[None, :], x0[None, :])[0]
+        point = params.predict(z0, x0)
+        if family == "linear":
+            assert point.shape == (spec.response_dim,)
+            assert np.array_equal(point, row)
+        else:
+            assert type(point) is float
+            assert point == row[0]
+
+
 class TestTransformTrig:
     def test_no_error_identity(self):
         spec = make_trig_spec(sigma2_delta=0.0)
