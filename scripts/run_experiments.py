@@ -11,7 +11,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from eivpred.cli import main as cli_main
+# run from a checkout without installing the package, as pytest does
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from eivpred.cli import main as cli_main  # noqa: E402
 
 CONFIG_DIR = Path(__file__).parent / "configs"
 

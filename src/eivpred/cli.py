@@ -22,7 +22,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from .errors import EivError, SpecError
+from .errors import DatasetError, EivError, SpecError
 from .estimators import fit_family
 from .models import FAMILIES, load_dataset, sample, save_dataset, spec_from_dict, validate
 from .montecarlo import ExperimentConfig, run_abs_failure, run_consistency, run_coverage
@@ -119,6 +119,8 @@ CONFIG_SCHEMAS = {
             },
             "out": {"type": "string"},
         },
+        "if": {"required": ["family"], "properties": {"family": {"const": "polynomial"}}},
+        "then": {"required": ["degree"]},
     },
     "experiment": {
         "type": "object",
@@ -366,7 +368,7 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             sys.stderr.write(f"spec violation: {violation}\n")
         return EXIT_CONFIG
-    except OSError as exc:
+    except (OSError, DatasetError) as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return EXIT_CONFIG
     except EivError as exc:

@@ -29,6 +29,10 @@ class SpecError(EivError):
         super().__init__("; ".join(self.violations))
 
 
+class DatasetError(EivError):
+    """A dataset CSV does not parse or disagrees with its spec sidecar."""
+
+
 class InsufficientData(EivError):
     """Sample too small for the requested fit or statistic."""
 

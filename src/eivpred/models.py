@@ -18,7 +18,6 @@ absolute_value  y = scale * |xi + shift| + e
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +25,7 @@ from typing import ClassVar, Optional, Union
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import DatasetError, SpecError
 from .linalg import cholesky_psd, min_eigenvalue
 from .rng import make_rng
 
@@ -678,8 +677,8 @@ def spec_from_dict(data: dict) -> ModelSpec:
     return cls(**kwargs)
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+# rows formatted per write call; bounds the text held in memory while saving
+_CHUNK_ROWS = 10_000
 
 
 def _csv_header(d: int, q: int, m: int, hidden: bool) -> list[str]:
@@ -695,7 +694,11 @@ def _csv_header(d: int, q: int, m: int, hidden: bool) -> list[str]:
 
 
 def save_dataset(data: Dataset, spec: ModelSpec, prefix) -> tuple[Path, Path]:
-    """Write ``<prefix>.csv`` and ``<prefix>.spec.json``; returns both paths."""
+    """Write ``<prefix>.csv`` and ``<prefix>.spec.json``; returns both paths.
+
+    The CSV has an unquoted header row, then one row per observation of
+    ``%.17g`` floats (which round-trip float64 exactly), with CRLF line ends.
+    """
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     csv_path = prefix.with_suffix(".csv")
@@ -706,11 +709,12 @@ def save_dataset(data: Dataset, spec: ModelSpec, prefix) -> tuple[Path, Path]:
     if data.hidden is not None:
         blocks += [data.hidden.xi, data.hidden.delta, data.hidden.e, data.hidden.eps]
     table = np.hstack(blocks)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_csv_header(d, q, m, data.hidden is not None))
-        for row in table:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(_csv_header(d, q, m, data.hidden is not None)) + "\r\n")
+        for start in range(0, len(table), _CHUNK_ROWS):
+            chunk = table[start : start + _CHUNK_ROWS]
+            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
     sidecar = {
         "schema_version": 1,
@@ -726,29 +730,36 @@ def save_dataset(data: Dataset, spec: ModelSpec, prefix) -> tuple[Path, Path]:
 
 
 def load_dataset(prefix) -> tuple[Dataset, ModelSpec]:
-    """Read back a dataset written by :func:`save_dataset`."""
+    """Read back a dataset written by :func:`save_dataset`.
+
+    Raises :class:`DatasetError` when the CSV does not parse, or when its
+    header or row count disagrees with what the sidecar's spec implies.
+    """
     prefix = Path(prefix)
     csv_path = prefix.with_suffix(".csv")
     json_path = prefix.with_suffix(".spec.json")
     with open(json_path) as fh:
         sidecar = json.load(fh)
     spec = spec_from_dict(sidecar["spec"])
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = np.array([[float(v) for v in row] for row in reader])
-
-    def block(prefix_name: str) -> np.ndarray:
-        idx = [i for i, name in enumerate(header) if name.startswith(prefix_name)]
-        return rows[:, idx] if rows.size else np.zeros((0, len(idx)))
-
-    y, z, x = block("y_"), block("z_"), block("x_")
-    hidden = None
-    if sidecar.get("has_hidden"):
-        hidden = HiddenTruth(
-            xi=block("hidden_xi_"),
-            delta=block("hidden_delta_"),
-            e=block("hidden_e_"),
-            eps=block("hidden_eps_"),
+    d, q, m, n = spec.response_dim, spec.z_dim, spec.latent_dim, sidecar["n"]
+    has_hidden = bool(sidecar.get("has_hidden"))
+    columns = _csv_header(d, q, m, has_hidden)
+    with open(csv_path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        if header != columns:
+            raise DatasetError(f"{csv_path}: header {header}, but {json_path} implies {columns}")
+        try:
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=float, comments=None)
+        except ValueError as exc:
+            raise DatasetError(f"{csv_path}: {exc}") from None
+    if rows.shape != (n, len(columns)):
+        raise DatasetError(
+            f"{csv_path}: {rows.shape[0]} rows of {rows.shape[1]} values, "
+            f"but {json_path} gives n = {n} and {len(columns)} columns"
         )
+    # column-major: each block is contiguous, so its column sums are pairwise
+    rows = np.asfortranarray(rows)
+    bounds = np.cumsum([0, d, q, m, m, m, d, d])
+    y, z, x, xi, delta, e, eps = (rows[:, a:b] for a, b in zip(bounds[:-1], bounds[1:]))
+    hidden = HiddenTruth(xi=xi, delta=delta, e=e, eps=eps) if has_hidden else None
     return Dataset(y=y, z=z, x=x, seed=int(sidecar["seed"]), hidden=hidden), spec

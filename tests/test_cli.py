@@ -227,6 +227,36 @@ class TestFitPredict:
         notes = report["predictions"][0]["regions"][0]["notes"]
         assert any("purely-normal" in n for n in notes)
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda lines: lines[:100], "99 rows of 3 values, but"),
+            (lambda lines: lines[:7] + [lines[7] + "x"] + lines[8:], "could not convert"),
+            (lambda lines: lines[:7] + [lines[7].rsplit(",", 1)[0]] + lines[8:], "number of columns"),
+            (lambda lines: ["y_1,x_1,z_1"] + lines[1:], "header ['y_1', 'x_1', 'z_1']"),
+        ],
+        ids=["truncated", "non_numeric", "short_row", "header"],
+    )
+    def test_damaged_dataset_exits_2_with_one_line(self, tmp_path, capsys, damage, message):
+        sim = {"spec": linear_spec_dict(), "n": 200, "seed": 4, "out": str(tmp_path / "ds")}
+        assert main(["simulate", "--config", write_config(tmp_path, "sim.json", sim)]) == EXIT_OK
+        csv_path = tmp_path / "ds.csv"
+        lines = csv_path.read_text().splitlines()
+        csv_path.write_text("\n".join(damage(lines)) + "\n")
+        capsys.readouterr()
+        fp = write_config(tmp_path, "fp.json", {"data": str(tmp_path / "ds"), "family": "linear"})
+        assert main(["fit-predict", "--config", fp]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"i/o error: {csv_path}: ") and message in line
+
+    @pytest.mark.parametrize("data", ["golden_dataset", "missing"])
+    def test_polynomial_without_degree_exits_2_before_reading_data(self, tmp_path, capsys, data):
+        fp = write_config(tmp_path, "fp.json", {"data": str(DATA_DIR / data), "family": "polynomial"})
+        assert main(["fit-predict", "--config", fp]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config schema error: 'degree' is a required property\n"
+
 
 class TestExperiment:
     def experiment_config(self, tmp_path, **extra):

@@ -1,10 +1,15 @@
 """Model specifications, samplers, and dataset serialization."""
 
+import csv
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eivpred import models
 from eivpred.errors import SpecError
@@ -298,3 +303,66 @@ class TestSampler:
 
     def test_single_draw_path(self):
         assert not hasattr(models, "_draw")
+
+
+REPO = Path(__file__).parent.parent
+
+
+def _reference_csv(header, table) -> bytes:
+    """The dataset CSV as csv.writer writes it, one format() call per value."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in table:
+        writer.writerow([format(float(v), ".17g") for v in row])
+    return buf.getvalue().encode()
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, np.inf, -np.inf]
+
+
+class TestDatasetFile:
+    @pytest.mark.parametrize("prefix", ["tests/data/golden_dataset", "results/linear_demo"])
+    def test_committed_dataset_rewrites_byte_for_byte(self, tmp_path, prefix):
+        data, spec = models.load_dataset(REPO / prefix)
+        csv_path, json_path = models.save_dataset(data, spec, tmp_path / "copy")
+        assert csv_path.read_bytes() == (REPO / prefix).with_suffix(".csv").read_bytes()
+        assert json_path.read_bytes() == (REPO / prefix).with_suffix(".spec.json").read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(
+            st.integers(1, 25),
+            st.integers(1, 2),
+            st.integers(0, 2),
+            st.integers(1, 2),
+            st.booleans(),
+        ),
+        chunk=st.integers(1, 8),
+        data=st.data(),
+    )
+    def test_writer_matches_reference_and_round_trips_bits(self, shape, chunk, data):
+        n, d, q, m, hidden = shape
+        size = n * (3 * d + q + 3 * m)  # y, z, x and the four hidden blocks
+        values = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, width=64))
+        table = np.array(data.draw(st.lists(values, min_size=size, max_size=size))).reshape(n, -1)
+        blocks = np.split(table, np.cumsum([d, q, m, m, m, d]), axis=1)
+        truth = models.HiddenTruth(*blocks[3:7]) if hidden else None
+        written = models.Dataset(*blocks[:3], seed=3, hidden=truth)
+        spec = make_linear_spec(d=d, q=q, m=m)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(models, "_CHUNK_ROWS", chunk)
+            csv_path, _ = models.save_dataset(written, spec, Path(tmp) / "ds")
+            header = models._csv_header(d, q, m, hidden)
+            assert csv_path.read_bytes() == _reference_csv(header, table[:, : len(header)])
+            loaded, _ = models.load_dataset(Path(tmp) / "ds")
+        pairs = [(loaded.y, written.y), (loaded.z, written.z), (loaded.x, written.x)]
+        if hidden:
+            names = ("xi", "delta", "e", "eps")
+            pairs += [(getattr(loaded.hidden, k), getattr(truth, k)) for k in names]
+        else:
+            assert loaded.hidden is None
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
