@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import optimize
+from scipy.special import erf
 
 from .errors import DimensionError, InsufficientData, InvalidInput, NonConvergence
 from .linalg import min_eigenvalue, pinv, sym_sqrt
@@ -258,6 +259,27 @@ def _exp_starts(x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
     return starts
 
 
+def _least_squares(residual, starts, jac, max_nfev: int, family: str):
+    """Levenberg-Marquardt from every start; the lowest-cost finite result
+    as ``(x, objective, converged)`` with ``objective`` the summed squared
+    residuals."""
+    best = None
+    for p0 in starts:
+        try:
+            res = optimize.least_squares(
+                residual, p0, jac=jac, method="lm", ftol=_REL_TOL, xtol=_REL_TOL, max_nfev=max_nfev
+            )
+        except ValueError:  # residuals not finite at this start
+            continue
+        if not (np.isfinite(res.cost) and np.all(np.isfinite(res.x))):
+            continue
+        if best is None or res.cost < best.cost:
+            best = res
+    if best is None:
+        raise NonConvergence(f"all {family} starts failed")
+    return best.x, 2.0 * float(best.cost), bool(best.status > 0)
+
+
 def _fit_exponential(x, y, starts):
     def residual(p):
         return y - _exp_model(x, p[0], p[1])
@@ -266,21 +288,8 @@ def _fit_exponential(x, y, starts):
         ex = _exp_model(x, 1.0, p[1])
         return np.column_stack([-ex, -p[0] * x * ex])
 
-    best = None
-    for p0 in starts:
-        try:
-            res = optimize.least_squares(
-                residual, p0, jac=jac, method="lm", ftol=_REL_TOL, xtol=_REL_TOL,
-                max_nfev=_MAX_ITER * 3,
-            )
-        except Exception:
-            continue
-        if best is None or res.cost < best.cost:
-            best = res
-    if best is None or not np.all(np.isfinite(best.x)):
-        raise NonConvergence("all exponential starts failed")
-    params = ExponentialObservable(scale=float(best.x[0]), rate=float(best.x[1]))
-    return params, 2.0 * float(best.cost), bool(best.status > 0)
+    (scale, rate), objective, ok = _least_squares(residual, starts, jac, _MAX_ITER * 3, "exponential")
+    return ExponentialObservable(scale=float(scale), rate=float(rate)), objective, ok
 
 
 def _trig_design(x, freq, harmonics):
@@ -301,65 +310,42 @@ def _fit_trig(x, y, harmonics, freq_grid):
         design = _trig_design(x, freq, h)
         return y - design @ np.concatenate([[const], ca, sa])
 
-    best = None
+    starts = []
     for freq in freq_grid:
-        design = _trig_design(x, freq, h)
-        amps, *_ = np.linalg.lstsq(design, y, rcond=None)
-        p0 = np.concatenate([amps, [freq]])
-        try:
-            res = optimize.least_squares(
-                residual, p0, method="lm", ftol=_REL_TOL, xtol=_REL_TOL, max_nfev=_MAX_ITER * (2 * h + 2)
-            )
-        except Exception:
-            continue
-        if best is None or res.cost < best.cost:
-            best = res
-    if best is None:
-        raise NonConvergence("all trigonometric starts failed")
-    const, ca, sa, freq = unpack(best.x)
+        amps, *_ = np.linalg.lstsq(_trig_design(x, freq, h), y, rcond=None)
+        starts.append(np.concatenate([amps, [freq]]))
+    best, objective, ok = _least_squares(
+        residual, starts, "2-point", _MAX_ITER * (2 * h + 2), "trigonometric"
+    )
+    const, ca, sa, freq = unpack(best)
     if freq < 0:  # canonical orientation: cos is even, sin flips with frequency
         freq, sa = -freq, -sa
     params = TrigObservable(const=float(const), cos_amps=ca.copy(), sin_amps=sa.copy(), freq=float(freq))
-    return params, 2.0 * float(best.cost), bool(best.status > 0)
-
-
-def _abs_profile_objective(x, y):
-    """Objective over (gain, offset) with the scale profiled out exactly."""
-    sum_y2 = float(y @ y)
-
-    def objective(p):
-        shape = abs_F(p[0] * x + p[1])
-        denom = float(shape @ shape)
-        if denom <= 0 or not np.isfinite(denom):
-            return sum_y2
-        num = float(y @ shape)
-        return sum_y2 - num * num / denom
-
-    return objective
+    return params, objective, ok
 
 
 def _fit_abs(x, y, starts):
-    objective = _abs_profile_objective(x, y)
-    scale = max(float(y @ y), 1.0)  # relative objective-decrease convergence
-    best = None
-    for p0 in starts:
-        res = optimize.minimize(
-            objective,
-            p0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": _REL_TOL * scale, "maxiter": _MAX_ITER},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    if best is None or not np.all(np.isfinite(best.x)):
-        raise NonConvergence("all absolute-value starts failed")
-    gain, offset = best.x
-    shape = abs_F(gain * x + offset)
-    scale = float(y @ shape) / float(shape @ shape)
-    if gain < 0:  # F is even: (gain, offset, scale) ~ (-gain, -offset, scale)
+    """Joint fit of (scale, gain, offset); each (gain, offset) start gets its
+    least-squares scale."""
+
+    def residual(p):
+        return y - p[0] * abs_F(p[1] * x + p[2])
+
+    def jac(p):
+        a = p[1] * x + p[2]
+        slope = p[0] * erf(a / math.sqrt(2.0))  # s F'(a)
+        return -np.column_stack([abs_F(a), slope * x, slope])
+
+    full_starts = []
+    for gain, offset in starts:
+        shape = abs_F(gain * x + offset)
+        full_starts.append(np.array([float(y @ shape) / float(shape @ shape), gain, offset]))
+    (scale, gain, offset), objective, ok = _least_squares(
+        residual, full_starts, jac, _MAX_ITER * 3, "absolute-value"
+    )
+    if gain < 0:  # F is even: (scale, gain, offset) ~ (scale, -gain, -offset)
         gain, offset = -gain, -offset
-    params = AbsObservable(scale=scale, gain=float(gain), offset=float(offset))
-    return params, float(best.fun), bool(best.success)
+    return AbsObservable(scale=float(scale), gain=float(gain), offset=float(offset)), objective, ok
 
 
 def nls_fit(
@@ -372,9 +358,11 @@ def nls_fit(
 
     Runs a deterministic multi-start protocol (moment-based starts plus sign
     flips, or the starts supplied through ``init_strategy``) and keeps the
-    best local minimizer.  Exponential and trigonometric fits use damped
-    Gauss-Newton with analytic structure; the absolute-value family uses
-    derivative-free simplex descent on the profiled objective.
+    best local minimizer.  Every family runs the same damped Gauss-Newton
+    (Levenberg-Marquardt) least squares from each start, with an analytic
+    Jacobian for the exponential and absolute-value families and forward
+    differences for the trigonometric one.  ``objective`` is the summed
+    squared residuals of the returned parameters.
     """
     if data.x.shape[1] != 1 or data.y.shape[1] != 1:
         raise DimensionError("nonlinear families are scalar in x and y")

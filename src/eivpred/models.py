@@ -732,16 +732,23 @@ def save_dataset(data: Dataset, spec: ModelSpec, prefix) -> tuple[Path, Path]:
 def load_dataset(prefix) -> tuple[Dataset, ModelSpec]:
     """Read back a dataset written by :func:`save_dataset`.
 
-    Raises :class:`DatasetError` when the CSV does not parse, or when its
+    Raises :class:`DatasetError` when the sidecar is not JSON or lacks its
+    ``spec``, ``seed`` or ``n``, when the CSV does not parse, or when its
     header or row count disagrees with what the sidecar's spec implies.
     """
     prefix = Path(prefix)
     csv_path = prefix.with_suffix(".csv")
     json_path = prefix.with_suffix(".spec.json")
-    with open(json_path) as fh:
-        sidecar = json.load(fh)
-    spec = spec_from_dict(sidecar["spec"])
-    d, q, m, n = spec.response_dim, spec.z_dim, spec.latent_dim, sidecar["n"]
+    try:
+        with open(json_path) as fh:
+            sidecar = json.load(fh)
+        spec_dict, seed, n = sidecar["spec"], sidecar["seed"], sidecar["n"]
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"{json_path}: not valid JSON: {exc}") from None
+    except KeyError as exc:
+        raise DatasetError(f"{json_path}: missing key {exc}") from None
+    spec = spec_from_dict(spec_dict)
+    d, q, m = spec.response_dim, spec.z_dim, spec.latent_dim
     has_hidden = bool(sidecar.get("has_hidden"))
     columns = _csv_header(d, q, m, has_hidden)
     with open(csv_path) as fh:
@@ -762,4 +769,4 @@ def load_dataset(prefix) -> tuple[Dataset, ModelSpec]:
     bounds = np.cumsum([0, d, q, m, m, m, d, d])
     y, z, x, xi, delta, e, eps = (rows[:, a:b] for a, b in zip(bounds[:-1], bounds[1:]))
     hidden = HiddenTruth(xi=xi, delta=delta, e=e, eps=eps) if has_hidden else None
-    return Dataset(y=y, z=z, x=x, seed=int(sidecar["seed"]), hidden=hidden), spec
+    return Dataset(y=y, z=z, x=x, seed=int(seed), hidden=hidden), spec

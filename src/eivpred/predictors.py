@@ -14,11 +14,10 @@ a known lower bound on the reliability ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaincc
+from scipy.special import chdtri
 
 from .errors import DimensionError, InvalidInput, SingularCovariance
 from .estimators import FittedModel
@@ -131,29 +130,14 @@ def predict_mean(fit: FittedModel, z0, x0, sigma_eps_delta) -> Prediction:
     return Prediction(point=base.point - correction, kind="mean", z0=base.z0, x0=base.x0)
 
 
-@lru_cache
-def chi2_upper_quantile(dim: int, alpha: float, tol: float = 1e-12) -> float:
+def chi2_upper_quantile(dim: int, alpha: float) -> float:
     """Upper alpha-quantile of the chi-square law with ``dim`` degrees of
-    freedom, by bisection on the regularized upper incomplete gamma.
-
-    Cached per argument tuple, so the bisection runs once per (dim, alpha)."""
+    freedom."""
     if not 0 < alpha < 1:
         raise InvalidInput("alpha must lie in (0, 1)")
     if dim < 1:
         raise InvalidInput("dimension must be >= 1")
-    hi = 1.0
-    while gammaincc(dim / 2.0, hi / 2.0) > alpha:
-        hi *= 2.0
-        if hi > 1e12:
-            break
-    lo = 0.0
-    while hi - lo > tol * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        if gammaincc(dim / 2.0, mid / 2.0) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(chdtri(dim, alpha))
 
 
 def region_chebyshev(fit: FittedModel, pred: Prediction, alpha: float) -> ConfidenceRegion:

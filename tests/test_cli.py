@@ -251,6 +251,27 @@ class TestFitPredict:
         [line] = captured.err.splitlines()
         assert line.startswith(f"i/o error: {csv_path}: ") and message in line
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda text: text.splitlines()[0] + "\n", "not valid JSON"),
+            (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "n"}), "missing key 'n'"),
+        ],
+        ids=["cut_after_first_line", "missing_n"],
+    )
+    def test_damaged_sidecar_exits_2_with_one_line(self, tmp_path, capsys, damage, message):
+        sim = {"spec": linear_spec_dict(), "n": 200, "seed": 4, "out": str(tmp_path / "ds")}
+        assert main(["simulate", "--config", write_config(tmp_path, "sim.json", sim)]) == EXIT_OK
+        sidecar = tmp_path / "ds.spec.json"
+        sidecar.write_text(damage(sidecar.read_text()))
+        capsys.readouterr()
+        fp = write_config(tmp_path, "fp.json", {"data": str(tmp_path / "ds"), "family": "linear"})
+        assert main(["fit-predict", "--config", fp]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"i/o error: {sidecar}: ") and message in line
+
     @pytest.mark.parametrize("data", ["golden_dataset", "missing"])
     def test_polynomial_without_degree_exits_2_before_reading_data(self, tmp_path, capsys, data):
         fp = write_config(tmp_path, "fp.json", {"data": str(DATA_DIR / data), "family": "polynomial"})

@@ -173,6 +173,8 @@ class TestNlsFit:
         assert fit.converged
 
     def test_exponential_sign_flipped_start_recovers(self):
+        """Sign-flipped starts reach the auto-start minimum: exponential
+        (scale, rate) starts, and absolute-value (gain, offset) starts."""
         spec = make_exponential_spec(sigma2_e=0.01, sigma2_delta=0.2, scale=1.2, rate=0.6)
         data = models.sample(spec, 5000, seed=9, keep_hidden=False)
         auto = estimators.nls_fit(data, "exponential")
@@ -181,6 +183,34 @@ class TestNlsFit:
         )
         assert flipped.objective == pytest.approx(auto.objective, rel=1e-6)
         assert flipped.params.rate == pytest.approx(auto.params.rate, rel=1e-4)
+
+        data = models.sample(make_abs_spec(), 5000, seed=9, keep_hidden=False)
+        auto = estimators.nls_fit(data, "absolute_value")
+        flipped = estimators.nls_fit(data, "absolute_value", init_strategy=[[-0.7, 1.4], [0.5, -1.0]])
+        assert flipped.converged
+        assert flipped.objective == pytest.approx(auto.objective, rel=1e-6)
+        for got, want in (
+            (flipped.params.scale, auto.params.scale),
+            (flipped.params.gain, auto.params.gain),
+            (flipped.params.offset, auto.params.offset),
+        ):
+            assert got == pytest.approx(want, rel=1e-4)
+
+    def test_noiseless_abs_recovery(self):
+        x = np.linspace(-3.0, 3.0, 400)
+        data = handmade_dataset(1.3 * transform.abs_F(0.7 * x + 0.4), None, x)
+        fit = estimators.nls_fit(data, "absolute_value")
+        assert fit.params.scale == pytest.approx(1.3, abs=1e-8)
+        assert fit.params.gain == pytest.approx(0.7, abs=1e-8)
+        assert fit.params.offset == pytest.approx(0.4, abs=1e-8)
+        assert fit.converged
+
+    def test_abs_objective_is_the_residual_sum_of_squares(self):
+        data = models.sample(make_abs_spec(), 2000, seed=17, keep_hidden=False)
+        fit = estimators.nls_fit(data, "absolute_value")
+        p = fit.params
+        resid = data.y[:, 0] - p.scale * transform.abs_F(p.gain * data.x[:, 0] + p.offset)
+        assert fit.objective == pytest.approx(float(resid @ resid), rel=1e-12)
 
     def test_abs_family_matches_transform_at_scale(self):
         spec = make_abs_spec()
