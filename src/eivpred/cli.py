@@ -14,6 +14,7 @@ Configs are schema-validated and unknown keys are rejected.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
@@ -23,9 +24,15 @@ import jsonschema
 import numpy as np
 
 from .errors import DatasetError, EivError, SpecError
-from .estimators import fit_family
+from .estimators import NLS_FAMILIES, fit_family
 from .models import FAMILIES, load_dataset, sample, save_dataset, spec_from_dict, validate
-from .montecarlo import ExperimentConfig, run_abs_failure, run_consistency, run_coverage
+from .montecarlo import (
+    ExperimentConfig,
+    check_sample_sizes,
+    run_abs_failure,
+    run_consistency,
+    run_coverage,
+)
 from .predictors import REGION_KINDS, build_region, predict_individual, predict_mean
 from .transform import params_to_dict, transform
 
@@ -301,6 +308,7 @@ def cmd_experiment(config: dict, args) -> int:
         threads=args.threads or config.get("threads") or int(os.environ.get(THREADS_ENV, "1")),
     )
     cfg = ExperimentConfig(**options)
+    check_sample_sizes(cfg)
     report = _SUITES[config["suite"]](cfg)
     out = args.out or config.get("out")
     if not out:
@@ -352,6 +360,23 @@ _COMMANDS = {
 }
 
 
+def _scipy_modules(command: str, config: dict) -> list[str]:
+    """The scipy modules a run of ``command`` on a validated ``config`` calls:
+    scipy.optimize and scipy.special for an NLS fit (the abs_failure suite
+    fits the absolute-value family), scipy.special for a chi-square region."""
+    if command == "experiment":
+        nls = config["spec"]["family"] in NLS_FAMILIES
+        kinds = config.get("region_kinds", ())
+    elif command == "fit-predict":
+        nls = config["family"] in NLS_FAMILIES
+        kinds = [region["kind"] for region in config.get("regions", ())]
+    else:
+        return []
+    if nls:
+        return ["scipy.optimize", "scipy.special"]
+    return ["scipy.special"] if "chi_square" in kinds else []
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -362,6 +387,10 @@ def main(argv=None) -> int:
     except jsonschema.ValidationError as exc:
         sys.stderr.write(f"config schema error: {exc.message}\n")
         return EXIT_CONFIG
+    # scipy takes most of a second to import, so it is loaded only for the
+    # runs that call it, and before the command starts its work
+    for module in _scipy_modules(args.command, config):
+        importlib.import_module(module)
     try:
         return _COMMANDS[args.command](config, args)
     except SpecError as exc:

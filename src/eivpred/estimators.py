@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
-from scipy.special import erf
 
 from .errors import DimensionError, InsufficientData, InvalidInput, NonConvergence
 from .linalg import min_eigenvalue, pinv, sym_sqrt
@@ -29,6 +27,7 @@ from .transform import (
     TransformedParams,
     TrigObservable,
     abs_F,
+    power_basis,
     predict_rows,
 )
 
@@ -40,10 +39,15 @@ __all__ = [
     "residual_covariance",
     "nls_fit",
     "fit_family",
+    "min_sample_size",
     "naive_ols_abs",
+    "NLS_FAMILIES",
 ]
 
 MAX_POLY_DEGREE = 6
+# Fitted by nls_fit; every other family is linear in its coefficients and
+# fitted by ols_fit.  Only the NLS fits (and naive_ols_abs) load scipy.
+NLS_FAMILIES = ("exponential", "trigonometric", "absolute_value")
 CONDITION_WARN = 1e12
 
 
@@ -135,8 +139,7 @@ def _regressors(data: Dataset, family: str, degree: Optional[int]) -> tuple[np.n
         raise InvalidInput(
             f"degree {degree} above cap {MAX_POLY_DEGREE}; raw powers become too ill-conditioned"
         )
-    powers = x[:, 0][:, None] ** np.arange(1, degree + 1)
-    return np.hstack([z, powers]), degree
+    return np.hstack([z, power_basis(x[:, 0], degree)]), degree
 
 
 def sample_moments(data: Dataset, family: str = "linear", degree: Optional[int] = None) -> SampleMoments:
@@ -187,9 +190,9 @@ def ols_fit(data: Dataset, family: str = "linear", degree: Optional[int] = None)
     singular S_rr yields the minimum-norm coefficients without failure.
     """
     r, _ = _regressors(data, family, degree)
-    p = r.shape[1]
-    if data.n < p + 1:
-        raise InsufficientData(f"need n >= {p + 1} for {p} regressors")
+    need = min_sample_size(family, data.z.shape[1], data.x.shape[1], degree)
+    if data.n < need:
+        raise InsufficientData(f"need n >= {need} for {need - 1} regressors")
     moments = _moments(data, r)
     coefs = pinv(moments.s_rr) @ moments.s_ry  # (p, d)
     intercept = moments.y_mean - moments.r_mean @ coefs
@@ -263,10 +266,12 @@ def _least_squares(residual, starts, jac, max_nfev: int, family: str):
     """Levenberg-Marquardt from every start; the lowest-cost finite result
     as ``(x, objective, converged)`` with ``objective`` the summed squared
     residuals."""
+    from scipy.optimize import least_squares
+
     best = None
     for p0 in starts:
         try:
-            res = optimize.least_squares(
+            res = least_squares(
                 residual, p0, jac=jac, method="lm", ftol=_REL_TOL, xtol=_REL_TOL, max_nfev=max_nfev
             )
         except ValueError:  # residuals not finite at this start
@@ -327,6 +332,7 @@ def _fit_trig(x, y, harmonics, freq_grid):
 def _fit_abs(x, y, starts):
     """Joint fit of (scale, gain, offset); each (gain, offset) start gets its
     least-squares scale."""
+    from scipy.special import erf
 
     def residual(p):
         return y - p[0] * abs_F(p[1] * x + p[2])
@@ -368,10 +374,9 @@ def nls_fit(
         raise DimensionError("nonlinear families are scalar in x and y")
     x, y = data.x[:, 0], data.y[:, 0]
     n = data.n
-    n_params = {"exponential": 2, "trigonometric": 2 * harmonics + 2, "absolute_value": 3}
-    if family not in n_params:
+    if family not in NLS_FAMILIES:
         raise InvalidInput(f"nls_fit does not handle family {family!r}")
-    if n < n_params[family] + 1:
+    if n < min_sample_size(family, harmonics=harmonics):
         raise InsufficientData("too few observations for the parameter count")
 
     if family == "exponential":
@@ -411,15 +416,34 @@ def nls_fit(
     )
 
 
+def min_sample_size(
+    family: str, z_dim: int = 0, x_dim: int = 1, degree: Optional[int] = None, harmonics: int = 1
+) -> int:
+    """Smallest sample :func:`fit_family` accepts for ``family``: one more
+    observation than the OLS regressors (the intercept takes one), or than
+    the NLS parameters.  ``z_dim`` and ``x_dim`` count the exact and the
+    surrogate covariates; ``degree`` and ``harmonics`` size the polynomial
+    and trigonometric fits."""
+    n_params = {
+        "linear": z_dim + x_dim,
+        "polynomial": z_dim + (degree or 0),
+        "quadratic": 2,
+        "exponential": 2,
+        "trigonometric": 2 * harmonics + 2,
+        "absolute_value": 3,
+    }
+    return n_params[family] + 1
+
+
 def fit_family(
     data: Dataset, family: str, degree: Optional[int] = None, harmonics: int = 1
 ) -> FittedModel:
-    """Fit ``family``: :func:`ols_fit` for the families linear in their
-    coefficients (``degree`` for the polynomial one), :func:`nls_fit` for the
-    others (``harmonics`` for the trigonometric one)."""
-    if family in ("linear", "polynomial", "quadratic"):
-        return ols_fit(data, family, degree=degree)
-    return nls_fit(data, family, harmonics=harmonics)
+    """Fit ``family``: :func:`nls_fit` for :data:`NLS_FAMILIES` (``harmonics``
+    for the trigonometric one), :func:`ols_fit` for the families linear in
+    their coefficients (``degree`` for the polynomial one)."""
+    if family in NLS_FAMILIES:
+        return nls_fit(data, family, harmonics=harmonics)
+    return ols_fit(data, family, degree=degree)
 
 
 def naive_ols_abs(data: Dataset) -> tuple[float, float]:
@@ -432,6 +456,8 @@ def naive_ols_abs(data: Dataset) -> tuple[float, float]:
     """
     if data.x.shape[1] != 1 or data.y.shape[1] != 1:
         raise DimensionError("absolute-value family is scalar in x and y")
+    from scipy.optimize import minimize_scalar
+
     x, y = data.x[:, 0], data.y[:, 0]
     sum_y2 = float(y @ y)
 
@@ -448,7 +474,7 @@ def naive_ols_abs(data: Dataset) -> tuple[float, float]:
     edges = np.linspace(lo, hi, 9)  # 8 deterministic segments
     best_val, best_shift = np.inf, 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        res = optimize.minimize_scalar(
+        res = minimize_scalar(
             objective, bounds=(a, b), method="bounded", options={"xatol": 1e-10}
         )
         if res.fun < best_val:

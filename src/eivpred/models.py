@@ -732,8 +732,9 @@ def save_dataset(data: Dataset, spec: ModelSpec, prefix) -> tuple[Path, Path]:
 def load_dataset(prefix) -> tuple[Dataset, ModelSpec]:
     """Read back a dataset written by :func:`save_dataset`.
 
-    Raises :class:`DatasetError` when the sidecar is not JSON or lacks its
-    ``spec``, ``seed`` or ``n``, when the CSV does not parse, or when its
+    Raises :class:`DatasetError` when the sidecar is not JSON, lacks its
+    ``spec``, ``seed`` or ``n``, or gives a ``seed`` or ``n`` that is not an
+    integer, when the CSV does not parse, or when its
     header or row count disagrees with what the sidecar's spec implies.
     """
     prefix = Path(prefix)
@@ -747,6 +748,9 @@ def load_dataset(prefix) -> tuple[Dataset, ModelSpec]:
         raise DatasetError(f"{json_path}: not valid JSON: {exc}") from None
     except KeyError as exc:
         raise DatasetError(f"{json_path}: missing key {exc}") from None
+    for key, value in (("seed", seed), ("n", n)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise DatasetError(f"{json_path}: {key!r} must be an integer, got {value!r}")
     spec = spec_from_dict(spec_dict)
     d, q, m = spec.response_dim, spec.z_dim, spec.latent_dim
     has_hidden = bool(sidecar.get("has_hidden"))
@@ -769,4 +773,4 @@ def load_dataset(prefix) -> tuple[Dataset, ModelSpec]:
     bounds = np.cumsum([0, d, q, m, m, m, d, d])
     y, z, x, xi, delta, e, eps = (rows[:, a:b] for a, b in zip(bounds[:-1], bounds[1:]))
     hidden = HiddenTruth(xi=xi, delta=delta, e=e, eps=eps) if has_hidden else None
-    return Dataset(y=y, z=z, x=x, seed=int(seed), hidden=hidden), spec
+    return Dataset(y=y, z=z, x=x, seed=seed, hidden=hidden), spec

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .errors import EivError, InvalidInput, ReplicationsFailed, SpecError
-from .estimators import fit_family, naive_ols_abs, nls_fit
+from .estimators import fit_family, min_sample_size, naive_ols_abs, nls_fit
 from .linalg import cholesky_psd
 from .models import AbsSpec, LinearSpec, ModelSpec, NewSubject, QuadraticSpec, Sampler, spec_to_dict
 from .predictors import (
@@ -48,7 +48,14 @@ from .predictors import (
 from .rng import derive_seed, make_rng
 from .transform import condition_gaussian, predict_rows, transform
 
-__all__ = ["ExperimentConfig", "McReport", "run_consistency", "run_coverage", "run_abs_failure"]
+__all__ = [
+    "ExperimentConfig",
+    "McReport",
+    "check_sample_sizes",
+    "run_consistency",
+    "run_coverage",
+    "run_abs_failure",
+]
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,17 +225,37 @@ def _subject_drawer(cfg: ExperimentConfig, sampler: Sampler):
     return lambda n_idx, rep: conditional(make_rng(cfg.master_seed, 3, n_idx, rep))
 
 
+def _fit_size(cfg: ExperimentConfig) -> tuple[Optional[int], int]:
+    """The fit's ``degree`` and ``harmonics``: the config's, else the spec's own."""
+    degree = cfg.degree or getattr(cfg.spec, "degree", None)
+    return degree, cfg.harmonics or getattr(cfg.spec, "harmonics", 1)
+
+
+def check_sample_sizes(cfg: ExperimentConfig) -> None:
+    """Reject ``n_grid`` entries below the smallest sample the run's fit
+    accepts, each of which would fail every replication.
+
+    The drivers themselves accept such entries and report them as failed
+    replications; a front end calls this before the run instead."""
+    spec = cfg.spec
+    degree, harmonics = _fit_size(cfg)
+    need = min_sample_size(spec.family, spec.z_dim, spec.latent_dim, degree, harmonics)
+    small = [n for n in cfg.n_grid if n < need]
+    if small:
+        raise SpecError(
+            [f"n_grid entries {small} are below {need}, the smallest sample a {spec.family} fit accepts"]
+        )
+
+
 def _fitted_prediction(cfg: ExperimentConfig):
     """``(n_idx, rep) -> (fit, subject, prediction)``: one replication's fit
     and its individual prediction for the replication's subject.
 
-    Compiles the spec into one :class:`Sampler` for the run.  The fit's
-    ``degree`` and ``harmonics`` default to the spec's own."""
+    Compiles the spec into one :class:`Sampler` for the run."""
     spec = cfg.spec
     sampler = Sampler(spec)
     draw_subject = _subject_drawer(cfg, sampler)
-    degree = cfg.degree or getattr(spec, "degree", None)
-    harmonics = cfg.harmonics or getattr(spec, "harmonics", 1)
+    degree, harmonics = _fit_size(cfg)
 
     def replicate(n_idx: int, rep: int):
         seed = derive_seed(cfg.master_seed, 1, n_idx, rep)

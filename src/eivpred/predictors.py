@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import chdtri
 
 from .errors import DimensionError, InvalidInput, SingularCovariance
 from .estimators import FittedModel
@@ -137,6 +136,8 @@ def chi2_upper_quantile(dim: int, alpha: float) -> float:
         raise InvalidInput("alpha must lie in (0, 1)")
     if dim < 1:
         raise InvalidInput("dimension must be >= 1")
+    from scipy.special import chdtri  # deferred: about 0.3 s to import
+
     return float(chdtri(dim, alpha))
 
 

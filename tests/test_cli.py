@@ -9,9 +9,16 @@ import pytest
 
 from eivpred import cli, estimators, models, montecarlo, predictors
 from eivpred.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from eivpred.errors import NonConvergence
 from eivpred.transform import params_to_dict
 
-from conftest import make_poly_spec, make_quadratic_spec, make_trig_spec
+from conftest import (
+    make_abs_spec,
+    make_exponential_spec,
+    make_poly_spec,
+    make_quadratic_spec,
+    make_trig_spec,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -256,8 +263,23 @@ class TestFitPredict:
         [
             (lambda text: text.splitlines()[0] + "\n", "not valid JSON"),
             (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "n"}), "missing key 'n'"),
+            (lambda text: json.dumps(dict(json.loads(text), seed="abc")), "'seed' must be an integer, got 'abc'"),
+            (lambda text: json.dumps(dict(json.loads(text), seed=1.5)), "'seed' must be an integer, got 1.5"),
+            (lambda text: json.dumps(dict(json.loads(text), seed=True)), "'seed' must be an integer, got True"),
+            (lambda text: json.dumps(dict(json.loads(text), n="abc")), "'n' must be an integer, got 'abc'"),
+            (lambda text: json.dumps(dict(json.loads(text), n=200.0)), "'n' must be an integer, got 200.0"),
+            (lambda text: json.dumps(dict(json.loads(text), n=True)), "'n' must be an integer, got True"),
         ],
-        ids=["cut_after_first_line", "missing_n"],
+        ids=[
+            "cut_after_first_line",
+            "missing_n",
+            "seed_str",
+            "seed_float",
+            "seed_bool",
+            "n_str",
+            "n_float",
+            "n_bool",
+        ],
     )
     def test_damaged_sidecar_exits_2_with_one_line(self, tmp_path, capsys, damage, message):
         sim = {"spec": linear_spec_dict(), "n": 200, "seed": 4, "out": str(tmp_path / "ds")}
@@ -394,14 +416,40 @@ class TestExperiment:
             rates = [r["value"] for r in report["rows"] if r["statistic"] == "failure_rate"]
             assert rates == [0.0]
 
-    def test_every_replication_failed_exits_3_with_one_line(self, tmp_path, capsys):
-        cfg = self.experiment_config(tmp_path, suite="consistency", n_grid=[2], replications=3)
+    def test_every_replication_failed_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def failing(data, family, **options):
+            raise NonConvergence(f"no {family} fit at n = {data.n}")
+
+        monkeypatch.setattr(montecarlo, "fit_family", failing)
+        cfg = self.experiment_config(tmp_path, suite="consistency", n_grid=[20], replications=3)
         assert main(["experiment", "--config", cfg]) == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err.splitlines() == [
-            "error: all 3 replications failed; first failure: need n >= 3 for 2 regressors"
+            "error: all 3 replications failed; first failure: no linear fit at n = 20"
         ]
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "suite, spec, n_grid, message",
+        [
+            ("consistency", linear_spec_dict(), [2, 500], "[2] are below 3, the smallest sample a linear"),
+            ("consistency", models.spec_to_dict(make_poly_spec()), [3, 100], "[3] are below 4"),
+            ("coverage", models.spec_to_dict(make_exponential_spec()), [1, 2, 400], "[1, 2] are below 3"),
+            ("abs_failure", models.spec_to_dict(make_abs_spec()), [3, 400], "[3] are below 4"),
+        ],
+        ids=["ols-linear", "ols-polynomial", "nls-exponential", "nls-abs_failure"],
+    )
+    def test_too_small_sample_size_exits_2_before_the_run(
+        self, tmp_path, capsys, monkeypatch, suite, spec, n_grid, message
+    ):
+        def unreachable(cfg):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setitem(cli._SUITES, suite, unreachable)
+        cfg = self.experiment_config(tmp_path, suite=suite, spec=spec, n_grid=n_grid)
+        assert main(["experiment", "--config", cfg]) == EXIT_CONFIG
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("spec violation: n_grid entries ") and message in line
 
 
 def test_fit_predict_and_coverage_build_the_same_regions(tmp_path, capsys, monkeypatch):

@@ -135,6 +135,15 @@ class TestOlsFit:
         with pytest.raises(InvalidInput):
             estimators.ols_fit(data, "polynomial", degree=7)
 
+    def test_regressors_are_the_power_basis_up_to_the_cap(self):
+        data = models.sample(make_poly_spec(), 100, seed=1, keep_hidden=False)
+        cap = estimators.MAX_POLY_DEGREE
+        r, used = estimators._regressors(data, "polynomial", cap)
+        assert used == cap
+        np.testing.assert_array_equal(r, transform.power_basis(data.x[:, 0], cap))
+        with pytest.raises(InvalidInput, match=f"degree {cap + 1} above cap {cap}"):
+            estimators._regressors(data, "polynomial", cap + 1)
+
     def test_insufficient_data(self):
         data = handmade_dataset([1.0, 2.0], None, [1.0, 2.0])
         with pytest.raises(InsufficientData):

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
-from eivpred import models, oracle, transform
+from eivpred import estimators, models, oracle, transform
 from eivpred.errors import InvalidInput, SingularCovariance
 
 from conftest import (
@@ -508,6 +508,27 @@ class TestAbsF:
 
     def test_large_argument_asymptote(self):
         assert transform.abs_F(40.0) == pytest.approx(40.0, rel=1e-12)
+
+
+# magnitudes whose sixth power stays a normal double
+_MAGNITUDES = st.floats(min_value=1e-40, max_value=1e40)
+_BASIS_POINTS = st.one_of(st.just(0.0), _MAGNITUDES, _MAGNITUDES.map(lambda v: -v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    xs=st.lists(_BASIS_POINTS, min_size=1, max_size=20),
+    k=st.integers(min_value=1, max_value=estimators.MAX_POLY_DEGREE),
+)
+@example(xs=[0.0, -1.5, 3e39, -7e-39], k=estimators.MAX_POLY_DEGREE)
+def test_power_basis_matches_raw_powers(xs, k):
+    """Each column x^j is k - 1 rounded products at most, so it lies within
+    k ulps (relative) of the correctly rounded power."""
+    x = np.array(xs)
+    reference = x[:, None] ** np.arange(1, k + 1)
+    basis = transform.power_basis(x, k)
+    assert basis.shape == reference.shape
+    np.testing.assert_allclose(basis, reference, rtol=k * np.finfo(float).eps, atol=0)
 
 
 class TestTransformAbs:
