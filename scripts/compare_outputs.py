@@ -1,0 +1,155 @@
+#!/usr/bin/env python3
+"""Compare this checkout's CLI outputs with those of a git revision, byte for byte.
+
+    python3 scripts/compare_outputs.py REF
+
+REF is extracted with ``git archive`` into a temporary directory.  From both
+trees, with ``OPENBLAS_NUM_THREADS=1``, the script runs ``transform`` for one
+spec of each of the six families, both simulate configs
+(``scripts/configs/simulate_linear.json`` and
+``perfbench/configs/fit_predict_file.simulate.json``), ``fit-predict`` on the
+latter's dataset and on ``tests/data/golden_fit_predict_config.json``, and
+every experiment config in ``scripts/configs`` and ``perfbench/configs`` at
+``--threads 1`` and ``--threads 2``.  Every output goes to the temporary
+directory, which is removed at the end.
+
+Each output is printed as identical or differing; for a JSON output that
+differs, the largest relative difference between its numbers is printed too.
+Exits 1 on any difference or failed run, 0 otherwise.  The experiments make
+this take a few minutes.
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# one spec per family, small and valid; the transform is closed-form
+TRANSFORM_SPECS = [
+    {"family": "linear", "intercept": [1.0], "z_slopes": [[0.5]], "latent_slopes": [[1.0]],
+     "latent_mean": [0.5], "latent_cov": [[1.0]],
+     "errors": {"sigma_e": [[0.2]], "sigma_eps": [[0.3]], "sigma_delta": [[0.5]],
+                "sigma_eps_delta": [[0.1]]},
+     "z_dist": {"kind": "gaussian", "mean": [0.0], "cov": [[1.0]]}},
+    {"family": "polynomial", "intercept": 0.7, "coefs": [1.0, -0.5, 0.3], "latent_mean": 0.5,
+     "latent_var": 1.0, "sigma2_e": 0.2, "sigma2_eps": 0.3, "sigma2_delta": 0.8,
+     "sigma_eps_delta": 0.1},
+    {"family": "quadratic", "intercept": 0.4, "slope": 0.7, "curvature": 1.0, "latent_mean": 1.0,
+     "latent_var": 1.0, "sigma2_e": 0.2, "sigma2_delta": 1.0},
+    {"family": "exponential", "scale": 2.0, "rate": 1.0, "latent_mean": 1.0, "latent_var": 1.0,
+     "sigma2_e": 0.1, "sigma2_delta": 1.0},
+    {"family": "trigonometric", "const": 0.3, "cos_amps": [1.0, 0.5], "sin_amps": [-0.7, 0.2],
+     "freq": 1.3, "latent_mean": 0.4, "latent_var": 1.2, "sigma2_e": 0.05, "sigma2_delta": 0.8},
+    {"family": "absolute_value", "scale": 1.0, "shift": 1.0, "latent_mean": 0.0,
+     "latent_var": 1.0, "sigma2_e": 0.1, "sigma2_delta": 1.0},
+]
+
+EXPERIMENTS = sorted(
+    str(path.relative_to(ROOT))
+    for pattern in ("scripts/configs/*.json", "perfbench/configs/*.json")
+    for path in ROOT.glob(pattern)
+    if "suite" in json.loads(path.read_text())
+)
+
+
+def run_all(tree: Path, out: Path, configs: Path) -> list[str]:
+    """Run every command from ``tree``, writing under ``out``; returns the
+    failed runs, each with its exit code and last stderr line."""
+    out.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
+    fit = json.loads((tree / "perfbench/configs/fit_predict_file.fit.json").read_text())
+    fit["data"] = str(out / "fit_predict_file")
+    (out / "fit_predict_file.fit.json").write_text(json.dumps(fit))
+    runs = []
+    for spec in TRANSFORM_SPECS:
+        name = f"transform_{spec['family']}"
+        runs.append((name, ["transform", "--config", str(configs / f"{spec['family']}.json"),
+                            "--out", str(out / f"{name}.json")]))
+    runs += [
+        ("simulate_linear", ["simulate", "--config", "scripts/configs/simulate_linear.json",
+                             "--out", str(out / "simulate_linear")]),
+        ("fit_predict_file.simulate", ["simulate", "--config",
+                                       "perfbench/configs/fit_predict_file.simulate.json",
+                                       "--out", str(out / "fit_predict_file")]),
+        ("fit_predict_file.fit", ["fit-predict", "--config", str(out / "fit_predict_file.fit.json"),
+                                  "--out", str(out / "fit_predict_file.prediction.json")]),
+        ("golden_fit_predict", ["fit-predict", "--config", "tests/data/golden_fit_predict_config.json",
+                                "--out", str(out / "golden_fit_predict.json")]),
+    ]
+    for config in EXPERIMENTS:
+        for threads in ("1", "2"):
+            name = f"{Path(config).stem}_t{threads}"  # a dot would become the suffix
+            runs.append((name, ["experiment", "--config", config, "--threads", threads,
+                                "--out", str(out / name)]))
+    failed = []
+    for name, argv in runs:
+        print(f"  {tree.name}: {name}", file=sys.stderr, flush=True)
+        proc = subprocess.run([sys.executable, "-m", "eivpred.cli", *argv], cwd=tree, env=env,
+                              capture_output=True, text=True)
+        if proc.returncode:
+            last = proc.stderr.strip().splitlines()[-1:] or [""]
+            failed.append(f"{name}: exit {proc.returncode}: {last[0]}")
+    (out / "fit_predict_file.fit.json").unlink()
+    return failed
+
+
+def largest_rel_diff(a, b) -> float:
+    """Largest relative difference between corresponding numbers of two JSON
+    values; inf when their structure differs."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return 0.0 if a == b else math.inf
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return 0.0
+        return abs(a - b) / max(abs(a), abs(b))
+    if isinstance(a, dict) and isinstance(b, dict) and list(a) == list(b):
+        return max((largest_rel_diff(a[k], b[k]) for k in a), default=0.0)
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return max((largest_rel_diff(x, y) for x, y in zip(a, b)), default=0.0)
+    return 0.0 if a == b else math.inf
+
+
+def main() -> int:
+    if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
+        print(__doc__, file=sys.stderr)
+        return 2
+    ref = sys.argv[1]
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        tmp = Path(tmp)
+        ref_tree = tmp / "ref"
+        ref_tree.mkdir()
+        archive = subprocess.run(["git", "archive", ref], cwd=ROOT, capture_output=True, check=True)
+        subprocess.run(["tar", "-x", "-C", str(ref_tree)], input=archive.stdout, check=True)
+        configs = tmp / "configs"
+        configs.mkdir()
+        for spec in TRANSFORM_SPECS:
+            (configs / f"{spec['family']}.json").write_text(json.dumps({"spec": spec}))
+
+        failed = [f"{ref}: {f}" for f in run_all(ref_tree, tmp / "out_ref", configs)]
+        failed += [f"checkout: {f}" for f in run_all(ROOT, tmp / "out_new", configs)]
+        names = sorted({p.name for side in ("out_ref", "out_new") for p in (tmp / side).iterdir()})
+        differing = 0
+        for name in names:
+            old, new = tmp / "out_ref" / name, tmp / "out_new" / name
+            if old.exists() and new.exists() and old.read_bytes() == new.read_bytes():
+                print(f"identical  {name}")
+                continue
+            differing += 1
+            detail = "missing on one side" if not (old.exists() and new.exists()) else ""
+            if not detail and name.endswith(".json"):
+                diff = largest_rel_diff(json.loads(old.read_text()), json.loads(new.read_text()))
+                detail = f"largest relative difference {diff:.3g}"
+            print(f"DIFFERS    {name}" + (f"  ({detail})" if detail else ""))
+        for f in failed:
+            print(f"FAILED     {f}")
+        print(f"{len(names) - differing} identical, {differing} differing, {len(failed)} failed runs")
+    return 1 if differing or failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DatasetError, EivError, SpecError
 from .estimators import NLS_FAMILIES, fit_family
-from .models import FAMILIES, load_dataset, sample, save_dataset, spec_from_dict, validate
+from .models import FAMILIES, load_dataset, sample, save_dataset, spec_from_dict, to_jsonable, validate
 from .montecarlo import (
     ExperimentConfig,
     check_sample_sizes,
@@ -34,7 +34,7 @@ from .montecarlo import (
     run_coverage,
 )
 from .predictors import REGION_KINDS, build_region, predict_individual, predict_mean
-from .transform import params_to_dict, transform
+from .transform import transform
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -173,14 +173,6 @@ def _dump(obj, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -204,23 +196,15 @@ def cmd_transform(config: dict, args) -> int:
     if violations:
         raise SpecError(violations)
     params = transform(spec)
-    _dump({"schema_version": 1, "params": params_to_dict(params)}, args.out)
+    _dump({"schema_version": 1, "params": to_jsonable(params)}, args.out)
     return EXIT_OK
 
 
 def _fit_report(fit) -> dict:
-    return {
-        "family": fit.family,
-        "params": params_to_dict(fit.params),
-        "residual_moment": fit.residual_moment.tolist(),
-        "n": fit.n,
-        "objective": fit.objective,
-        "converged": fit.converged,
-        "condition_number": fit.condition_number,
-        "notes": list(fit.notes),
-        "x_mean": fit.moments.x_mean.tolist(),
-        "x_cov": fit.moments.x_cov.tolist(),
-    }
+    """FittedModel's fields in order, ``moments`` replaced by x_mean and x_cov at the end."""
+    report = to_jsonable(fit)
+    moments = report.pop("moments")
+    return dict(report, x_mean=moments["x_mean"], x_cov=moments["x_cov"])
 
 
 def cmd_fit_predict(config: dict, args) -> int:
@@ -237,7 +221,7 @@ def cmd_fit_predict(config: dict, args) -> int:
         pred = predict_individual(fit, z0, x0)
         entry = {
             "z0": z0,
-            "x0": _jsonable(pred.x0),
+            "x0": pred.x0.tolist(),
             "individual": pred.point.tolist(),
             "regions": [],
         }
@@ -252,18 +236,9 @@ def cmd_fit_predict(config: dict, args) -> int:
                 purely_normal=reg_cfg.get("purely_normal", False),
                 k0=reg_cfg.get("k0", 0.5),
             )
-            entry["regions"].append(
-                {
-                    "kind": region.kind,
-                    "alpha": region.alpha,
-                    "center": region.center.tolist(),
-                    "threshold": region.threshold,
-                    "shape": None if region.shape is None else region.shape.tolist(),
-                    "notes": list(region.notes),
-                }
-            )
+            entry["regions"].append(to_jsonable(region))
         report["predictions"].append(entry)
-    _dump(report, args.out)
+    _dump(report, args.out or config.get("out"))
     return EXIT_OK
 
 
@@ -275,13 +250,8 @@ def _evaluate_checks(report, checks: list[dict]) -> list[str]:
     for check in checks:
         keys = {k: check[k] for k in ("kind", "alpha", "n") if k in check}
         try:
-            row = next(
-                r
-                for r in report.rows
-                if r["statistic"] == check["statistic"]
-                and all(r.get(k) == v for k, v in keys.items())
-            )
-        except StopIteration:
+            row = report.row(check["statistic"], **keys)
+        except KeyError:
             problems.append(f"no report row matches {check}")
             continue
         value = row["value"]

@@ -19,7 +19,7 @@ absolute_value  y = scale * |xi + shift| + e
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import ClassVar, Optional, Union
 
@@ -47,6 +47,7 @@ __all__ = [
     "validate",
     "sample",
     "new_subject",
+    "to_jsonable",
     "spec_to_dict",
     "spec_from_dict",
     "save_dataset",
@@ -623,57 +624,69 @@ _SPEC_CLASSES = {
 FAMILIES = tuple(_SPEC_CLASSES)
 
 
-def _to_jsonable(value):
-    if isinstance(value, np.ndarray):
+def to_jsonable(value):
+    """JSON form of a package dataclass (``family`` first when it has one, then
+    its fields in declaration order, recursively), array or numpy scalar."""
+    if is_dataclass(value):
+        out = {"family": value.family} if hasattr(value, "family") else {}
+        for f in fields(value):
+            out[f.name] = to_jsonable(getattr(value, f.name))
+        return out
+    if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
     return value
 
 
-def spec_to_dict(spec: ModelSpec) -> dict:
-    """JSON-compatible representation; floats round-trip bit-exactly."""
-    out: dict = {"family": spec.family}
-    for name in spec.__dataclass_fields__:
-        value = getattr(spec, name)
-        if value is None:
-            out[name] = None
-        elif isinstance(value, ZDistribution):
-            out[name] = {
-                "kind": value.kind,
-                "mean": value.mean.tolist(),
-                "cov": value.cov.tolist(),
-            }
-        elif isinstance(value, ErrorStructure):
-            out[name] = {
-                "sigma_e": value.sigma_e.tolist(),
-                "sigma_eps": value.sigma_eps.tolist(),
-                "sigma_delta": value.sigma_delta.tolist(),
-                "sigma_eps_delta": value.sigma_eps_delta.tolist(),
-            }
-        else:
-            out[name] = _to_jsonable(value)
+spec_to_dict = to_jsonable
+
+_NESTED = {"z_dist": ZDistribution, "errors": ErrorStructure}
+
+
+def _numeric(value) -> bool:
+    """Whether ``value`` is a number or a rectangular array of numbers, not booleans."""
+    try:
+        return np.asarray(value).dtype.kind in "iuf"
+    except ValueError:  # ragged lists
+        return False
+
+
+def _violations(cls, data, where: str) -> list[str]:
+    """Why the JSON value ``data`` cannot build ``cls``: it is not an object,
+    a key is unknown or a required one missing, or a value does not fit its
+    field's annotation (a number for float, a numeric array for ndarray)."""
+    if not isinstance(data, dict):
+        return [f"{where} must be an object, got {data!r}"]
+    declared = {f.name: f for f in fields(cls)}
+    out = [f"unknown {where} field {name!r}" for name in data if name not in declared]
+    for name, f in declared.items():
+        value = data.get(name, MISSING)
+        if value is MISSING and f.default is MISSING and f.default_factory is MISSING:
+            out.append(f"{where} lacks field {name!r}")
+        elif value is MISSING or (value is None and f.type.startswith("Optional")):
+            continue
+        elif name in _NESTED:
+            out += _violations(_NESTED[name], value, f"{where} {name}")
+        elif "float" in f.type and not (_numeric(value) and np.ndim(value) == 0):
+            out.append(f"{where} field {name!r} must be a number, got {value!r}")
+        elif "ndarray" in f.type and not _numeric(value):
+            out.append(f"{where} field {name!r} must be a numeric array, got {value!r}")
     return out
 
 
 def spec_from_dict(data: dict) -> ModelSpec:
-    data = dict(data)
-    family = data.pop("family", None)
-    cls = _SPEC_CLASSES.get(family)
+    """The spec a JSON object describes, or :class:`SpecError` for an unknown family or
+    what :func:`_violations` finds; values are checked, not converted."""
+    family = data.get("family") if isinstance(data, dict) else None
+    cls = _SPEC_CLASSES.get(family) if isinstance(family, str) else None
     if cls is None:
         raise SpecError([f"unknown model family {family!r}"])
-    kwargs = {}
-    for name in cls.__dataclass_fields__:
-        if name not in data:
-            continue
-        value = data.pop(name)
-        if name == "z_dist":
-            value = None if value is None else ZDistribution(**value)
-        elif name == "errors":
-            value = ErrorStructure(**value)
-        kwargs[name] = value
-    if data:
-        raise SpecError([f"unknown spec fields: {sorted(data)}"])
+    kwargs = {k: v for k, v in data.items() if k != "family"}
+    violations = _violations(cls, kwargs, "spec")
+    if violations:
+        raise SpecError(violations)
+    for name, nested in _NESTED.items():
+        if kwargs.get(name) is not None:
+            kwargs[name] = nested(**kwargs[name])
     return cls(**kwargs)
 
 

@@ -141,14 +141,16 @@ class McReport:
         csv_path.write_text(self.to_csv())
         return json_path, csv_path
 
-    def value(self, statistic: str, **keys) -> float:
-        """Look up a single row's value (test convenience)."""
+    def row(self, statistic: str, **keys) -> dict:
+        """The first row of ``statistic`` matching ``keys``; KeyError if none does."""
         for row in self.rows:
-            if row["statistic"] != statistic:
-                continue
-            if all(row.get(k) == v for k, v in keys.items()):
-                return row["value"]
+            if row["statistic"] == statistic and all(row.get(k) == v for k, v in keys.items()):
+                return row
         raise KeyError(f"no row with statistic={statistic!r} and {keys!r}")
+
+    def value(self, statistic: str, **keys) -> float:
+        """The value of :meth:`row` (test convenience)."""
+        return self.row(statistic, **keys)["value"]
 
 
 def _fmt(v) -> str:

@@ -59,9 +59,9 @@ class ConfidenceRegion:
     """
 
     kind: str  # "chebyshev" | "chi_square" | "quadratic_bound"
+    alpha: float
     center: np.ndarray  # (d,)
     threshold: float
-    alpha: float
     shape: Optional[np.ndarray] = None  # (d, d) for ellipsoidal kinds
     notes: tuple[str, ...] = ()
 
@@ -74,29 +74,16 @@ class ConfidenceRegion:
 
 
 def _check_point(fit: FittedModel, z0, x0) -> tuple[Optional[np.ndarray], np.ndarray]:
+    m = fit.params.x_slopes.shape[0] if fit.family == "linear" else 1
+    q = fit.params.z_slopes.shape[0] if hasattr(fit.params, "z_slopes") else 0
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    params = fit.params
-    if fit.family == "linear":
-        m = params.x_slopes.shape[0]
-        q = params.z_slopes.shape[0]
-        if x0.shape != (m,):
-            raise DimensionError(f"x0 must have shape ({m},)")
-        if q:
-            z0 = np.atleast_1d(np.asarray(z0, dtype=float))
-            if z0.shape != (q,):
-                raise DimensionError(f"z0 must have shape ({q},)")
-        else:
-            z0 = None
-        return z0, x0
-    if x0.shape != (1,):
-        raise DimensionError("x0 must be scalar for this family")
-    q = params.z_slopes.shape[0] if hasattr(params, "z_slopes") else 0
-    if q:
-        z0 = np.atleast_1d(np.asarray(z0, dtype=float))
-        if z0.shape != (q,):
-            raise DimensionError(f"z0 must have shape ({q},)")
-    else:
-        z0 = None
+    if x0.shape != (m,):
+        raise DimensionError(f"x0 must have shape ({m},)")
+    if not q:
+        return None, x0
+    z0 = np.atleast_1d(np.asarray(z0, dtype=float))
+    if z0.shape != (q,):
+        raise DimensionError(f"z0 must have shape ({q},)")
     return z0, x0
 
 

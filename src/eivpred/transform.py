@@ -37,6 +37,7 @@ from .models import (
     PolynomialSpec,
     QuadraticSpec,
     TrigSpec,
+    to_jsonable,
 )
 
 __all__ = [
@@ -502,14 +503,4 @@ def predict_rows(params: TransformedParams, z: Optional[np.ndarray], x: np.ndarr
     return out[:, None].reshape(n, 1)
 
 
-def params_to_dict(params: TransformedParams) -> dict:
-    """JSON-compatible representation of transformed parameters."""
-    out: dict = {"family": params.family}
-    for name in params.__dataclass_fields__:
-        value = getattr(params, name)
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        elif isinstance(value, (np.floating, np.integer)):
-            value = value.item()
-        out[name] = value
-    return out
+params_to_dict = to_jsonable

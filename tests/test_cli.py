@@ -294,6 +294,34 @@ class TestFitPredict:
         [line] = captured.err.splitlines()
         assert line.startswith(f"i/o error: {sidecar}: ") and message in line
 
+    def test_config_out_is_written(self, tmp_path, capsys):
+        out = tmp_path / "sub" / "report.json"
+        config = {
+            "data": str(DATA_DIR / "golden_dataset"),
+            "family": "linear",
+            "predict": [{"z0": [0.0], "x0": [0.5]}],
+            "out": str(out),
+        }
+        assert main(["fit-predict", "--config", write_config(tmp_path, "fp.json", config)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert json.loads(out.read_text())["fit"]["family"] == "linear"
+
+    def test_malformed_sidecar_spec_exits_2_with_one_line(self, tmp_path, capsys):
+        sim = {"spec": linear_spec_dict(), "n": 50, "seed": 4, "out": str(tmp_path / "ds")}
+        assert main(["simulate", "--config", write_config(tmp_path, "sim.json", sim)]) == EXIT_OK
+        sidecar = tmp_path / "ds.spec.json"
+        payload = json.loads(sidecar.read_text())
+        payload["spec"]["latent_mean"] = "abc"
+        sidecar.write_text(json.dumps(payload))
+        capsys.readouterr()
+        fp = write_config(tmp_path, "fp.json", {"data": str(tmp_path / "ds"), "family": "linear"})
+        assert main(["fit-predict", "--config", fp]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "spec violation: spec field 'latent_mean' must be a numeric array, got 'abc'"
+        ]
+
     @pytest.mark.parametrize("data", ["golden_dataset", "missing"])
     def test_polynomial_without_degree_exits_2_before_reading_data(self, tmp_path, capsys, data):
         fp = write_config(tmp_path, "fp.json", {"data": str(DATA_DIR / data), "family": "polynomial"})
@@ -450,6 +478,48 @@ class TestExperiment:
         assert main(["experiment", "--config", cfg]) == EXIT_CONFIG
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("spec violation: n_grid entries ") and message in line
+
+
+@pytest.mark.parametrize(
+    "command, spec, message",
+    [
+        (
+            "transform",
+            dict(models.spec_to_dict(make_poly_spec()), coefs="abc"),
+            "spec field 'coefs' must be a numeric array, got 'abc'",
+        ),
+        (
+            "simulate",
+            dict(linear_spec_dict(), z_dist=dict(linear_spec_dict()["z_dist"], df=3)),
+            "unknown spec z_dist field 'df'",
+        ),
+        (
+            "experiment",
+            dict(models.spec_to_dict(make_quadratic_spec()), latent_var="x"),
+            "spec field 'latent_var' must be a number, got 'x'",
+        ),
+    ],
+    ids=["transform-coefs-str", "simulate-z_dist-unknown-key", "experiment-latent_var-str"],
+)
+def test_malformed_spec_value_exits_2_with_one_line(tmp_path, capsys, command, spec, message):
+    out = str(tmp_path / "report")
+    config = {
+        "transform": {"spec": spec},
+        "simulate": {"spec": spec, "n": 10, "seed": 1, "out": out},
+        "experiment": {
+            "suite": "consistency",
+            "spec": spec,
+            "n_grid": [200],
+            "replications": 2,
+            "master_seed": 1,
+            "out": out,
+        },
+    }[command]
+    assert main([command, "--config", write_config(tmp_path, "c.json", config)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"spec violation: {message}"]
+    assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
 
 
 def test_fit_predict_and_coverage_build_the_same_regions(tmp_path, capsys, monkeypatch):

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from eivpred import models
 from eivpred.errors import SpecError
+from eivpred.transform import params_to_dict, transform
 
 from conftest import (
     make_abs_spec,
@@ -197,6 +198,61 @@ class TestSerialization:
             assert back.family == spec.family
             assert back.latent_var == spec.latent_var
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (dict(coefs="abc"), "spec field 'coefs' must be a numeric array, got 'abc'"),
+            (dict(coefs=[1.0, [2.0, 3.0]]), "spec field 'coefs' must be a numeric array"),
+            (dict(coefs=[True, False]), "spec field 'coefs' must be a numeric array"),
+            (dict(latent_var="x"), "spec field 'latent_var' must be a number, got 'x'"),
+            (dict(latent_var=True), "spec field 'latent_var' must be a number, got True"),
+            (dict(latent_var=None), "spec field 'latent_var' must be a number, got None"),
+            (dict(latent_var=[1.0]), "spec field 'latent_var' must be a number, got [1.0]"),
+            (dict(z_dist=3), "spec z_dist must be an object, got 3"),
+            (dict(z_dist={"kind": "gaussian", "mean": [0.0]}), "spec z_dist lacks field 'cov'"),
+            (
+                dict(z_dist={"kind": "gaussian", "mean": [0.0], "cov": [[1.0]], "df": 3}),
+                "unknown spec z_dist field 'df'",
+            ),
+        ],
+        ids=[
+            "array-str",
+            "array-ragged",
+            "array-bool",
+            "number-str",
+            "number-bool",
+            "number-null",
+            "number-list",
+            "z_dist-not-object",
+            "z_dist-missing-key",
+            "z_dist-unknown-key",
+        ],
+    )
+    def test_malformed_values_raise_spec_error(self, edit, message):
+        payload = dict(models.spec_to_dict(make_poly_spec()), **edit)
+        with pytest.raises(SpecError) as info:
+            models.spec_from_dict(payload)
+        [violation] = info.value.violations
+        assert violation.startswith(message)
+
+    def test_malformed_errors_and_missing_field_raise_spec_error(self):
+        payload = models.spec_to_dict(make_linear_spec())
+        del payload["errors"]["sigma_e"]
+        del payload["latent_cov"]
+        payload["errors"]["sigma_eps"] = "abc"
+        with pytest.raises(SpecError) as info:
+            models.spec_from_dict(payload)
+        assert info.value.violations == [
+            "spec lacks field 'latent_cov'",
+            "spec errors lacks field 'sigma_e'",
+            "spec errors field 'sigma_eps' must be a numeric array, got 'abc'",
+        ]
+
+    def test_values_are_checked_not_converted(self):
+        payload = dict(models.spec_to_dict(make_quadratic_spec()), intercept=0, latent_var=1)
+        back = models.spec_to_dict(models.spec_from_dict(payload))
+        assert json.dumps(back) == json.dumps(payload)
+
 
 def _two_point_z_poly():
     z_dist = models.ZDistribution("two_point", mean=[0.0, 1.0], cov=[[1.0, 0.0], [0.0, 0.25]])
@@ -268,6 +324,51 @@ PINNED_DIGESTS = {
 }
 
 
+# SHA-256 of json.dumps(spec_to_dict(spec)) and of
+# json.dumps(params_to_dict(transform(spec))), recorded on x86-64 Linux with
+# numpy 2.4 / OpenBLAS before one writer served specs, parameters and regions;
+# any change to the key order or the number formatting shows here.
+JSON_SPECS = {
+    "linear": make_linear_spec,
+    "polynomial": make_poly_spec,
+    "quadratic": make_quadratic_spec,
+    "exponential": make_exponential_spec,
+    "trigonometric": make_trig_spec,
+    "absolute_value": make_abs_spec,
+    "linear_gaussian_z": PINNED_SPECS["linear_gaussian_z"],
+}
+JSON_DIGESTS = {
+    "linear": (
+        "e34bbb78a9b38a2b70773848ffdc3e542e2d2c099aa1e33c99bb983dbd8953ca",
+        "6db5938f3965f5a5bfcd02a7fb14ce7d74d6abf75d80387dc0ab00c8914ee8f3",
+    ),
+    "polynomial": (
+        "a2e8bce2273c4a4f0d897c2df58bb6ea783e460f82f8d2b27f1b759e4ca32931",
+        "9a9d283ac15b35d7e8d17328afd47ebf86853d9ff4bd8bdda4506548e4978732",
+    ),
+    "quadratic": (
+        "4eda20bb28d2ada011d9284ea10852aa88b92b8c732fc1b54d55d43bf8843c19",
+        "0bbf5197cbe522701595e4cfe4b561e738b97519d1ed0eeb681dfa58634180fb",
+    ),
+    "exponential": (
+        "e918a2a1ac3d28c12f84572dab177f19bda1da52b8a729f3e4b2f80cf348f0d1",
+        "005090e502cca32d41ff04b31930e5add478dc06ab43c89584070f87471b56f5",
+    ),
+    "trigonometric": (
+        "53d371e9647f56f55f62991be7c988ed47e107a6b447e213a675e3e2ac974b97",
+        "aeb53b51efebb5f701d7938d109c62087102b3d27f556d0b29db154afbb9f82e",
+    ),
+    "absolute_value": (
+        "6b4046b69ad2736b32d11127b4f433845d94cedbc0c6d9d68754ae81a21478e4",
+        "4905c735aa41cb5a9b6b92c00a2a51c2fbd51712e5c050b52f46cf56e464c6a6",
+    ),
+    "linear_gaussian_z": (
+        "7ad19a3e5efd0b5cd3b1c19131199b245dc5a7d47de72f65c5e5d9a9168edca7",
+        "3a040214ed07081583bed0f47329b9a97b528407c5634b7c52d4e826087d90d3",
+    ),
+}
+
+
 def _digest(*arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
@@ -275,6 +376,14 @@ def _digest(*arrays) -> str:
         h.update(repr(a.shape).encode())
         h.update(a.tobytes())
     return h.hexdigest()
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("name", sorted(JSON_SPECS))
+    def test_spec_and_params_json_match_pinned_digests(self, name):
+        spec = JSON_SPECS[name]()
+        texts = (json.dumps(models.spec_to_dict(spec)), json.dumps(params_to_dict(transform(spec))))
+        assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == JSON_DIGESTS[name]
 
 
 class TestSampler:

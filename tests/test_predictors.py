@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from eivpred import estimators, models, predictors, transform
 from eivpred.errors import DimensionError, InvalidInput
 
-from conftest import make_linear_spec, make_quadratic_spec
+from conftest import make_exponential_spec, make_linear_spec, make_poly_spec, make_quadratic_spec
 
 
 def fitted(spec, n=2000, seed=1, family=None, degree=None):
@@ -72,6 +72,31 @@ class TestPredictIndividual:
             predictors.predict_individual(fit, [0.0], [1.0, 2.0])
         with pytest.raises(DimensionError):
             predictors.predict_individual(fit, [0.0, 1.0], [1.0])
+
+    @pytest.mark.parametrize(
+        "spec, family, degree, z0, x0, message",
+        [
+            (lambda: make_linear_spec(m=2), "linear", None, [0.0], 1.0, r"x0 must have shape \(2,\)"),
+            (
+                lambda: make_poly_spec(
+                    z_slopes=[0.4, -0.2],
+                    z_dist=models.ZDistribution("gaussian", mean=[0.0, 0.0], cov=np.eye(2)),
+                ),
+                "polynomial",
+                3,
+                [0.0],
+                1.0,
+                r"z0 must have shape \(2,\)",
+            ),
+            (make_exponential_spec, "exponential", None, None, [1.0, 2.0], r"x0 must have shape \(1,\)"),
+        ],
+        ids=["linear-m2-scalar-x0", "polynomial-short-z0", "exponential-x0-length-2"],
+    )
+    def test_point_shape_follows_the_fit(self, spec, family, degree, z0, x0, message):
+        data = models.sample(spec(), 400, seed=2, keep_hidden=False)
+        fit = estimators.fit_family(data, family, degree=degree)
+        with pytest.raises(DimensionError, match=message):
+            predictors.predict_individual(fit, z0, x0)
 
 
 class TestPredictMean:
