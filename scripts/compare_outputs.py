@@ -10,8 +10,12 @@ spec of each of the six families, both simulate configs
 ``perfbench/configs/fit_predict_file.simulate.json``), ``fit-predict`` on the
 latter's dataset and on ``tests/data/golden_fit_predict_config.json``, and
 every experiment config in ``scripts/configs`` and ``perfbench/configs`` at
-``--threads 1`` and ``--threads 2``.  Every output goes to the temporary
-directory, which is removed at the end.
+``--threads 1`` and ``--threads 2``.  Those configs use n >= 1e4 except
+``coverage_small_n``, so each of their chunks holds one replication; four
+small-n experiments written into the temporary directory (``SMALL_N_EXPERIMENTS``)
+run chunks of many replications next to chunks of one, at both thread counts
+too.  Every output goes to the temporary directory, which is removed at the
+end.
 
 Each output is printed as identical or differing; for a JSON output that
 differs, the largest relative difference between its numbers is printed too.
@@ -49,6 +53,22 @@ TRANSFORM_SPECS = [
      "latent_var": 1.0, "sigma2_e": 0.1, "sigma2_delta": 1.0},
 ]
 
+# n_grid [50, 200, 5000]: one chunk of 60 replications (4096 // 50 = 81), chunks
+# of 20, and chunks of one
+_SMALL_N = {"n_grid": [50, 200, 5000], "replications": 60}
+SMALL_N_EXPERIMENTS = {
+    "small_n_coverage_linear_fixed_subject": dict(
+        _SMALL_N, suite="coverage", spec=TRANSFORM_SPECS[0], master_seed=21, alphas=[0.05, 0.5],
+        region_kinds=["chebyshev", "chi_square"], fixed_subject=True),
+    "small_n_coverage_quadratic_bound": dict(
+        _SMALL_N, suite="coverage", spec=TRANSFORM_SPECS[2], master_seed=22, alphas=[0.1, 0.3],
+        region_kinds=["quadratic_bound", "chebyshev"], k0=0.4),
+    "small_n_consistency_linear_mean": dict(
+        _SMALL_N, suite="consistency", spec=TRANSFORM_SPECS[0], master_seed=23, mean_prediction=True),
+    "small_n_consistency_polynomial_mean": dict(
+        _SMALL_N, suite="consistency", spec=TRANSFORM_SPECS[1], master_seed=24, mean_prediction=True),
+}
+
 EXPERIMENTS = sorted(
     str(path.relative_to(ROOT))
     for pattern in ("scripts/configs/*.json", "perfbench/configs/*.json")
@@ -81,7 +101,8 @@ def run_all(tree: Path, out: Path, configs: Path) -> list[str]:
         ("golden_fit_predict", ["fit-predict", "--config", "tests/data/golden_fit_predict_config.json",
                                 "--out", str(out / "golden_fit_predict.json")]),
     ]
-    for config in EXPERIMENTS:
+    small_n = [str(configs / f"{name}.json") for name in SMALL_N_EXPERIMENTS]
+    for config in EXPERIMENTS + small_n:
         for threads in ("1", "2"):
             name = f"{Path(config).stem}_t{threads}"  # a dot would become the suffix
             runs.append((name, ["experiment", "--config", config, "--threads", threads,
@@ -129,6 +150,8 @@ def main() -> int:
         configs.mkdir()
         for spec in TRANSFORM_SPECS:
             (configs / f"{spec['family']}.json").write_text(json.dumps({"spec": spec}))
+        for name, config in SMALL_N_EXPERIMENTS.items():
+            (configs / f"{name}.json").write_text(json.dumps(config))
 
         failed = [f"{ref}: {f}" for f in run_all(ref_tree, tmp / "out_ref", configs)]
         failed += [f"checkout: {f}" for f in run_all(ROOT, tmp / "out_new", configs)]

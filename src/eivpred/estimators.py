@@ -4,6 +4,10 @@ Ordinary least squares targets the observable regression of the response on
 ``(z, x)`` (or powers of x), which is exactly what the best predictor needs;
 no attempt is made to recover the latent-regression parameters.  Singular
 regressor covariances fall back to the minimum-norm pseudo-inverse solution.
+
+One OLS kernel fits a stack of R datasets of one size as ``(R, n, .)`` arrays
+(:func:`fit_stack`); :func:`ols_fit` is its R = 1 case, and every stacked
+quantity equals the one-dataset fit to the bit.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -34,6 +38,8 @@ from .transform import (
 __all__ = [
     "SampleMoments",
     "FittedModel",
+    "FitStack",
+    "fit_stack",
     "sample_moments",
     "ols_fit",
     "residual_covariance",
@@ -72,8 +78,28 @@ class SampleMoments:
         return float(self.x_cov[0, 0])
 
 
+class _RegionShape:
+    """The region shape of a fit (or stack of fits) with a ``residual_moment``."""
+
+    @property
+    def region_shape(self) -> tuple[np.ndarray, tuple[str, ...]]:
+        """Symmetric square root of the pseudo-inverted residual moment, shared
+        by every ellipsoidal region on this fit, plus a note when that moment
+        is near-singular.  Computed on first use, once per fit or stack.
+
+        Cached in the instance by hand: before Python 3.12,
+        ``functools.cached_property`` holds one lock shared by every instance
+        of the class, so pool threads working on different fits would queue
+        on it around the LAPACK calls."""
+        cached = self.__dict__.get("_region_shape")
+        if cached is None:
+            cached = _region_shape(self.residual_moment)
+            object.__setattr__(self, "_region_shape", cached)  # frozen dataclass
+        return cached
+
+
 @dataclass(frozen=True, eq=False)
-class FittedModel:
+class FittedModel(_RegionShape):
     """Estimated observable-regression coefficients plus residual moments."""
 
     family: str
@@ -93,43 +119,118 @@ class FittedModel:
     def predict(self, z0, x0):
         return self.params.predict(z0, x0)
 
+
+@dataclass(frozen=True, eq=False)
+class FitStack(_RegionShape):
+    """Fits of R datasets of one size n, stacked on a leading axis of length R.
+
+    For the OLS families the arrays are the kernel's own (``moments`` holds
+    stacked arrays too) and :attr:`params` views them as one parameter
+    container whose fields carry the leading axis.  The NLS families are
+    fitted one dataset at a time and keep their fits in ``fits``; their
+    ``params`` is None.  :meth:`fit` gives the :class:`FittedModel` of one
+    dataset either way.
+    """
+
+    family: str
+    n: int
+    residual_moment: np.ndarray  # (R, d, d)
+    moments: Optional[SampleMoments] = None  # OLS: every array (R, ...)
+    intercept: Optional[np.ndarray] = None  # OLS: (R, d)
+    coefs: Optional[np.ndarray] = None  # OLS: (R, p, d), the z rows first
+    z_dim: int = 0  # OLS: the number of z rows of ``coefs``
+    objective: Optional[np.ndarray] = None  # OLS: (R,)
+    condition_number: Optional[np.ndarray] = None  # OLS: (R,)
+    fits: tuple[FittedModel, ...] = ()  # NLS: one per dataset
+
+    def __len__(self) -> int:
+        return self.residual_moment.shape[0]
+
     @property
-    def region_shape(self) -> tuple[np.ndarray, tuple[str, ...]]:
-        """Symmetric square root of the pseudo-inverted residual moment, shared
-        by every ellipsoidal region on this fit, plus a note when that moment
-        is near-singular.  Computed on first use, once per fit.
+    def params(self) -> Optional[TransformedParams]:
+        if self.fits:
+            return None
+        return _coef_params(self.family, self.z_dim, self.intercept, self.coefs)
 
-        Cached in the instance by hand: before Python 3.12,
-        ``functools.cached_property`` holds one lock shared by every instance
-        of the class, so pool threads working on different fits would queue
-        on it around the LAPACK calls."""
-        cached = self.__dict__.get("_region_shape")
-        if cached is None:
-            cached = self._compute_region_shape()
-            object.__setattr__(self, "_region_shape", cached)  # frozen dataclass
-        return cached
+    def predict(self, z0: Optional[np.ndarray], x0: np.ndarray) -> np.ndarray:
+        """Every fit's surface at its own point: ``z0`` is (R, q) or None,
+        ``x0`` is (R, m); returns (R, d)."""
+        if self.fits:
+            rows = [
+                f.predict(None if z0 is None else z0[i], x0[i]) for i, f in enumerate(self.fits)
+            ]
+            return np.array([np.atleast_1d(row) for row in rows])
+        z = None if z0 is None else z0[:, None, :]
+        return predict_rows(self.params, z, x0[:, None, :])[:, 0, :]
 
-    def _compute_region_shape(self) -> tuple[np.ndarray, tuple[str, ...]]:
-        resid_cov = self.residual_moment
-        notes: tuple[str, ...] = ()
-        scale = max(float(np.max(np.abs(resid_cov))), 0.0)
-        if scale == 0.0 or min_eigenvalue(resid_cov) <= 1e-12 * scale:
-            notes = ("residual covariance near-singular; region lives on a subspace",)
-        shape = sym_sqrt(pinv(resid_cov))
-        shape.setflags(write=False)  # shared by every region built on this fit
-        return shape, notes
+    def fit(self, i: int) -> FittedModel:
+        """The fit of dataset ``i``, as :func:`ols_fit` or :func:`nls_fit` returns it."""
+        if self.fits:
+            return self.fits[i]
+        cond = float(self.condition_number[i])
+        mo = self.moments
+        moments = SampleMoments(
+            y_mean=mo.y_mean[i],
+            r_mean=mo.r_mean[i],
+            s_rr=mo.s_rr[i],
+            s_ry=mo.s_ry[i],
+            x_mean=mo.x_mean[i],
+            x_cov=mo.x_cov[i],
+            n=self.n,
+        )
+        return FittedModel(
+            family=self.family,
+            params=_coef_params(self.family, self.z_dim, self.intercept[i], self.coefs[i]),
+            residual_moment=self.residual_moment[i],
+            moments=moments,
+            n=self.n,
+            objective=float(self.objective[i]),
+            condition_number=cond,
+            notes=(f"ill-conditioned regressors (cond {cond:.2e})",) if cond > CONDITION_WARN else (),
+        )
+
+    def warn_ill_conditioned(self) -> None:
+        """One warning per OLS fit whose regressor covariance is ill-conditioned."""
+        if self.condition_number is None:
+            return
+        for cond in self.condition_number[self.condition_number > CONDITION_WARN]:
+            warnings.warn(f"regressor covariance condition number {cond:.2e}", stacklevel=3)
 
 
-def _regressors(data: Dataset, family: str, degree: Optional[int]) -> tuple[np.ndarray, int]:
-    """Regressor rows per family; returns (r, degree_used)."""
+_NEAR_SINGULAR = "residual covariance near-singular; region lives on a subspace"
+
+
+def _region_shape(resid_cov: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Symmetric square root of the pseudo-inverted residual moment (or of each
+    moment in a stack), read-only, plus a note when it is near-singular (for a
+    stack: when any of them is)."""
+    scale = np.abs(resid_cov).max(axis=(-2, -1))
+    near = (scale == 0.0) | (min_eigenvalue(resid_cov) <= 1e-12 * scale)
+    shape = sym_sqrt(pinv(resid_cov))
+    shape.setflags(write=False)  # shared by every region built on this fit
+    return shape, (_NEAR_SINGULAR,) if np.any(near) else ()
+
+
+class _Stacked(NamedTuple):
+    """The observed arrays of R datasets of one size n, each (R, n, .)."""
+
+    y: np.ndarray
+    z: np.ndarray
+    x: np.ndarray
+
+
+def _regressors(
+    data: Dataset | _Stacked, family: str, degree: Optional[int]
+) -> tuple[np.ndarray, int]:
+    """Regressor rows per family, (..., n, p); returns (r, degree_used)."""
     z, x = data.z, data.x
     if family == "linear":
-        return np.hstack([z, x]), 0
-    if x.shape[1] != 1:
+        return np.concatenate([z, x], axis=-1), 0
+    if x.shape[-1] != 1:
         raise DimensionError("polynomial-type families need a scalar surrogate")
     if family == "quadratic":
         degree = 2
-        z = np.zeros((x.shape[0], 0))
+        z = z[..., :0]
     elif family == "polynomial":
         if degree is None:
             raise InvalidInput("polynomial fitting needs an explicit degree")
@@ -139,85 +240,96 @@ def _regressors(data: Dataset, family: str, degree: Optional[int]) -> tuple[np.n
         raise InvalidInput(
             f"degree {degree} above cap {MAX_POLY_DEGREE}; raw powers become too ill-conditioned"
         )
-    return np.hstack([z, power_basis(x[:, 0], degree)]), degree
+    return np.concatenate([z, power_basis(x[..., 0], degree)], axis=-1), degree
 
 
 def sample_moments(data: Dataset, family: str = "linear", degree: Optional[int] = None) -> SampleMoments:
     """All bar-means and S-matrices for the family's regressor vector."""
     if data.n < 2:
         raise InsufficientData("need at least two observations")
-    r, _ = _regressors(data, family, degree)
-    return _moments(data, r)
+    return _moments(data.y, data.x, _regressors(data, family, degree)[0])
 
 
-def _moments(data: Dataset, r: np.ndarray) -> SampleMoments:
-    """Moments of the response against the regressor rows ``r`` (n >= 2)."""
-    n = data.n
-    y = data.y
-    y_mean = y.mean(axis=0)
-    r_mean = r.mean(axis=0)
-    rc = r - r_mean
-    yc = y - y_mean
-    s_rr = rc.T @ rc / n
-    s_ry = rc.T @ yc / n
-    x_mean = data.x.mean(axis=0)
-    xc = data.x - x_mean
-    x_cov = xc.T @ xc / (n - 1)
+def _moments(y: np.ndarray, x: np.ndarray, r: np.ndarray) -> SampleMoments:
+    """Moments of the response ``y`` (..., n, d) against the regressor rows
+    ``r`` (..., n, p), and of the surrogate ``x`` (..., n, m); n >= 2."""
+    n = y.shape[-2]
+    y_mean = y.mean(axis=-2)
+    r_mean = r.mean(axis=-2)
+    rc = r - r_mean[..., None, :]
+    yc = y - y_mean[..., None, :]
+    s_rr = rc.swapaxes(-1, -2) @ rc / n
+    s_ry = rc.swapaxes(-1, -2) @ yc / n
+    x_mean = x.mean(axis=-2)
+    xc = x - x_mean[..., None, :]
+    x_cov = xc.swapaxes(-1, -2) @ xc / (n - 1)
     return SampleMoments(
         y_mean=y_mean, r_mean=r_mean, s_rr=s_rr, s_ry=s_ry, x_mean=x_mean, x_cov=x_cov, n=n
     )
 
 
 def _coef_params(family: str, q: int, intercept: np.ndarray, coefs: np.ndarray):
+    """The family's parameter container for ``intercept`` (d,) and ``coefs``
+    (p, d), or for stacks of them, whose fields then carry the leading axis."""
     if family == "linear":
         return LinearObservable(
-            intercept=intercept, z_slopes=coefs[:q], x_slopes=coefs[q:], residual_cov=None
+            intercept=intercept,
+            z_slopes=coefs[..., :q, :],
+            x_slopes=coefs[..., q:, :],
+            residual_cov=None,
         )
+    scalar = float if coefs.ndim == 2 else np.asarray
     if family == "polynomial":
         return PolynomialObservable(
-            intercept=float(intercept[0]), coefs=coefs[q:, 0].copy(), z_slopes=coefs[:q, 0].copy()
+            intercept=scalar(intercept[..., 0]),
+            coefs=coefs[..., q:, 0].copy(),
+            z_slopes=coefs[..., :q, 0].copy(),
         )
     return QuadraticObservable(
-        intercept=float(intercept[0]), slope=float(coefs[0, 0]), curvature=float(coefs[1, 0])
+        intercept=scalar(intercept[..., 0]),
+        slope=scalar(coefs[..., 0, 0]),
+        curvature=scalar(coefs[..., 1, 0]),
     )
 
 
-def ols_fit(data: Dataset, family: str = "linear", degree: Optional[int] = None) -> FittedModel:
-    """Ordinary least squares on the observable regressors.
+def _ols_stack(data: _Stacked, family: str, degree: Optional[int]) -> FitStack:
+    """The OLS kernel: the fits of R datasets of one size.
 
     Coefficients solve ``coefs = pinv(S_rr) @ S_ry`` with the intercept from
     the bar-mean relation, which minimizes the summed squared residuals; a
     singular S_rr yields the minimum-norm coefficients without failure.
     """
+    y, z, x = data
     r, _ = _regressors(data, family, degree)
-    need = min_sample_size(family, data.z.shape[1], data.x.shape[1], degree)
-    if data.n < need:
+    n = y.shape[1]
+    need = min_sample_size(family, z.shape[2], x.shape[2], degree)
+    if n < need:
         raise InsufficientData(f"need n >= {need} for {need - 1} regressors")
-    moments = _moments(data, r)
-    coefs = pinv(moments.s_rr) @ moments.s_ry  # (p, d)
-    intercept = moments.y_mean - moments.r_mean @ coefs
-    resid = data.y - intercept - r @ coefs
-    resid_moment = resid.T @ resid / data.n
-
+    moments = _moments(y, x, r)
+    coefs = pinv(moments.s_rr) @ moments.s_ry  # (R, p, d)
+    intercept = moments.y_mean - (moments.r_mean[:, None, :] @ coefs)[:, 0, :]
+    resid = y - intercept[:, None, :] - r @ coefs
     eigvals = np.abs(np.linalg.eigvalsh(moments.s_rr))
-    cond = float(eigvals.max() / eigvals.min()) if eigvals.min() > 0 else float("inf")
-    notes = ()
-    if cond > CONDITION_WARN:
-        warnings.warn(f"regressor covariance condition number {cond:.2e}", stacklevel=2)
-        notes = (f"ill-conditioned regressors (cond {cond:.2e})",)
-
-    q = data.z.shape[1] if family != "quadratic" else 0
-    params = _coef_params(family, q, intercept, coefs)
-    return FittedModel(
+    low, high = eigvals.min(axis=-1), eigvals.max(axis=-1)
+    return FitStack(
         family=family,
-        params=params,
-        residual_moment=resid_moment,
+        n=n,
+        residual_moment=resid.swapaxes(-1, -2) @ resid / n,
         moments=moments,
-        n=data.n,
-        objective=float(np.sum(resid**2)),
-        condition_number=cond,
-        notes=notes,
+        intercept=intercept,
+        coefs=coefs,
+        z_dim=z.shape[2] if family != "quadratic" else 0,
+        objective=np.sum(resid**2, axis=(1, 2)),
+        condition_number=np.divide(high, low, out=np.full_like(high, np.inf), where=low > 0),
     )
+
+
+def ols_fit(data: Dataset, family: str = "linear", degree: Optional[int] = None) -> FittedModel:
+    """Ordinary least squares on the observable regressors: the OLS kernel
+    (see :func:`fit_stack`) on the one dataset ``data``."""
+    stack = _ols_stack(_Stacked(data.y[None], data.z[None], data.x[None]), family, degree)
+    stack.warn_ill_conditioned()
+    return stack.fit(0)
 
 
 def residual_covariance(data: Dataset, fit: FittedModel):
@@ -402,7 +514,7 @@ def nls_fit(
             starts = [np.asarray(s, float) for s in init_strategy]
         params, objective, ok = _fit_abs(x, y, starts)
 
-    moments = _moments(data, data.x)  # the raw surrogate as the only regressor
+    moments = _moments(data.y, data.x, data.x)  # the raw surrogate as the only regressor
     resid = y - predict_rows(params, None, data.x)[:, 0]
     resid_moment = np.array([[float(resid @ resid) / n]])
     return FittedModel(
@@ -438,12 +550,37 @@ def min_sample_size(
 def fit_family(
     data: Dataset, family: str, degree: Optional[int] = None, harmonics: int = 1
 ) -> FittedModel:
-    """Fit ``family``: :func:`nls_fit` for :data:`NLS_FAMILIES` (``harmonics``
-    for the trigonometric one), :func:`ols_fit` for the families linear in
-    their coefficients (``degree`` for the polynomial one)."""
+    """Fit ``family`` to one dataset, as the R = 1 case of :func:`fit_stack`:
+    :func:`nls_fit` for :data:`NLS_FAMILIES` (``harmonics`` for the
+    trigonometric one), the OLS kernel for the families linear in their
+    coefficients (``degree`` for the polynomial one)."""
+    stack = fit_stack([data], family, degree=degree, harmonics=harmonics)
+    stack.warn_ill_conditioned()
+    return stack.fit(0)
+
+
+def fit_stack(
+    data: list[Dataset], family: str, degree: Optional[int] = None, harmonics: int = 1
+) -> FitStack:
+    """Fit ``family`` to each of the datasets ``data``, which share one size.
+
+    The OLS families run the OLS kernel once on the datasets stacked as
+    ``(R, n, .)`` arrays; the NLS families run :func:`nls_fit` one dataset at
+    a time.  Ill-conditioning warnings are left to the caller
+    (:meth:`FitStack.warn_ill_conditioned`), which knows when a fit is kept."""
     if family in NLS_FAMILIES:
-        return nls_fit(data, family, harmonics=harmonics)
-    return ols_fit(data, family, degree=degree)
+        fits = tuple(nls_fit(d, family, harmonics=harmonics) for d in data)
+        return FitStack(
+            family=family,
+            n=fits[0].n,
+            residual_moment=np.stack([f.residual_moment for f in fits]),
+            fits=fits,
+        )
+    if len(data) == 1:  # views: at large n a copy would cost time and memory
+        stacked = _Stacked(data[0].y[None], data[0].z[None], data[0].x[None])
+    else:
+        stacked = _Stacked(*(np.stack([getattr(d, k) for d in data]) for k in _Stacked._fields))
+    return _ols_stack(stacked, family, degree)
 
 
 def naive_ols_abs(data: Dataset) -> tuple[float, float]:

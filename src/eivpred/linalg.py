@@ -2,7 +2,9 @@
 
 All matrices handled here are small (typically fewer than 20 rows), so exact
 O(d^3) eigendecomposition methods are used throughout.  Functions accept any
-array-like that is exactly symmetric and return plain ``numpy`` arrays.
+array-like that is exactly symmetric and return plain ``numpy`` arrays.  All
+but :func:`cholesky_psd` also take a ``(..., p, p)`` stack and treat each of
+its matrices exactly as the 2-D call would, to the bit.
 """
 
 from __future__ import annotations
@@ -21,64 +23,69 @@ __all__ = [
 
 
 def as_symmetric(a, *, name: str = "matrix") -> np.ndarray:
-    """Validate and return a square symmetric float array.
+    """Validate and return a square symmetric float array, or a ``(..., p, p)``
+    stack of them.
 
     Raises InvalidMatrix on non-finite entries, non-square shape, or
-    asymmetry beyond exact storage (a tiny relative tolerance is allowed so
-    that products of symmetric matrices pass).
+    asymmetry beyond exact storage (a tiny relative tolerance, per matrix, is
+    allowed so that products of symmetric matrices pass).
     """
     m = np.asarray(a, dtype=float)
     if m.ndim == 0:
         m = m.reshape(1, 1)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InvalidMatrix(f"{name} must be square, got shape {m.shape}")
-    if m.shape[0] < 1:
+    if m.shape[-1] < 1:
         raise InvalidMatrix(f"{name} must have dimension >= 1")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvalidMatrix(f"{name} contains non-finite entries")
-    scale = np.max(np.abs(m)) if m.size else 0.0
-    if scale > 0 and np.max(np.abs(m - m.T)) > 1e-12 * scale:
+    mt = m.swapaxes(-1, -2)
+    scale = np.abs(m).max(axis=(-2, -1))
+    if ((scale > 0) & (np.abs(m - mt).max(axis=(-2, -1)) > 1e-12 * scale)).any():
         raise InvalidMatrix(f"{name} is not symmetric")
     # store exactly symmetrically
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + mt)
 
 
 def pinv(a, rank_tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a symmetric matrix.
+    """Moore-Penrose pseudo-inverse of a symmetric matrix, or of each matrix
+    in a ``(..., p, p)`` stack.
 
     Computed by symmetric eigendecomposition; eigenvalues with
-    ``|lam| <= rank_tol * max|lam|`` are treated as zero.  ``rank_tol``
-    defaults to ``dim * machine epsilon``.
+    ``|lam| <= rank_tol * max|lam|`` (per matrix) are treated as zero.
+    ``rank_tol`` defaults to ``dim * machine epsilon``.
     """
     m = as_symmetric(a)
     if rank_tol is None:
-        rank_tol = m.shape[0] * np.finfo(float).eps
+        rank_tol = m.shape[-1] * np.finfo(float).eps
     if rank_tol < 0:
         raise InvalidMatrix("rank_tol must be nonnegative")
     w, v = np.linalg.eigh(m)
-    cutoff = rank_tol * np.max(np.abs(w)) if w.size else 0.0
+    cutoff = rank_tol * np.abs(w).max(axis=-1, keepdims=True)
     inv_w = np.where(np.abs(w) > cutoff, 1.0 / np.where(w == 0, 1.0, w), 0.0)
-    out = (v * inv_w) @ v.T
-    return 0.5 * (out + out.T)
+    out = (v * inv_w[..., None, :]) @ v.swapaxes(-1, -2)
+    return 0.5 * (out + out.swapaxes(-1, -2))
 
 
 def sym_sqrt(a, rank_tol: float | None = None) -> np.ndarray:
-    """Symmetric square root S of a PSD matrix, with S @ S == a.
+    """Symmetric square root S of a PSD matrix, with S @ S == a, or of each
+    matrix in a ``(..., p, p)`` stack.
 
     Eigenvalues within ``-rank_tol * max(lam)`` of zero are clamped to 0;
-    anything more negative raises NotPSD.
+    anything more negative, in any matrix of a stack, raises NotPSD.
     """
     m = as_symmetric(a)
     if rank_tol is None:
-        rank_tol = m.shape[0] * np.finfo(float).eps * 16
+        rank_tol = m.shape[-1] * np.finfo(float).eps * 16
     w, v = np.linalg.eigh(m)
-    top = np.max(w) if w.size else 0.0
-    floor = -rank_tol * max(top, 1.0)
-    if np.min(w) < floor:
-        raise NotPSD(f"matrix has eigenvalue {np.min(w):.3e} below tolerance")
+    floor = -rank_tol * np.maximum(w.max(axis=-1), 1.0)
+    low = w.min(axis=-1)
+    bad = low < floor
+    if bad.any():
+        raise NotPSD(f"matrix has eigenvalue {low[bad].flat[0]:.3e} below tolerance")
     w = np.maximum(w, 0.0)
-    out = (v * np.sqrt(w)) @ v.T
-    return 0.5 * (out + out.T)
+    out = (v * np.sqrt(w)[..., None, :]) @ v.swapaxes(-1, -2)
+    return 0.5 * (out + out.swapaxes(-1, -2))
 
 
 def cholesky_psd(a, rank_tol: float | None = None) -> np.ndarray:
@@ -125,7 +132,9 @@ def cholesky_psd(a, rank_tol: float | None = None) -> np.ndarray:
     return out
 
 
-def min_eigenvalue(a) -> float:
-    """Smallest eigenvalue of a symmetric matrix."""
+def min_eigenvalue(a):
+    """Smallest eigenvalue of a symmetric matrix (a float), or of each matrix
+    in a ``(..., p, p)`` stack (an array of the stack's shape)."""
     m = as_symmetric(a)
-    return float(np.min(np.linalg.eigvalsh(m)))
+    low = np.linalg.eigvalsh(m).min(axis=-1)
+    return float(low) if low.ndim == 0 else low

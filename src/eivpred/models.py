@@ -57,11 +57,24 @@ __all__ = [
 _PSD_TOL = 1e-10
 
 
-def _arr(x, ndim: int) -> np.ndarray:
+def _arr(x, ndim: int, label: str) -> np.ndarray:
+    """``x`` as a float array of ``ndim`` dimensions: a vector may be given as
+    a number or a nested list, and an empty field in any shape; a non-empty
+    matrix field of another number of dimensions raises SpecError."""
     a = np.asarray(x, dtype=float)
-    if a.ndim != ndim:
-        a = a.reshape((-1,) * ndim) if a.size else a.reshape((0,) * ndim)
-    return a
+    if a.ndim == ndim:
+        return a
+    if not a.size:
+        return a.reshape((0,) * ndim)
+    if ndim == 1:
+        return a.reshape(-1)
+    raise SpecError([f"{label} must be a {ndim}-D array, got {x!r}"])
+
+
+def _set_arrays(obj, ndim: int, names: tuple[str, ...], where: str = "spec") -> None:
+    """Store the named fields of the frozen dataclass ``obj`` through :func:`_arr`."""
+    for name in names:
+        object.__setattr__(obj, name, _arr(getattr(obj, name), ndim, f"{where} field {name!r}"))
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +99,8 @@ class ZDistribution:
     KINDS: ClassVar[tuple[str, ...]] = ("gaussian", "uniform", "two_point")
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", _arr(self.mean, 1))
-        object.__setattr__(self, "cov", _arr(self.cov, 2))
+        _set_arrays(self, 1, ("mean",), "spec z_dist")
+        _set_arrays(self, 2, ("cov",), "spec z_dist")
 
     @property
     def dim(self) -> int:
@@ -130,8 +143,8 @@ class ErrorStructure:
     sigma_eps_delta: np.ndarray
 
     def __post_init__(self):
-        for name in ("sigma_e", "sigma_eps", "sigma_delta", "sigma_eps_delta"):
-            object.__setattr__(self, name, _arr(getattr(self, name), 2))
+        names = ("sigma_e", "sigma_eps", "sigma_delta", "sigma_eps_delta")
+        _set_arrays(self, 2, names, "spec errors")
 
     @classmethod
     def scalar(
@@ -195,11 +208,8 @@ class LinearSpec:
     family: ClassVar[str] = "linear"
 
     def __post_init__(self):
-        object.__setattr__(self, "intercept", _arr(self.intercept, 1))
-        object.__setattr__(self, "z_slopes", _arr(self.z_slopes, 2))
-        object.__setattr__(self, "latent_slopes", _arr(self.latent_slopes, 2))
-        object.__setattr__(self, "latent_mean", _arr(self.latent_mean, 1))
-        object.__setattr__(self, "latent_cov", _arr(self.latent_cov, 2))
+        _set_arrays(self, 1, ("intercept", "latent_mean"))
+        _set_arrays(self, 2, ("z_slopes", "latent_slopes", "latent_cov"))
 
     @property
     def response_dim(self) -> int:
@@ -290,8 +300,7 @@ class PolynomialSpec(_ScalarLatentSpec):
     family: ClassVar[str] = "polynomial"
 
     def __post_init__(self):
-        object.__setattr__(self, "coefs", _arr(self.coefs, 1))
-        object.__setattr__(self, "z_slopes", _arr(self.z_slopes, 1))
+        _set_arrays(self, 1, ("coefs", "z_slopes"))
 
     @property
     def degree(self) -> int:
@@ -366,8 +375,7 @@ class TrigSpec(_ScalarLatentSpec):
     family: ClassVar[str] = "trigonometric"
 
     def __post_init__(self):
-        object.__setattr__(self, "cos_amps", _arr(self.cos_amps, 1))
-        object.__setattr__(self, "sin_amps", _arr(self.sin_amps, 1))
+        _set_arrays(self, 1, ("cos_amps", "sin_amps"))
 
     @property
     def harmonics(self) -> int:

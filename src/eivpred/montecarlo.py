@@ -13,11 +13,18 @@ specs and region settings therefore raise :class:`~eivpred.errors.SpecError`
 up front instead of failing every replication, and the spec must not be
 mutated while a run is in progress.
 
-Replications are dealt to the worker threads in interleaved shares, use
-per-replication counter-based seeds and are merged in replication order, so
-a report is byte-identical for a fixed master seed regardless of the worker
-count.  Wall-clock time is kept out of the serialized payload for the same
-reason.
+The replications of one sample size n run in chunks of
+``max(1, _CHUNK_ROWS // n)``: a chunk's datasets are fitted as one stack
+(:func:`~eivpred.estimators.fit_stack`), and its predictions, regions and
+memberships are computed for the whole stack.  Each replication still draws
+from its own counter-based seeds, and every stacked quantity equals the
+one-replication value to the bit.  When a chunk raises
+:class:`~eivpred.errors.EivError` it is run again one replication at a time,
+so a failed replication gets the failure row it would get alone.  Chunks are
+dealt to the worker threads in interleaved shares and merged in replication
+order.  So a report is byte-identical for a fixed master seed across worker
+counts and chunkings; wall-clock time is kept out of the serialized payload
+for the same reason.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import numpy as np
 
 from . import __version__
 from .errors import EivError, InvalidInput, ReplicationsFailed, SpecError
-from .estimators import fit_family, min_sample_size, naive_ols_abs, nls_fit
+from .estimators import fit_stack, min_sample_size, naive_ols_abs, nls_fit
 from .linalg import cholesky_psd
 from .models import AbsSpec, LinearSpec, ModelSpec, NewSubject, QuadraticSpec, Sampler, spec_to_dict
 from .predictors import (
@@ -250,24 +257,53 @@ def check_sample_sizes(cfg: ExperimentConfig) -> None:
 
 
 def _fitted_prediction(cfg: ExperimentConfig):
-    """``(n_idx, rep) -> (fit, subject, prediction)``: one replication's fit
-    and its individual prediction for the replication's subject.
+    """``(n_idx, reps) -> (stack, subjects, prediction)``: the fits of a chunk
+    of replications of one sample size as one :class:`FitStack`, each
+    replication's subject, and the individual predictions for them, stacked.
 
-    Compiles the spec into one :class:`Sampler` for the run."""
+    Compiles the spec into one :class:`Sampler` for the run.  A chunk of one
+    replication warns of an ill-conditioned fit right after fitting, as
+    :func:`fit_family` does; a larger chunk leaves that to the driver, which
+    warns once the chunk is kept (a chunk that fails runs again in chunks of
+    one), so each fit warns once."""
     spec = cfg.spec
     sampler = Sampler(spec)
     draw_subject = _subject_drawer(cfg, sampler)
     degree, harmonics = _fit_size(cfg)
 
-    def replicate(n_idx: int, rep: int):
-        seed = derive_seed(cfg.master_seed, 1, n_idx, rep)
-        data = sampler.sample(cfg.n_grid[n_idx], seed, keep_hidden=False)
-        fit = fit_family(data, spec.family, degree=degree, harmonics=harmonics)
-        subject = draw_subject(n_idx, rep)
-        pred = predict_individual(fit, subject.z0 if subject.z0.size else None, subject.x0)
-        return fit, subject, pred
+    def replicate(n_idx: int, reps: tuple[int, ...]):
+        n = cfg.n_grid[n_idx]
+        data = [
+            sampler.sample(n, derive_seed(cfg.master_seed, 1, n_idx, rep), keep_hidden=False)
+            for rep in reps
+        ]
+        stack = fit_stack(data, spec.family, degree=degree, harmonics=harmonics)
+        if len(reps) == 1:
+            stack.warn_ill_conditioned()
+        subjects = [draw_subject(n_idx, rep) for rep in reps]
+        z0 = np.array([s.z0 for s in subjects]) if subjects[0].z0.size else None
+        pred = predict_individual(stack, z0, np.array([s.x0 for s in subjects]))
+        return stack, subjects, pred
 
     return replicate
+
+
+# A chunk of replications of sample size n holds max(1, _CHUNK_ROWS // n) of
+# them.  The budget bounds the stacked arrays' memory; it depends on n only,
+# so, like the thread count, it cannot change a report.
+_CHUNK_ROWS = 4096
+
+
+def _chunks(cfg: ExperimentConfig) -> list[tuple[int, tuple[int, ...]]]:
+    """``(n_idx, reps)`` tasks covering every replication, in grid order."""
+    tasks = []
+    for n_idx, n in enumerate(cfg.n_grid):
+        size = max(1, _CHUNK_ROWS // max(n, 1))
+        tasks += [
+            (n_idx, tuple(range(start, min(start + size, cfg.replications))))
+            for start in range(0, cfg.replications, size)
+        ]
+    return tasks
 
 
 def _run_tasks(cfg: ExperimentConfig, tasks, worker):
@@ -288,24 +324,28 @@ def _run_tasks(cfg: ExperimentConfig, tasks, worker):
 
 
 def _replications(cfg: ExperimentConfig, report: McReport, one):
-    """Run ``one(n_idx, rep)`` for every replication on the pool, then yield
+    """Run ``one(n_idx, reps)``, which returns one value per replication of
+    the chunk ``reps``, for every chunk on the pool; then yield
     ``(n, results)`` per sample size, in grid order, over the replications
     that succeeded.
 
-    A replication that raises :class:`EivError` becomes a failure row of
+    A chunk that raises :class:`EivError` runs again one replication at a
+    time, and a replication that raises alone becomes a failure row of
     ``report``; a sample size where every replication failed yields nothing
     and gets a ``failure_rate`` row of 1.0 instead.  When no replication
     succeeded at all, raises :class:`ReplicationsFailed` before yielding.
     """
 
     def attempt(task):
+        n_idx, reps = task
         try:
-            return True, one(*task)
+            return [(True, value) for value in one(n_idx, reps)]
         except EivError as exc:
-            return False, str(exc)
+            if len(reps) == 1:
+                return [(False, str(exc))]
+        return [outcome for rep in reps for outcome in attempt((n_idx, (rep,)))]
 
-    tasks = [(i, r) for i in range(len(cfg.n_grid)) for r in range(cfg.replications)]
-    results = _run_tasks(cfg, tasks, attempt)
+    results = [outcome for chunk in _run_tasks(cfg, _chunks(cfg), attempt) for outcome in chunk]
     if not any(ok for ok, _ in results):
         raise ReplicationsFailed(
             f"all {len(results)} replications failed; first failure: {results[0][1]}"
@@ -358,21 +398,28 @@ def run_consistency(cfg: ExperimentConfig) -> McReport:
 
     report = McReport("consistency", provenance=_provenance(cfg, "consistency"))
 
-    def one(n_idx, rep):
-        fit, subject, pred = replicate(n_idx, rep)
-        best = np.atleast_1d(true_params.predict(pred.z0, subject.x0))
-        err = float(np.linalg.norm(pred.point - best))
-        coef_rel = float(
-            np.linalg.norm(_coef_vector(fit.params) - true_vec) / max(true_norm, 1e-300)
-        )
-        mean_rel = None
-        if cross is not None:
-            mpred = predict_mean(fit, pred.z0, subject.x0, cross)
-            mtrue = _true_mean_point(cfg.spec, best, subject.x0)
-            mean_rel = float(
-                np.linalg.norm(mpred.point - mtrue) / max(float(np.linalg.norm(mtrue)), 1e-12)
+    def one(n_idx, reps):
+        stack, subjects, pred = replicate(n_idx, reps)
+        out = []
+        for i, subject in enumerate(subjects):
+            fit = stack.fit(i)
+            z0 = None if pred.z0 is None else pred.z0[i]
+            best = np.atleast_1d(true_params.predict(z0, subject.x0))
+            err = float(np.linalg.norm(pred.point[i] - best))
+            coef_rel = float(
+                np.linalg.norm(_coef_vector(fit.params) - true_vec) / max(true_norm, 1e-300)
             )
-        return err, coef_rel, mean_rel
+            mean_rel = None
+            if cross is not None:
+                mpred = predict_mean(fit, z0, subject.x0, cross)
+                mtrue = _true_mean_point(cfg.spec, best, subject.x0)
+                mean_rel = float(
+                    np.linalg.norm(mpred.point - mtrue) / max(float(np.linalg.norm(mtrue)), 1e-12)
+                )
+            out.append((err, coef_rel, mean_rel))
+        if len(reps) > 1:
+            stack.warn_ill_conditioned()
+        return out
 
     medians = {}
     coef_medians = {}
@@ -430,16 +477,19 @@ def run_coverage(cfg: ExperimentConfig) -> McReport:
     replicate = _fitted_prediction(cfg)
     report = McReport("coverage", provenance=_provenance(cfg, "coverage"))
 
-    def one(n_idx, rep):
-        fit, subject, pred = replicate(n_idx, rep)
-        return {
+    def one(n_idx, reps):
+        stack, subjects, pred = replicate(n_idx, reps)
+        y0 = np.array([s.y0 for s in subjects])
+        inside = {
             (kind, alpha): region_contains(
-                build_region(kind, fit, pred, alpha, purely_normal=cfg.purely_normal, k0=cfg.k0),
-                subject.y0,
+                build_region(kind, stack, pred, alpha, purely_normal=cfg.purely_normal, k0=cfg.k0), y0
             )
             for kind in cfg.region_kinds
             for alpha in cfg.alphas
         }
+        if len(reps) > 1:
+            stack.warn_ill_conditioned()
+        return [dict(zip(inside, hits)) for hits in zip(*(h.tolist() for h in inside.values()))]
 
     for n, oks in _replications(cfg, report, one):
         reps = len(oks)
@@ -478,7 +528,10 @@ def run_abs_failure(cfg: ExperimentConfig) -> McReport:
     true_params = transform(cfg.spec)
     report = McReport("abs_failure", provenance=_provenance(cfg, "abs_failure"))
 
-    def one(n_idx, rep):
+    def one(n_idx, reps):
+        return [one_replication(n_idx, rep) for rep in reps]
+
+    def one_replication(n_idx, rep):
         data = sampler.sample(
             cfg.n_grid[n_idx], derive_seed(cfg.master_seed, 1, n_idx, rep), keep_hidden=False
         )

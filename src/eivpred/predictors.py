@@ -9,6 +9,11 @@ Three region constructions are provided: a distribution-free ellipsoid from
 the Markov/Chebyshev bound, a chi-square ellipsoid that is exact for purely
 normal models, and a bound-based interval for the quadratic family driven by
 a known lower bound on the reliability ratio.
+
+Individual prediction, every region rule and the membership test also take an
+:class:`~eivpred.estimators.FitStack` of R fits: predictions, regions and
+memberships then carry a leading axis of length R, and each slice equals the
+one-fit result to the bit.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError, InvalidInput, SingularCovariance
-from .estimators import FittedModel
+from .estimators import FitStack, FittedModel
 from .linalg import min_eigenvalue
 from .transform import QuadraticObservable, quadratic_bound_term
 
@@ -40,12 +45,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Prediction:
-    """A point prediction at new covariates."""
+    """A point prediction at new covariates (for a stack of fits, one row per
+    fit in every array)."""
 
-    point: np.ndarray  # (d,)
+    point: np.ndarray  # (d,), or (R, d)
     kind: str  # "individual" | "mean"
-    z0: Optional[np.ndarray]
-    x0: np.ndarray
+    z0: Optional[np.ndarray]  # (q,) or (R, q); None without z
+    x0: np.ndarray  # (m,), or (R, m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,14 +61,17 @@ class ConfidenceRegion:
     For the ellipsoidal kinds membership is
     ``|| shape @ (h - center) ||^2 <= threshold`` with ``shape`` the
     symmetric square root of the pseudo-inverted residual covariance; for
-    the interval kind it is ``|h - center| <= threshold``.
+    the interval kind it is ``|h - center| <= threshold``.  Built on a stack
+    of R fits, ``center`` and ``shape`` carry a leading axis of length R, and
+    so does the interval kind's threshold; ``notes`` then holds the notes of
+    any of the fits.
     """
 
     kind: str  # "chebyshev" | "chi_square" | "quadratic_bound"
     alpha: float
-    center: np.ndarray  # (d,)
-    threshold: float
-    shape: Optional[np.ndarray] = None  # (d, d) for ellipsoidal kinds
+    center: np.ndarray  # (d,), or (R, d)
+    threshold: float  # or (R,) for the interval kind on a stack
+    shape: Optional[np.ndarray] = None  # (d, d) or (R, d, d) for ellipsoidal kinds
     notes: tuple[str, ...] = ()
 
     @property
@@ -87,10 +96,15 @@ def _check_point(fit: FittedModel, z0, x0) -> tuple[Optional[np.ndarray], np.nda
     return z0, x0
 
 
-def predict_individual(fit: FittedModel, z0, x0) -> Prediction:
-    """Plug-in evaluation of the fitted regression surface at (z0, x0)."""
-    z0, x0 = _check_point(fit, z0, x0)
-    point = np.atleast_1d(np.asarray(fit.params.predict(z0, x0), dtype=float))
+def predict_individual(fit: FittedModel | FitStack, z0, x0) -> Prediction:
+    """Plug-in evaluation of the fitted regression surface at (z0, x0); for a
+    :class:`FitStack`, of each fit at its own row of ``z0`` (R, q) or None and
+    ``x0`` (R, m)."""
+    if isinstance(fit, FitStack):
+        point = fit.predict(z0, x0)
+    else:
+        z0, x0 = _check_point(fit, z0, x0)
+        point = np.atleast_1d(np.asarray(fit.params.predict(z0, x0), dtype=float))
     if not np.all(np.isfinite(point)):
         raise InvalidInput("prediction is not finite")
     return Prediction(point=point, kind="individual", z0=z0, x0=x0)
@@ -128,7 +142,7 @@ def chi2_upper_quantile(dim: int, alpha: float) -> float:
     return float(chdtri(dim, alpha))
 
 
-def region_chebyshev(fit: FittedModel, pred: Prediction, alpha: float) -> ConfidenceRegion:
+def region_chebyshev(fit: FittedModel | FitStack, pred: Prediction, alpha: float) -> ConfidenceRegion:
     """Distribution-free region with threshold d / alpha.
 
     Guarantees asymptotic coverage at least 1 - alpha whenever the residual
@@ -137,7 +151,7 @@ def region_chebyshev(fit: FittedModel, pred: Prediction, alpha: float) -> Confid
     if not 0 < alpha < 1:
         raise InvalidInput("alpha must lie in (0, 1)")
     shape, notes = fit.region_shape
-    d = pred.point.shape[0]
+    d = pred.point.shape[-1]
     return ConfidenceRegion(
         kind="chebyshev",
         center=pred.point,
@@ -149,7 +163,7 @@ def region_chebyshev(fit: FittedModel, pred: Prediction, alpha: float) -> Confid
 
 
 def region_chisquare(
-    fit: FittedModel, pred: Prediction, alpha: float, purely_normal: bool = False
+    fit: FittedModel | FitStack, pred: Prediction, alpha: float, purely_normal: bool = False
 ) -> ConfidenceRegion:
     """Region with the chi-square upper alpha-quantile as threshold.
 
@@ -162,7 +176,7 @@ def region_chisquare(
     shape, notes = fit.region_shape
     if not purely_normal:
         notes = notes + ("purely-normal assumption not asserted",)
-    d = pred.point.shape[0]
+    d = pred.point.shape[-1]
     return ConfidenceRegion(
         kind="chi_square",
         center=pred.point,
@@ -173,13 +187,16 @@ def region_chisquare(
     )
 
 
-def region_quadratic(fit: FittedModel, pred: Prediction, alpha: float, k0: float) -> ConfidenceRegion:
+def region_quadratic(
+    fit: FittedModel | FitStack, pred: Prediction, alpha: float, k0: float
+) -> ConfidenceRegion:
     """Bound-based interval for the quadratic family.
 
     Half-width ``alpha^(-1/2) * sqrt(max(m_u2 + 4 (1/k0 - 1) x_var * G, 0))``
     evaluated from the fitted quantities; ``k0`` is the known lower bound on
     the reliability ratio.  A nonpositive bracket collapses the interval to
-    zero width with a note instead of raising.
+    zero width with a note instead of raising.  On a stack the rule runs once
+    per fit, on Python floats as for a single fit.
     """
     if not 0 < alpha < 1:
         raise InvalidInput("alpha must lie in (0, 1)")
@@ -188,26 +205,43 @@ def region_quadratic(fit: FittedModel, pred: Prediction, alpha: float, k0: float
     params = fit.params
     if not isinstance(params, QuadraticObservable):
         raise InvalidInput("bound-based interval applies to the quadratic family")
-    m_u2 = float(fit.residual_moment[0, 0])
-    x_mean = float(fit.moments.x_mean[0])
-    x_var = fit.moments.x_var
-    bound = quadratic_bound_term(
-        float(pred.x0[0]), x_mean, x_var, params.slope, params.curvature, k0
+    columns = (
+        fit.residual_moment[..., 0, 0],
+        fit.moments.x_mean[..., 0],
+        fit.moments.x_cov[..., 0, 0],
+        pred.x0[..., 0],
+        params.slope,
+        params.curvature,
     )
-    bracket = m_u2 + 4.0 * (1.0 / k0 - 1.0) * x_var * bound
+    widths, degenerate = zip(
+        *(
+            _quadratic_half_width(*row, alpha, k0)
+            for row in zip(*(np.atleast_1d(c).tolist() for c in columns))
+        )
+    )
     notes: tuple[str, ...] = ()
-    if bracket <= 0.0:
+    if any(degenerate):
         notes = ("variance bracket nonpositive; interval degenerates to its center",)
-        bracket = 0.0
-    half_width = np.sqrt(bracket) / np.sqrt(alpha)
     return ConfidenceRegion(
         kind="quadratic_bound",
         center=pred.point,
-        threshold=float(half_width),
+        threshold=widths[0] if pred.point.ndim == 1 else np.array(widths),
         alpha=alpha,
         shape=None,
         notes=notes,
     )
+
+
+def _quadratic_half_width(
+    m_u2, x_mean, x_var, x0, slope, curvature, alpha, k0
+) -> tuple[float, bool]:
+    """The interval's half-width for one fit, and whether its bracket was
+    nonpositive."""
+    bound = quadratic_bound_term(x0, x_mean, x_var, slope, curvature, k0)
+    bracket = m_u2 + 4.0 * (1.0 / k0 - 1.0) * x_var * bound
+    if bracket <= 0.0:
+        return 0.0, True
+    return float(np.sqrt(bracket) / np.sqrt(alpha)), False
 
 
 REGION_KINDS = ("chebyshev", "chi_square", "quadratic_bound")
@@ -215,7 +249,7 @@ REGION_KINDS = ("chebyshev", "chi_square", "quadratic_bound")
 
 def build_region(
     kind: str,
-    fit: FittedModel,
+    fit: FittedModel | FitStack,
     pred: Prediction,
     alpha: float,
     *,
@@ -233,13 +267,17 @@ def build_region(
     raise InvalidInput(f"unknown region kind {kind!r}")
 
 
-def region_contains(region: ConfidenceRegion, h) -> bool:
-    """Whether ``h`` satisfies the region's defining inequality."""
+def region_contains(region: ConfidenceRegion, h):
+    """Whether ``h`` satisfies the region's defining inequality: a bool, or
+    for a region built on a stack, a bool array with one entry per row of
+    ``h`` (R, d)."""
     h = np.atleast_1d(np.asarray(h, dtype=float))
     if h.shape != region.center.shape:
         raise DimensionError("point dimension does not match region")
     dev = h - region.center
     if region.kind == "quadratic_bound":
-        return bool(abs(dev[0]) <= region.threshold)
-    stat = float(np.sum((region.shape @ dev) ** 2))
-    return bool(stat <= region.threshold)
+        inside = np.abs(dev[..., 0]) <= region.threshold
+    else:
+        stat = np.sum((region.shape @ dev[..., None])[..., 0] ** 2, axis=-1)
+        inside = stat <= region.threshold
+    return bool(inside) if inside.ndim == 0 else inside

@@ -459,37 +459,46 @@ def transform(spec: ModelSpec) -> TransformedParams:
 
 
 def power_basis(x: np.ndarray, k: int) -> np.ndarray:
-    """Columns x, x^2, ..., x^k of the (n,) vector ``x``, shape (n, k).
+    """Columns x, x^2, ..., x^k of ``x``, shape (*x.shape, k).
 
     Built by repeated multiplication, which is several times faster than
-    ``x[:, None] ** np.arange(1, k + 1)`` and agrees with it to a few ulps
+    ``x[..., None] ** np.arange(1, k + 1)`` and agrees with it to a few ulps
     from x^3 up.  For fits and predictions only: the sampler keeps ``**`` so
     that every drawn dataset keeps its bytes.
     """
-    return np.vander(x, k + 1, increasing=True)[:, 1:]
+    return np.vander(x.reshape(-1), k + 1, increasing=True)[:, 1:].reshape(*x.shape, k)
+
+
+def _col(value) -> np.ndarray:
+    """A scalar parameter, or a stack of them, as a column against rows."""
+    return np.asarray(value)[..., None]
 
 
 def predict_rows(params: TransformedParams, z: Optional[np.ndarray], x: np.ndarray) -> np.ndarray:
     """Vectorized observable-regression values, shape (n, d).
 
-    ``x`` is (n, m) and ``z`` is (n, q) or None for families without z.
+    ``x`` is (n, m) and ``z`` is (n, q) or None for families without z.  For
+    the families fitted by OLS (linear, polynomial, quadratic) ``params`` may
+    also hold R fits, every field with a leading axis of length R (see
+    ``estimators.FitStack.params``); ``z`` and ``x`` then carry that axis too
+    and the values have shape (R, n, d).
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    n = x.shape[0]
     if isinstance(params, LinearObservable):
-        out = params.intercept + x @ params.x_slopes
-        if params.z_slopes.shape[0]:
+        out = params.intercept[..., None, :] + x @ params.x_slopes
+        if params.z_slopes.shape[-2]:
             out = out + np.asarray(z, dtype=float) @ params.z_slopes
         return out
-    xs = x[:, 0]
+    xs = x[..., 0]
     if isinstance(params, PolynomialObservable):
-        out = params.intercept + power_basis(xs, params.coefs.shape[0]) @ params.coefs
-        if params.z_slopes.shape[0]:
-            out = out + np.asarray(z, dtype=float) @ params.z_slopes
+        basis = power_basis(xs, params.coefs.shape[-1])
+        out = _col(params.intercept) + (basis @ params.coefs[..., None])[..., 0]
+        if params.z_slopes.shape[-1]:
+            out = out + (np.asarray(z, dtype=float) @ params.z_slopes[..., None])[..., 0]
     elif isinstance(params, QuadraticObservable):
-        out = params.intercept + params.slope * xs + params.curvature * xs**2
+        out = _col(params.intercept) + _col(params.slope) * xs + _col(params.curvature) * xs**2
     elif isinstance(params, ExponentialObservable):
         out = params.scale * np.exp(np.clip(params.rate * xs, -700.0, 700.0))
     elif isinstance(params, TrigObservable):
@@ -500,7 +509,7 @@ def predict_rows(params: TransformedParams, z: Optional[np.ndarray], x: np.ndarr
         out = params.scale * abs_F(params.gain * xs + params.offset)
     else:
         raise InvalidInput(f"unknown parameter container {type(params).__name__}")
-    return out[:, None].reshape(n, 1)
+    return out[..., None]
 
 
 params_to_dict = to_jsonable

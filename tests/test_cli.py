@@ -1,5 +1,6 @@
 """Command-line interface: config handling, outputs, exit codes."""
 
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -322,6 +323,22 @@ class TestFitPredict:
             "spec violation: spec field 'latent_mean' must be a numeric array, got 'abc'"
         ]
 
+    def test_flat_matrix_in_sidecar_spec_exits_2_with_one_line(self, tmp_path, capsys):
+        sim = {"spec": linear_spec_dict(), "n": 50, "seed": 4, "out": str(tmp_path / "ds")}
+        assert main(["simulate", "--config", write_config(tmp_path, "sim.json", sim)]) == EXIT_OK
+        sidecar = tmp_path / "ds.spec.json"
+        payload = json.loads(sidecar.read_text())
+        payload["spec"]["latent_cov"] = [1.0]
+        sidecar.write_text(json.dumps(payload))
+        capsys.readouterr()
+        fp = write_config(tmp_path, "fp.json", {"data": str(tmp_path / "ds"), "family": "linear"})
+        assert main(["fit-predict", "--config", fp]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "spec violation: spec field 'latent_cov' must be a 2-D array, got [1.0]"
+        ]
+
     @pytest.mark.parametrize("data", ["golden_dataset", "missing"])
     def test_polynomial_without_degree_exits_2_before_reading_data(self, tmp_path, capsys, data):
         fp = write_config(tmp_path, "fp.json", {"data": str(DATA_DIR / data), "family": "polynomial"})
@@ -446,9 +463,9 @@ class TestExperiment:
 
     def test_every_replication_failed_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch):
         def failing(data, family, **options):
-            raise NonConvergence(f"no {family} fit at n = {data.n}")
+            raise NonConvergence(f"no {family} fit at n = {data[0].n}")
 
-        monkeypatch.setattr(montecarlo, "fit_family", failing)
+        monkeypatch.setattr(montecarlo, "fit_stack", failing)
         cfg = self.experiment_config(tmp_path, suite="consistency", n_grid=[20], replications=3)
         assert main(["experiment", "--config", cfg]) == EXIT_RUNTIME
         err = capsys.readouterr().err
@@ -498,8 +515,30 @@ class TestExperiment:
             dict(models.spec_to_dict(make_quadratic_spec()), latent_var="x"),
             "spec field 'latent_var' must be a number, got 'x'",
         ),
+        (
+            "transform",
+            dict(linear_spec_dict(), latent_cov=[1.0]),
+            "spec field 'latent_cov' must be a 2-D array, got [1.0]",
+        ),
+        (
+            "simulate",
+            dict(linear_spec_dict(), z_dist=dict(linear_spec_dict()["z_dist"], cov=1.0)),
+            "spec z_dist field 'cov' must be a 2-D array, got 1.0",
+        ),
+        (
+            "experiment",
+            dict(linear_spec_dict(), errors=dict(linear_spec_dict()["errors"], sigma_e=[[[0.0]]])),
+            "spec errors field 'sigma_e' must be a 2-D array, got [[[0.0]]]",
+        ),
     ],
-    ids=["transform-coefs-str", "simulate-z_dist-unknown-key", "experiment-latent_var-str"],
+    ids=[
+        "transform-coefs-str",
+        "simulate-z_dist-unknown-key",
+        "experiment-latent_var-str",
+        "transform-latent_cov-flat",
+        "simulate-z_dist-cov-number",
+        "experiment-sigma_e-3d",
+    ],
 )
 def test_malformed_spec_value_exits_2_with_one_line(tmp_path, capsys, command, spec, message):
     out = str(tmp_path / "report")
@@ -527,17 +566,24 @@ def test_fit_predict_and_coverage_build_the_same_regions(tmp_path, capsys, monke
     fit and point, every kind has the same threshold and shape."""
     seen = []
 
-    def recording_fit(data, family, **options):
-        fit = estimators.fit_family(data, family, **options)
-        seen.append((data, fit))
-        return fit
+    def first(value):
+        """The first fit's part of a prediction or region built on a stack."""
+        arrays = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        return dataclasses.replace(
+            value, **{k: v[0] for k, v in arrays.items() if isinstance(v, np.ndarray)}
+        )
 
-    def recording_region(kind, fit, pred, alpha, **options):
-        region = predictors.build_region(kind, fit, pred, alpha, **options)
-        seen.append((pred, region))
+    def recording_fit(data, family, **options):
+        stack = estimators.fit_stack(data, family, **options)
+        seen.append((data[0], stack.fit(0)))
+        return stack
+
+    def recording_region(kind, stack, preds, alpha, **options):
+        region = predictors.build_region(kind, stack, preds, alpha, **options)
+        seen.append((first(preds), first(region)))
         return region
 
-    monkeypatch.setattr(montecarlo, "fit_family", recording_fit)
+    monkeypatch.setattr(montecarlo, "fit_stack", recording_fit)
     monkeypatch.setattr(montecarlo, "build_region", recording_region)
     spec = make_quadratic_spec()
     cfg = montecarlo.ExperimentConfig(

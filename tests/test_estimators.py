@@ -6,7 +6,13 @@ import pytest
 from eivpred import estimators, models, transform
 from eivpred.errors import InsufficientData, InvalidInput
 
-from conftest import make_abs_spec, make_exponential_spec, make_linear_spec, make_poly_spec
+from conftest import (
+    make_abs_spec,
+    make_exponential_spec,
+    make_linear_spec,
+    make_poly_spec,
+    make_quadratic_spec,
+)
 
 
 def handmade_dataset(y, z, x, seed=0):
@@ -276,3 +282,60 @@ class TestNaiveOlsAbs:
     def test_deterministic(self):
         data = models.sample(make_abs_spec(), 5000, seed=31, keep_hidden=False)
         assert estimators.naive_ols_abs(data) == estimators.naive_ols_abs(data)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+class TestFitStack:
+    @pytest.mark.parametrize(
+        "spec, family, degree",
+        [
+            (make_linear_spec(), "linear", None),
+            (make_linear_spec(d=2, q=2, m=2), "linear", None),
+            (make_linear_spec(d=2, q=0, m=1), "linear", None),
+            (make_poly_spec(), "polynomial", 3),
+            (make_quadratic_spec(), "quadratic", None),
+        ],
+        ids=["linear", "linear-2d", "linear-no-z", "polynomial", "quadratic"],
+    )
+    def test_each_fit_equals_its_own_ols_fit_bit_for_bit(self, spec, family, degree):
+        sampler = models.Sampler(spec)
+        data = [sampler.sample(60, seed, keep_hidden=False) for seed in range(7)]
+        subjects = [sampler.new_subject(100 + seed) for seed in range(7)]
+        stack = estimators.fit_stack(data, family, degree=degree)
+        z0 = np.array([s.z0 for s in subjects]) if spec.z_dim else None
+        points = stack.predict(z0, np.array([s.x0 for s in subjects]))
+        shapes, _ = stack.region_shape
+        assert len(stack) == 7
+        for i, (one_data, subject) in enumerate(zip(data, subjects)):
+            alone, got = estimators.ols_fit(one_data, family, degree=degree), stack.fit(i)
+            assert models.to_jsonable(got) == models.to_jsonable(alone)
+            assert _bits(got.residual_moment) == _bits(alone.residual_moment)
+            for name in ("y_mean", "r_mean", "s_rr", "s_ry", "x_mean", "x_cov"):
+                assert _bits(getattr(got.moments, name)) == _bits(getattr(alone.moments, name))
+            assert _bits(shapes[i]) == _bits(alone.region_shape[0])
+            z = subject.z0 if spec.z_dim else None
+            assert _bits(points[i]) == _bits(np.atleast_1d(alone.predict(z, subject.x0)))
+
+    def test_nls_families_fit_one_dataset_at_a_time(self):
+        spec = make_exponential_spec()
+        data = [models.sample(spec, 80, seed, keep_hidden=False) for seed in range(3)]
+        stack = estimators.fit_stack(data, "exponential")
+        assert stack.params is None
+        for i, one_data in enumerate(data):
+            alone = estimators.nls_fit(one_data, "exponential")
+            assert models.to_jsonable(stack.fit(i)) == models.to_jsonable(alone)
+            assert _bits(stack.residual_moment[i]) == _bits(alone.residual_moment)
+
+    def test_ill_conditioning_warns_once_per_fit_when_asked(self, recwarn):
+        x = np.linspace(0.0, 1.0, 12)
+        collinear = handmade_dataset(2 * x + 1, x, x)
+        plain = handmade_dataset(2 * x + 1, np.cos(7 * x), x)
+        stack = estimators.fit_stack([plain, collinear, plain], "linear")
+        assert not recwarn.list
+        stack.warn_ill_conditioned()
+        assert [str(w.message) for w in recwarn.list] == ["regressor covariance condition number inf"]
+        assert stack.fit(1).notes == ("ill-conditioned regressors (cond inf)",)
+        assert stack.fit(0).notes == ()

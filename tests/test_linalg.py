@@ -145,3 +145,38 @@ def test_pinv_property(dim, seed):
     rank = int(rng.integers(1, dim + 1))
     a = random_symmetric(rng, dim, rank)
     assert_moore_penrose(a, linalg.pinv(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(min_value=1, max_value=4),
+    count=st.integers(min_value=1, max_value=6),
+    scale=st.floats(min_value=1e-8, max_value=1e8),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_stacked_calls_equal_the_per_matrix_calls_bit_for_bit(dim, count, scale, seed):
+    """A (R, p, p) stack gives each matrix's own bytes, singular matrices
+    (rank 0 up to p) included."""
+    rng = np.random.default_rng(seed)
+    stack = np.empty((count, dim, dim))
+    for i in range(count):
+        rank = int(rng.integers(0, dim + 1))
+        basis = rng.standard_normal((dim, rank)) * scale
+        stack[i] = basis @ basis.T
+    for fn in (linalg.pinv, linalg.sym_sqrt, linalg.min_eigenvalue, linalg.as_symmetric):
+        stacked = np.asarray(fn(stack))
+        singles = np.array([fn(a) for a in stack])
+        assert stacked.shape == singles.shape
+        assert stacked.tobytes() == singles.tobytes()
+
+
+def test_stacked_checks_name_the_offending_matrix():
+    good = np.eye(2)
+    with pytest.raises(InvalidMatrix, match="non-finite"):
+        linalg.pinv(np.stack([good, np.full((2, 2), np.nan)]))
+    with pytest.raises(InvalidMatrix, match="not symmetric"):
+        linalg.min_eigenvalue(np.stack([good, np.array([[1.0, 2.0], [0.0, 1.0]])]))
+    with pytest.raises(NotPSD, match="eigenvalue -1.000e\\+00 below tolerance"):
+        linalg.sym_sqrt(np.stack([good, -good]))
+    with pytest.raises(InvalidMatrix, match="square"):
+        linalg.pinv(np.ones((3, 2, 3)))

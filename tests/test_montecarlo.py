@@ -1,6 +1,7 @@
 """Monte Carlo experiment drivers: determinism, coverage, comparisons."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from eivpred.errors import InvalidInput, ReplicationsFailed, SpecError
 
 from conftest import (
     make_abs_spec,
+    make_exponential_spec,
     make_linear_spec,
     make_poly_spec,
     make_quadratic_spec,
@@ -360,14 +362,15 @@ class TestSpecCompiledOnce:
         large = _coverage_counts(10, fixed_subject=fixed_subject)
         assert small["cholesky_psd"] > 0
         extra = {name: large[name] - small[name] for name in small}
-        # Per extra replication only the fit's own work remains, with two region
-        # kinds at two alphas: pinv in OLS and once for the shared region shape,
-        # one sym_sqrt and one near-singularity check for that shape.
+        # Both runs fit their replications as one chunk (n = 60), so the
+        # chunk's pinv in OLS, its pinv, sym_sqrt and near-singularity check
+        # for the shared region shapes are one call each, however many
+        # replications the chunk holds.
         assert extra == {
             "cholesky_psd": 0,
-            "min_eigenvalue": 5,
-            "pinv": 10,
-            "sym_sqrt": 5,
+            "min_eigenvalue": 0,
+            "pinv": 0,
+            "sym_sqrt": 0,
         }
 
     @pytest.mark.parametrize(
@@ -392,3 +395,94 @@ class TestSpecCompiledOnce:
         )
         assert driver(cfg).failures == []
         assert built == [spec]
+
+
+def _chunked_and_single(monkeypatch, driver, cfg) -> tuple[str, str]:
+    """A report's JSON at the default chunking and at one replication per chunk."""
+    default = driver(cfg).to_json()
+    with monkeypatch.context() as mp:
+        mp.setattr(montecarlo, "_CHUNK_ROWS", 1)
+        single = driver(cfg).to_json()
+    return default, single
+
+
+# n_grid (30, 200, 5000) with 45 replications: one chunk of 45, chunks of
+# 20, 20 and 5, and 45 chunks of one
+_GRID = dict(n_grid=(30, 200, 5000), replications=45, master_seed=41, threads=1)
+
+
+class TestChunking:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(alphas=(0.05, 0.5)),
+            dict(alphas=(0.05, 0.5), fixed_subject=True),
+            dict(spec=make_linear_spec(d=2, q=2, m=2), purely_normal=False),
+            dict(
+                spec=make_quadratic_spec(),
+                region_kinds=predictors.REGION_KINDS,
+                k0=0.4,
+                alphas=(0.1,),
+            ),
+            dict(spec=make_quadratic_spec(), region_kinds=("quadratic_bound",), k0=0.5, fixed_subject=True),
+            dict(spec=make_poly_spec(), region_kinds=("chi_square",)),
+            dict(spec=make_exponential_spec(), n_grid=(40, 300), replications=6),
+        ],
+        ids=["linear", "linear-fixed", "linear-2d", "quadratic-all-kinds", "quadratic-fixed", "poly", "nls"],
+    )
+    def test_coverage_report_does_not_depend_on_chunking(self, monkeypatch, overrides):
+        cfg = coverage_config(**{**_GRID, **overrides})
+        default, single = _chunked_and_single(monkeypatch, montecarlo.run_coverage, cfg)
+        assert default == single
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            make_linear_spec(sigma_eps_delta=[[0.2]]),
+            make_linear_spec(d=2, q=1, m=2, sigma_eps_delta=[[0.1, 0.0], [0.0, 0.2]]),
+            make_poly_spec(),
+            make_quadratic_spec(),
+        ],
+        ids=["linear", "linear-2d", "poly", "quadratic"],
+    )
+    def test_consistency_report_does_not_depend_on_chunking(self, monkeypatch, spec):
+        cfg = montecarlo.ExperimentConfig(spec=spec, mean_prediction=spec.family != "quadratic", **_GRID)
+        default, single = _chunked_and_single(monkeypatch, montecarlo.run_consistency, cfg)
+        assert default == single
+
+    def test_chunk_size_follows_the_row_budget(self):
+        cfg = coverage_config(**_GRID)
+        sizes = [(cfg.n_grid[i], len(reps)) for i, reps in montecarlo._chunks(cfg)]
+        assert sizes == [(30, 45), (200, 20), (200, 20), (200, 5)] + [(5000, 1)] * 45
+
+    @pytest.mark.parametrize("driver", [montecarlo.run_coverage, montecarlo.run_consistency])
+    @pytest.mark.parametrize("rows", [montecarlo._CHUNK_ROWS, 1])
+    def test_a_failed_replication_fails_alone_and_warnings_stay_one_per_fit(
+        self, monkeypatch, driver, rows
+    ):
+        """Replication 5 of a 12-replication chunk gets a non-finite response,
+        and replications 2 and 5 collinear regressors: 5 alone gets a failure
+        row, with the message it gets in a chunk of one, and each of 2 and 5
+        warns exactly once, although their chunk runs twice."""
+        cfg = coverage_config(n_grid=(100,), replications=12, threads=1)
+        poisoned = montecarlo.derive_seed(cfg.master_seed, 1, 0, 5)
+        collinear = montecarlo.derive_seed(cfg.master_seed, 1, 0, 2)
+
+        class Damaging(models.Sampler):
+            def sample(self, n, seed, *, keep_hidden=True):
+                data = super().sample(n, seed, keep_hidden=keep_hidden)
+                if seed == poisoned:
+                    data.y[7, 0] = np.inf
+                if seed in (collinear, poisoned):
+                    data.z[:] = data.x
+                return data
+
+        monkeypatch.setattr(montecarlo, "Sampler", Damaging)
+        monkeypatch.setattr(montecarlo, "_CHUNK_ROWS", rows)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = driver(cfg)
+        assert report.failures == [{"n": 100, "message": "prediction is not finite"}]
+        assert report.value("failure_rate", n=100) == 1.0 - 11 / 12
+        conditioning = [str(w.message) for w in caught if w.category is UserWarning]
+        assert conditioning == ["regressor covariance condition number inf"] * 2

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eivpred import estimators, models, predictors, transform
 from eivpred.errors import DimensionError, InvalidInput
@@ -222,22 +222,35 @@ class TestRegions:
         a1=st.floats(min_value=0.01, max_value=0.5),
         a2=st.floats(min_value=0.01, max_value=0.5),
     )
+    # one ulp apart: the chi-square quantile rounds to the same float for both
+    @example(a1=0.010000000000000002, a2=0.01)
     def test_threshold_monotone_in_alpha(self, a1, a2):
         if a1 == a2:
             return
         lo, hi = min(a1, a2), max(a1, a2)
+        # weakly monotone for every pair; strictly once the alphas differ by
+        # more than a relative 1e-9, where rounding cannot merge the values
+        strict = hi - lo > 1e-9 * hi
         spec = make_linear_spec()
         fit = fitted(spec, n=500)
         sub = models.new_subject(spec, seed=3)
         pred = predictors.predict_individual(fit, sub.z0, sub.x0)
-        for builder in (predictors.region_chebyshev, predictors.region_chisquare):
-            assert builder(fit, pred, lo).threshold > builder(fit, pred, hi).threshold
         quad_fit = fitted(make_quadratic_spec(), n=500)
         qpred = predictors.predict_individual(quad_fit, None, [1.0])
-        assert (
-            predictors.region_quadratic(quad_fit, qpred, lo, 0.4).threshold
-            > predictors.region_quadratic(quad_fit, qpred, hi, 0.4).threshold
+        pairs = [
+            (builder(fit, pred, lo).threshold, builder(fit, pred, hi).threshold)
+            for builder in (predictors.region_chebyshev, predictors.region_chisquare)
+        ]
+        pairs.append(
+            (
+                predictors.region_quadratic(quad_fit, qpred, lo, 0.4).threshold,
+                predictors.region_quadratic(quad_fit, qpred, hi, 0.4).threshold,
+            )
         )
+        for at_lo, at_hi in pairs:
+            assert at_lo >= at_hi
+            if strict:
+                assert at_lo > at_hi
 
     def test_rescaling_invariance(self, linear_spec):
         data = models.sample(linear_spec, 3000, seed=17, keep_hidden=False)
@@ -300,3 +313,32 @@ class TestQuadraticRegion:
         pred = predictors.predict_individual(fit, sub.z0, sub.x0)
         with pytest.raises(InvalidInput):
             predictors.region_quadratic(fit, pred, 0.1, 0.4)
+
+
+@pytest.mark.parametrize(
+    "spec", [make_linear_spec(d=2, q=1, m=2), make_quadratic_spec()], ids=["linear-2d", "quadratic"]
+)
+def test_regions_on_a_stack_equal_the_regions_of_each_fit(spec):
+    """Every region kind built on a stack of fits, and its membership test,
+    give each fit's own threshold, shape and verdict."""
+    sampler = models.Sampler(spec)
+    data = [sampler.sample(40, seed, keep_hidden=False) for seed in range(6)]
+    subjects = [sampler.new_subject(50 + seed) for seed in range(6)]
+    stack = estimators.fit_stack(data, spec.family)
+    z0 = np.array([s.z0 for s in subjects]) if spec.z_dim else None
+    preds = predictors.predict_individual(stack, z0, np.array([s.x0 for s in subjects]))
+    y0 = np.array([s.y0 for s in subjects])
+    kinds = predictors.REGION_KINDS if spec.family == "quadratic" else ("chebyshev", "chi_square")
+    for kind in kinds:
+        for alpha in (0.05, 0.5):
+            region = predictors.build_region(kind, stack, preds, alpha, k0=0.4)
+            inside = predictors.region_contains(region, y0)
+            for i, subject in enumerate(subjects):
+                fit = estimators.ols_fit(data[i], spec.family)
+                pred = predictors.predict_individual(fit, subject.z0 if spec.z_dim else None, subject.x0)
+                alone = predictors.build_region(kind, fit, pred, alpha, k0=0.4)
+                assert np.array_equal(region.center[i], alone.center)
+                assert np.asarray(region.threshold).flat[i if kind == "quadratic_bound" else 0] == alone.threshold
+                if alone.shape is not None:
+                    assert np.array_equal(region.shape[i], alone.shape)
+                assert inside[i] == predictors.region_contains(alone, subject.y0)
