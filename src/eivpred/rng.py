@@ -1,7 +1,7 @@
 """Counter-based random-number streams.
 
 Every stream is derived from ``(seed, *stream_ids)`` through a SeedSequence
-key feeding a Philox counter-based generator, so draws depend only on the
+that seeds a Philox counter-based generator, so draws depend only on the
 identifiers and never on scheduling or shared state.
 """
 
@@ -21,8 +21,7 @@ def _seed_sequence(seed: int, stream) -> np.random.SeedSequence:
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
     """Generator for the stream identified by ``(seed, *stream)``."""
-    key = _seed_sequence(seed, stream).generate_state(2, dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, stream)))
 
 
 def derive_seed(seed: int, *stream: int) -> int:

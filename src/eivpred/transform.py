@@ -37,6 +37,7 @@ from .models import (
     PolynomialSpec,
     QuadraticSpec,
     TrigSpec,
+    power_basis,
     to_jsonable,
 )
 
@@ -456,17 +457,6 @@ _TRANSFORMS = {
 def transform(spec: ModelSpec) -> TransformedParams:
     """Dispatch to the family transform."""
     return _TRANSFORMS[spec.family](spec)
-
-
-def power_basis(x: np.ndarray, k: int) -> np.ndarray:
-    """Columns x, x^2, ..., x^k of ``x``, shape (*x.shape, k).
-
-    Built by repeated multiplication, which is several times faster than
-    ``x[..., None] ** np.arange(1, k + 1)`` and agrees with it to a few ulps
-    from x^3 up.  For fits and predictions only: the sampler keeps ``**`` so
-    that every drawn dataset keeps its bytes.
-    """
-    return np.vander(x.reshape(-1), k + 1, increasing=True)[:, 1:].reshape(*x.shape, k)
 
 
 def _col(value) -> np.ndarray:

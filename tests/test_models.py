@@ -4,6 +4,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -284,6 +287,9 @@ PINNED_SPECS = {
 # SHA-256 of (sample(spec, 40, seed=2024) arrays, new_subject(spec, seed=77) arrays),
 # recorded on x86-64 Linux with numpy 2.4 / OpenBLAS before the sampler was
 # compiled once per spec; any change to the draw order or arithmetic shows here.
+# They also depend on numpy's SIMD dispatch wherever a family calls a dispatched
+# function (np.exp, np.sin, np.cos): a CPU without AVX-512, or one with those
+# targets disabled, may draw other last bits.
 PINNED_DIGESTS = {
     "linear_gaussian_z": (
         "076e313be810afb7765231b70ea3a4d4205c5eae759cd054b4886ca4cea60a2a",
@@ -298,7 +304,7 @@ PINNED_DIGESTS = {
         "762767cc069ac3944fcc54665d5f831c95acbc8ddd35cd7d2f2e3570e97d8bf9",
     ),
     "polynomial_two_point_z": (
-        "f2f61942862edaa6b6b84b255748ee449e41a9c7488d4fbe2fd0c7f4f4f9dd21",
+        "543af244175fa187e39e9579913ec368d706980608344dd5a611829efc0aa30b",
         "0e168012ecd2169e33a5fccb81ecfa1c58ccc152dc2d10e94c34b14ef7ef521c",
     ),
     "linear_point_mass": (
@@ -378,6 +384,26 @@ def _digest(*arrays) -> str:
     return h.hexdigest()
 
 
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath as _umath
+
+# Prints the SHA-256 of a 1e5-row sample of the spec given as JSON in sys.argv[1].
+_SAMPLE_DIGEST = """
+import hashlib, json, sys
+import numpy as np
+from eivpred import models
+
+data = models.sample(models.spec_from_dict(json.loads(sys.argv[1])), 100_000, seed=2024)
+h = data.hidden
+digest = hashlib.sha256()
+for a in (data.y, data.z, data.x, h.xi, h.delta, h.e, h.eps):
+    digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+print(digest.hexdigest())
+"""
+
+
 class TestJsonWriter:
     @pytest.mark.parametrize("name", sorted(JSON_SPECS))
     def test_spec_and_params_json_match_pinned_digests(self, name):
@@ -412,6 +438,38 @@ class TestSampler:
 
     def test_single_draw_path(self):
         assert not hasattr(models, "_draw")
+
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_polynomial_regression_is_the_power_basis(self, degree):
+        spec = _two_point_z_poly()
+        spec = models.PolynomialSpec(**dict(vars(spec), coefs=np.linspace(1.0, -0.4, degree)))
+        r = np.random.default_rng(degree)
+        z, xi = r.standard_normal((50, 2)), 3.0 * r.standard_normal((50, 1))
+        expected = spec.intercept + models.power_basis(xi[:, 0], degree) @ spec.coefs
+        assert np.array_equal(spec.regression(z, xi), (expected + z @ spec.z_slopes)[:, None])
+
+    def test_polynomial_draws_do_not_depend_on_simd_dispatch(self):
+        """The same digest with numpy's AVX-512 dispatch targets disabled.  At
+        1e5 rows, ``x ** arange`` rounds some powers differently on those
+        paths; the products must not."""
+        targets = [
+            t for t in _umath.__cpu_dispatch__
+            if t.startswith(("AVX512", "X86_V4")) and _umath.__cpu_features__.get(t)
+        ]
+        if not targets:
+            pytest.skip("no AVX-512 dispatch target on this machine")
+        spec = json.dumps(models.spec_to_dict(_two_point_z_poly()))
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), env.get("PYTHONPATH", "")])
+        digests = []
+        for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}):
+            done = subprocess.run(
+                [sys.executable, "-c", _SAMPLE_DIGEST, spec],
+                capture_output=True, text=True, env=dict(env, **extra), timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout.strip())
+        assert digests[0] == digests[1]
 
 
 REPO = Path(__file__).parent.parent

@@ -531,6 +531,30 @@ def test_power_basis_matches_raw_powers(xs, k):
     np.testing.assert_allclose(basis, reference, rtol=k * np.finfo(float).eps, atol=0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    xs=st.lists(_BASIS_POINTS, min_size=1, max_size=24),
+    rows=st.integers(min_value=1, max_value=4),
+    k=st.integers(min_value=1, max_value=estimators.MAX_POLY_DEGREE),
+)
+def test_power_basis_is_the_product_chain(xs, rows, k):
+    """Column j + 1 is column j times x, exactly, for a vector and for a
+    stack of R rows of x (cut from ``xs``); the result is C-contiguous."""
+    x = np.array(xs)
+    for points in (x, x[: len(xs) // rows * rows].reshape(rows, -1)):
+        basis = transform.power_basis(points, k)
+        assert basis.shape == (*points.shape, k)
+        assert basis.flags.c_contiguous
+        column = points
+        for j in range(k):
+            assert np.array_equal(basis[..., j], column)
+            column = column * points
+
+
+def test_power_basis_has_one_home():
+    assert transform.power_basis is models.power_basis is estimators.power_basis
+
+
 class TestTransformAbs:
     def test_hand_values(self):
         spec = make_abs_spec(scale=1.0, shift=0.0, latent_mean=0.0, latent_var=1.0, sigma2_delta=1.0)
