@@ -11,11 +11,11 @@ spec of each of the six families, both simulate configs
 latter's dataset and on ``tests/data/golden_fit_predict_config.json``, and
 every experiment config in ``scripts/configs`` and ``perfbench/configs`` at
 ``--threads 1`` and ``--threads 2``.  Those configs use n >= 1e4 except
-``coverage_small_n``, so each of their chunks holds one replication; four
-small-n experiments written into the temporary directory (``SMALL_N_EXPERIMENTS``)
-run chunks of many replications next to chunks of one, at both thread counts
-too.  Every output goes to the temporary directory, which is removed at the
-end.
+``coverage_small_n``, so each of their chunks holds one replication; six
+small-n experiments written into the temporary directory (``SMALL_N_EXPERIMENTS``),
+two of them on nonlinear families, run chunks of many replications next to
+chunks of one, at both thread counts too.  Every output goes to the
+temporary directory, which is removed at the end.
 
 Each output is printed as identical or differing; for a JSON output that
 differs, the largest relative difference between its numbers is printed too.
@@ -67,6 +67,14 @@ SMALL_N_EXPERIMENTS = {
         _SMALL_N, suite="consistency", spec=TRANSFORM_SPECS[0], master_seed=23, mean_prediction=True),
     "small_n_consistency_polynomial_mean": dict(
         _SMALL_N, suite="consistency", spec=TRANSFORM_SPECS[1], master_seed=24, mean_prediction=True),
+    "small_n_coverage_exponential": dict(
+        _SMALL_N, suite="coverage", spec=TRANSFORM_SPECS[3], master_seed=25, alphas=[0.05, 0.5],
+        region_kinds=["chebyshev", "chi_square"]),
+    # a two-harmonic trigonometric fit takes 0.1-0.6 s on a 2-core x86-64 VM, so
+    # 30 replications, and n = 2500 (still chunks of one) in place of 5000
+    "small_n_consistency_trigonometric": dict(
+        suite="consistency", spec=TRANSFORM_SPECS[4], master_seed=26, n_grid=[50, 200, 2500],
+        replications=30),
 }
 
 EXPERIMENTS = sorted(

@@ -376,6 +376,9 @@ def main(argv=None) -> int:
     except (OverflowError, FloatingPointError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"numeric error: {type(exc).__name__}: {exc}\n")
         return EXIT_RUNTIME
+    except Exception as exc:  # a defect: still one line, not a traceback
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -5,16 +5,18 @@ Ordinary least squares targets the observable regression of the response on
 no attempt is made to recover the latent-regression parameters.  Singular
 regressor covariances fall back to the minimum-norm pseudo-inverse solution.
 
-One OLS kernel fits a stack of R datasets of one size as ``(R, n, .)`` arrays
-(:func:`fit_stack`); :func:`ols_fit` is its R = 1 case, and every stacked
-quantity equals the one-dataset fit to the bit.
+:func:`fit_stack` fits R datasets of one size into one :class:`FittedModel`
+whose arrays carry a leading axis of length R: the OLS kernel fits them as
+``(R, n, .)`` arrays, and the nonlinear fits are stacked field by field.  A
+single fit is the ``[i]`` slice of a stack, and equals the one-dataset fit to
+the bit.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -38,11 +40,9 @@ from .transform import (
 __all__ = [
     "SampleMoments",
     "FittedModel",
-    "FitStack",
     "fit_stack",
     "sample_moments",
     "ols_fit",
-    "residual_covariance",
     "nls_fit",
     "fit_family",
     "min_sample_size",
@@ -78,8 +78,35 @@ class SampleMoments:
         return float(self.x_cov[0, 0])
 
 
-class _RegionShape:
-    """The region shape of a fit (or stack of fits) with a ``residual_moment``."""
+@dataclass(frozen=True, eq=False)
+class FittedModel:
+    """Estimated observable-regression coefficients plus residual moments.
+
+    A stack of R fits to datasets of one size has the same fields, every
+    array (those of ``params`` and ``moments`` too) with a leading axis of
+    length R, and ``stack[i]`` is the fit of dataset ``i``.  The nonlinear
+    fits set ``converged``, OLS sets ``condition_number``, and ``notes``
+    holds one note per ill-conditioned OLS fit.
+    """
+
+    family: str
+    params: TransformedParams
+    residual_moment: np.ndarray  # (d, d); 1/n outer-product sum of residuals
+    moments: SampleMoments
+    n: int
+    objective: Optional[float] = None
+    converged: Optional[bool] = None
+    condition_number: Optional[float] = None
+    notes: tuple[str, ...] = field(init=False, default=())
+
+    def __post_init__(self):
+        notes = tuple(f"ill-conditioned regressors (cond {c:.2e})" for c in self._ill_conditioned())
+        object.__setattr__(self, "notes", notes)  # frozen dataclass
+
+    def __getitem__(self, i: int) -> FittedModel:
+        """The fit of dataset ``i`` of a stack, as :func:`ols_fit` or
+        :func:`nls_fit` returns it."""
+        return _take(self, i)
 
     @property
     def region_shape(self) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -97,104 +124,34 @@ class _RegionShape:
             object.__setattr__(self, "_region_shape", cached)  # frozen dataclass
         return cached
 
-
-@dataclass(frozen=True, eq=False)
-class FittedModel(_RegionShape):
-    """Estimated observable-regression coefficients plus residual moments."""
-
-    family: str
-    params: TransformedParams
-    residual_moment: np.ndarray  # (d, d); 1/n outer-product sum of residuals
-    moments: SampleMoments
-    n: int
-    objective: Optional[float] = None
-    converged: Optional[bool] = None
-    condition_number: Optional[float] = None
-    notes: tuple[str, ...] = ()
-
-    @property
-    def response_dim(self) -> int:
-        return self.residual_moment.shape[0]
-
-    def predict(self, z0, x0):
-        return self.params.predict(z0, x0)
-
-
-@dataclass(frozen=True, eq=False)
-class FitStack(_RegionShape):
-    """Fits of R datasets of one size n, stacked on a leading axis of length R.
-
-    For the OLS families the arrays are the kernel's own (``moments`` holds
-    stacked arrays too) and :attr:`params` views them as one parameter
-    container whose fields carry the leading axis.  The NLS families are
-    fitted one dataset at a time and keep their fits in ``fits``; their
-    ``params`` is None.  :meth:`fit` gives the :class:`FittedModel` of one
-    dataset either way.
-    """
-
-    family: str
-    n: int
-    residual_moment: np.ndarray  # (R, d, d)
-    moments: Optional[SampleMoments] = None  # OLS: every array (R, ...)
-    intercept: Optional[np.ndarray] = None  # OLS: (R, d)
-    coefs: Optional[np.ndarray] = None  # OLS: (R, p, d), the z rows first
-    z_dim: int = 0  # OLS: the number of z rows of ``coefs``
-    objective: Optional[np.ndarray] = None  # OLS: (R,)
-    condition_number: Optional[np.ndarray] = None  # OLS: (R,)
-    fits: tuple[FittedModel, ...] = ()  # NLS: one per dataset
-
-    def __len__(self) -> int:
-        return self.residual_moment.shape[0]
-
-    @property
-    def params(self) -> Optional[TransformedParams]:
-        if self.fits:
-            return None
-        return _coef_params(self.family, self.z_dim, self.intercept, self.coefs)
-
-    def predict(self, z0: Optional[np.ndarray], x0: np.ndarray) -> np.ndarray:
-        """Every fit's surface at its own point: ``z0`` is (R, q) or None,
-        ``x0`` is (R, m); returns (R, d)."""
-        if self.fits:
-            rows = [
-                f.predict(None if z0 is None else z0[i], x0[i]) for i, f in enumerate(self.fits)
-            ]
-            return np.array([np.atleast_1d(row) for row in rows])
-        z = None if z0 is None else z0[:, None, :]
-        return predict_rows(self.params, z, x0[:, None, :])[:, 0, :]
-
-    def fit(self, i: int) -> FittedModel:
-        """The fit of dataset ``i``, as :func:`ols_fit` or :func:`nls_fit` returns it."""
-        if self.fits:
-            return self.fits[i]
-        cond = float(self.condition_number[i])
-        mo = self.moments
-        moments = SampleMoments(
-            y_mean=mo.y_mean[i],
-            r_mean=mo.r_mean[i],
-            s_rr=mo.s_rr[i],
-            s_ry=mo.s_ry[i],
-            x_mean=mo.x_mean[i],
-            x_cov=mo.x_cov[i],
-            n=self.n,
-        )
-        return FittedModel(
-            family=self.family,
-            params=_coef_params(self.family, self.z_dim, self.intercept[i], self.coefs[i]),
-            residual_moment=self.residual_moment[i],
-            moments=moments,
-            n=self.n,
-            objective=float(self.objective[i]),
-            condition_number=cond,
-            notes=(f"ill-conditioned regressors (cond {cond:.2e})",) if cond > CONDITION_WARN else (),
-        )
+    def _ill_conditioned(self) -> np.ndarray:
+        """The condition numbers of the OLS fits whose regressor covariance
+        is ill-conditioned."""
+        conds = np.atleast_1d(np.asarray(self.condition_number, dtype=float))  # None: nan
+        return conds[conds > CONDITION_WARN]
 
     def warn_ill_conditioned(self) -> None:
         """One warning per OLS fit whose regressor covariance is ill-conditioned."""
-        if self.condition_number is None:
-            return
-        for cond in self.condition_number[self.condition_number > CONDITION_WARN]:
+        for cond in self._ill_conditioned():
             warnings.warn(f"regressor covariance condition number {cond:.2e}", stacklevel=3)
+
+
+def _take(value, i: int):
+    """Row ``i`` of every array in ``value``, through its dataclass fields."""
+    if is_dataclass(value):
+        return replace(value, **{f.name: _take(getattr(value, f.name), i) for f in fields(value) if f.init})
+    return value[i] if isinstance(value, np.ndarray) else value
+
+
+def _stack(values: list):
+    """``values`` stacked on a new leading axis, through their dataclass
+    fields; sizes, strings and None are shared, and kept once."""
+    first = values[0]
+    if is_dataclass(first):
+        return replace(
+            first, **{f.name: _stack([getattr(v, f.name) for v in values]) for f in fields(first) if f.init}
+        )
+    return np.stack(values) if isinstance(first, (np.ndarray, float, bool)) else first
 
 
 _NEAR_SINGULAR = "residual covariance near-singular; region lives on a subspace"
@@ -269,38 +226,33 @@ def _moments(y: np.ndarray, x: np.ndarray, r: np.ndarray) -> SampleMoments:
 
 
 def _coef_params(family: str, q: int, intercept: np.ndarray, coefs: np.ndarray):
-    """The family's parameter container for ``intercept`` (d,) and ``coefs``
-    (p, d), or for stacks of them, whose fields then carry the leading axis."""
+    """The family's parameter container for the stacked ``intercept`` (R, d)
+    and ``coefs`` (R, p, d), the z rows first: its fields carry the leading
+    axis."""
     if family == "linear":
         return LinearObservable(
-            intercept=intercept,
-            z_slopes=coefs[..., :q, :],
-            x_slopes=coefs[..., q:, :],
-            residual_cov=None,
+            intercept=intercept, z_slopes=coefs[:, :q, :], x_slopes=coefs[:, q:, :], residual_cov=None
         )
-    scalar = float if coefs.ndim == 2 else np.asarray
     if family == "polynomial":
         return PolynomialObservable(
-            intercept=scalar(intercept[..., 0]),
-            coefs=coefs[..., q:, 0].copy(),
-            z_slopes=coefs[..., :q, 0].copy(),
+            intercept=intercept[:, 0], coefs=coefs[:, q:, 0].copy(), z_slopes=coefs[:, :q, 0].copy()
         )
-    return QuadraticObservable(
-        intercept=scalar(intercept[..., 0]),
-        slope=scalar(coefs[..., 0, 0]),
-        curvature=scalar(coefs[..., 1, 0]),
-    )
+    return QuadraticObservable(intercept=intercept[:, 0], slope=coefs[:, 0, 0], curvature=coefs[:, 1, 0])
 
 
-def _ols_stack(data: _Stacked, family: str, degree: Optional[int]) -> FitStack:
-    """The OLS kernel: the fits of R datasets of one size.
+def _ols_stack(data: list[Dataset], family: str, degree: Optional[int]) -> FittedModel:
+    """The OLS kernel: the fits of R datasets of one size, stacked.
 
     Coefficients solve ``coefs = pinv(S_rr) @ S_ry`` with the intercept from
     the bar-mean relation, which minimizes the summed squared residuals; a
     singular S_rr yields the minimum-norm coefficients without failure.
     """
-    y, z, x = data
-    r, _ = _regressors(data, family, degree)
+    if len(data) == 1:  # views: at large n a copy would cost time and memory
+        stacked = _Stacked(data[0].y[None], data[0].z[None], data[0].x[None])
+    else:
+        stacked = _Stacked(*(np.stack([getattr(d, k) for d in data]) for k in _Stacked._fields))
+    y, z, x = stacked
+    r, _ = _regressors(stacked, family, degree)
     n = y.shape[1]
     need = min_sample_size(family, z.shape[2], x.shape[2], degree)
     if n < need:
@@ -311,14 +263,12 @@ def _ols_stack(data: _Stacked, family: str, degree: Optional[int]) -> FitStack:
     resid = y - intercept[:, None, :] - r @ coefs
     eigvals = np.abs(np.linalg.eigvalsh(moments.s_rr))
     low, high = eigvals.min(axis=-1), eigvals.max(axis=-1)
-    return FitStack(
+    return FittedModel(
         family=family,
-        n=n,
+        params=_coef_params(family, z.shape[2] if family != "quadratic" else 0, intercept, coefs),
         residual_moment=resid.swapaxes(-1, -2) @ resid / n,
         moments=moments,
-        intercept=intercept,
-        coefs=coefs,
-        z_dim=z.shape[2] if family != "quadratic" else 0,
+        n=n,
         objective=np.sum(resid**2, axis=(1, 2)),
         condition_number=np.divide(high, low, out=np.full_like(high, np.inf), where=low > 0),
     )
@@ -327,20 +277,9 @@ def _ols_stack(data: _Stacked, family: str, degree: Optional[int]) -> FitStack:
 def ols_fit(data: Dataset, family: str = "linear", degree: Optional[int] = None) -> FittedModel:
     """Ordinary least squares on the observable regressors: the OLS kernel
     (see :func:`fit_stack`) on the one dataset ``data``."""
-    stack = _ols_stack(_Stacked(data.y[None], data.z[None], data.x[None]), family, degree)
+    stack = _ols_stack([data], family, degree)
     stack.warn_ill_conditioned()
-    return stack.fit(0)
-
-
-def residual_covariance(data: Dataset, fit: FittedModel):
-    """1/n outer-product sum of the fit's residuals on ``data``.
-
-    Returns a matrix for the linear family and the scalar mean squared
-    residual for scalar-response families.
-    """
-    resid = data.y - predict_rows(fit.params, data.z, data.x)
-    out = resid.T @ resid / data.n
-    return out if fit.family == "linear" else float(out[0, 0])
+    return stack[0]
 
 
 # ---------------------------------------------------------------------------
@@ -550,37 +489,29 @@ def min_sample_size(
 def fit_family(
     data: Dataset, family: str, degree: Optional[int] = None, harmonics: int = 1
 ) -> FittedModel:
-    """Fit ``family`` to one dataset, as the R = 1 case of :func:`fit_stack`:
+    """Fit ``family`` to one dataset, as the ``[0]`` slice of :func:`fit_stack`:
     :func:`nls_fit` for :data:`NLS_FAMILIES` (``harmonics`` for the
     trigonometric one), the OLS kernel for the families linear in their
     coefficients (``degree`` for the polynomial one)."""
     stack = fit_stack([data], family, degree=degree, harmonics=harmonics)
     stack.warn_ill_conditioned()
-    return stack.fit(0)
+    return stack[0]
 
 
 def fit_stack(
     data: list[Dataset], family: str, degree: Optional[int] = None, harmonics: int = 1
-) -> FitStack:
-    """Fit ``family`` to each of the datasets ``data``, which share one size.
+) -> FittedModel:
+    """Fit ``family`` to each of the datasets ``data``, which share one size,
+    as one stack of fits.
 
     The OLS families run the OLS kernel once on the datasets stacked as
     ``(R, n, .)`` arrays; the NLS families run :func:`nls_fit` one dataset at
-    a time.  Ill-conditioning warnings are left to the caller
-    (:meth:`FitStack.warn_ill_conditioned`), which knows when a fit is kept."""
+    a time and stack its fits field by field.  Ill-conditioning warnings are
+    left to the caller (:meth:`FittedModel.warn_ill_conditioned`), which
+    knows when a fit is kept."""
     if family in NLS_FAMILIES:
-        fits = tuple(nls_fit(d, family, harmonics=harmonics) for d in data)
-        return FitStack(
-            family=family,
-            n=fits[0].n,
-            residual_moment=np.stack([f.residual_moment for f in fits]),
-            fits=fits,
-        )
-    if len(data) == 1:  # views: at large n a copy would cost time and memory
-        stacked = _Stacked(data[0].y[None], data[0].z[None], data[0].x[None])
-    else:
-        stacked = _Stacked(*(np.stack([getattr(d, k) for d in data]) for k in _Stacked._fields))
-    return _ols_stack(stacked, family, degree)
+        return _stack([nls_fit(d, family, harmonics=harmonics) for d in data])
+    return _ols_stack(data, family, degree)
 
 
 def naive_ols_abs(data: Dataset) -> tuple[float, float]:

@@ -14,9 +14,11 @@ up front instead of failing every replication, and the spec must not be
 mutated while a run is in progress.
 
 The replications of one sample size n run in chunks of
-``max(1, _CHUNK_ROWS // n)``: a chunk's datasets are fitted as one stack
-(:func:`~eivpred.estimators.fit_stack`), and its predictions, regions and
-memberships are computed for the whole stack.  Each replication still draws
+``max(1, _CHUNK_ROWS // n)``: a chunk's datasets are fitted into one stack
+of fits, a :class:`~eivpred.estimators.FittedModel` whose arrays carry a
+leading axis over the chunk (:func:`~eivpred.estimators.fit_stack`), for
+every family, and its predictions, regions and memberships are computed for
+the whole stack on the one-fit code path.  Each replication still draws
 from its own counter-based seeds, and every stacked quantity equals the
 one-replication value to the bit.  When a chunk raises
 :class:`~eivpred.errors.EivError` it is run again one replication at a time,
@@ -258,8 +260,9 @@ def check_sample_sizes(cfg: ExperimentConfig) -> None:
 
 def _fitted_prediction(cfg: ExperimentConfig):
     """``(n_idx, reps) -> (stack, subjects, prediction)``: the fits of a chunk
-    of replications of one sample size as one :class:`FitStack`, each
-    replication's subject, and the individual predictions for them, stacked.
+    of replications of one sample size as one stack of fits (whose ``[i]``
+    is the fit of replication ``reps[i]``), each replication's subject, and
+    the individual predictions for them, stacked.
 
     Compiles the spec into one :class:`Sampler` for the run.  A chunk of one
     replication warns of an ill-conditioned fit right after fitting, as
@@ -402,7 +405,7 @@ def run_consistency(cfg: ExperimentConfig) -> McReport:
         stack, subjects, pred = replicate(n_idx, reps)
         out = []
         for i, subject in enumerate(subjects):
-            fit = stack.fit(i)
+            fit = stack[i]
             z0 = None if pred.z0 is None else pred.z0[i]
             best = np.atleast_1d(true_params.predict(z0, subject.x0))
             err = float(np.linalg.norm(pred.point[i] - best))

@@ -10,10 +10,11 @@ the Markov/Chebyshev bound, a chi-square ellipsoid that is exact for purely
 normal models, and a bound-based interval for the quadratic family driven by
 a known lower bound on the reliability ratio.
 
-Individual prediction, every region rule and the membership test also take an
-:class:`~eivpred.estimators.FitStack` of R fits: predictions, regions and
-memberships then carry a leading axis of length R, and each slice equals the
-one-fit result to the bit.
+Individual prediction, every region rule and the membership test take a
+single fit or a stack of R fits (:func:`~eivpred.estimators.fit_stack`) on
+one code path: on a stack, predictions, regions and memberships carry a
+leading axis of length R, and each slice equals the one-fit result to the
+bit.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError, InvalidInput, SingularCovariance
-from .estimators import FitStack, FittedModel
+from .estimators import FittedModel
 from .linalg import min_eigenvalue
-from .transform import QuadraticObservable, quadratic_bound_term
+from .transform import QuadraticObservable, predict_rows, quadratic_bound_term
 
 __all__ = [
     "Prediction",
@@ -83,28 +84,29 @@ class ConfidenceRegion:
 
 
 def _check_point(fit: FittedModel, z0, x0) -> tuple[Optional[np.ndarray], np.ndarray]:
-    m = fit.params.x_slopes.shape[0] if fit.family == "linear" else 1
-    q = fit.params.z_slopes.shape[0] if hasattr(fit.params, "z_slopes") else 0
+    """``z0`` (None without z) and ``x0`` as arrays of the fit's point shape,
+    with a leading axis of length R for a stack of R fits."""
+    lead = fit.residual_moment.shape[:-2]
+    m = fit.params.x_slopes.shape[-2] if fit.family == "linear" else 1
+    q = fit.params.z_slopes.shape[len(lead)] if hasattr(fit.params, "z_slopes") else 0
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (m,):
-        raise DimensionError(f"x0 must have shape ({m},)")
+    if x0.shape != lead + (m,):
+        raise DimensionError(f"x0 must have shape {lead + (m,)}")
     if not q:
         return None, x0
     z0 = np.atleast_1d(np.asarray(z0, dtype=float))
-    if z0.shape != (q,):
-        raise DimensionError(f"z0 must have shape ({q},)")
+    if z0.shape != lead + (q,):
+        raise DimensionError(f"z0 must have shape {lead + (q,)}")
     return z0, x0
 
 
-def predict_individual(fit: FittedModel | FitStack, z0, x0) -> Prediction:
+def predict_individual(fit: FittedModel, z0, x0) -> Prediction:
     """Plug-in evaluation of the fitted regression surface at (z0, x0); for a
-    :class:`FitStack`, of each fit at its own row of ``z0`` (R, q) or None and
-    ``x0`` (R, m)."""
-    if isinstance(fit, FitStack):
-        point = fit.predict(z0, x0)
-    else:
-        z0, x0 = _check_point(fit, z0, x0)
-        point = np.atleast_1d(np.asarray(fit.params.predict(z0, x0), dtype=float))
+    stack of fits, of each fit at its own row of ``z0`` (R, q) and ``x0``
+    (R, m)."""
+    z0, x0 = _check_point(fit, z0, x0)
+    z = None if z0 is None else z0[..., None, :]
+    point = predict_rows(fit.params, z, x0[..., None, :])[..., 0, :]
     if not np.all(np.isfinite(point)):
         raise InvalidInput("prediction is not finite")
     return Prediction(point=point, kind="individual", z0=z0, x0=x0)
@@ -142,7 +144,7 @@ def chi2_upper_quantile(dim: int, alpha: float) -> float:
     return float(chdtri(dim, alpha))
 
 
-def region_chebyshev(fit: FittedModel | FitStack, pred: Prediction, alpha: float) -> ConfidenceRegion:
+def region_chebyshev(fit: FittedModel, pred: Prediction, alpha: float) -> ConfidenceRegion:
     """Distribution-free region with threshold d / alpha.
 
     Guarantees asymptotic coverage at least 1 - alpha whenever the residual
@@ -163,7 +165,7 @@ def region_chebyshev(fit: FittedModel | FitStack, pred: Prediction, alpha: float
 
 
 def region_chisquare(
-    fit: FittedModel | FitStack, pred: Prediction, alpha: float, purely_normal: bool = False
+    fit: FittedModel, pred: Prediction, alpha: float, purely_normal: bool = False
 ) -> ConfidenceRegion:
     """Region with the chi-square upper alpha-quantile as threshold.
 
@@ -188,7 +190,7 @@ def region_chisquare(
 
 
 def region_quadratic(
-    fit: FittedModel | FitStack, pred: Prediction, alpha: float, k0: float
+    fit: FittedModel, pred: Prediction, alpha: float, k0: float
 ) -> ConfidenceRegion:
     """Bound-based interval for the quadratic family.
 
@@ -249,7 +251,7 @@ REGION_KINDS = ("chebyshev", "chi_square", "quadratic_bound")
 
 def build_region(
     kind: str,
-    fit: FittedModel | FitStack,
+    fit: FittedModel,
     pred: Prediction,
     alpha: float,
     *,

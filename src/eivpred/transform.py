@@ -468,10 +468,11 @@ def predict_rows(params: TransformedParams, z: Optional[np.ndarray], x: np.ndarr
     """Vectorized observable-regression values, shape (n, d).
 
     ``x`` is (n, m) and ``z`` is (n, q) or None for families without z.  For
-    the families fitted by OLS (linear, polynomial, quadratic) ``params`` may
-    also hold R fits, every field with a leading axis of length R (see
-    ``estimators.FitStack.params``); ``z`` and ``x`` then carry that axis too
-    and the values have shape (R, n, d).
+    every family ``params`` may also hold R fits, every field with a leading
+    axis of length R (the ``params`` of a stack of fits,
+    ``estimators.fit_stack``); ``z`` and ``x`` then carry that axis too and
+    the values have shape (R, n, d), each fit's rows equal to its own values
+    to the bit.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -490,13 +491,14 @@ def predict_rows(params: TransformedParams, z: Optional[np.ndarray], x: np.ndarr
     elif isinstance(params, QuadraticObservable):
         out = _col(params.intercept) + _col(params.slope) * xs + _col(params.curvature) * xs**2
     elif isinstance(params, ExponentialObservable):
-        out = params.scale * np.exp(np.clip(params.rate * xs, -700.0, 700.0))
+        out = _col(params.scale) * np.exp(np.clip(_col(params.rate) * xs, -700.0, 700.0))
     elif isinstance(params, TrigObservable):
-        k = np.arange(1, params.cos_amps.shape[0] + 1)
-        phase = params.freq * xs[:, None] * k
-        out = params.const + np.cos(phase) @ params.cos_amps + np.sin(phase) @ params.sin_amps
+        k = np.arange(1, params.cos_amps.shape[-1] + 1)
+        phase = np.asarray(params.freq)[..., None, None] * xs[..., None] * k
+        cos_part = (np.cos(phase) @ params.cos_amps[..., None])[..., 0]
+        out = _col(params.const) + cos_part + (np.sin(phase) @ params.sin_amps[..., None])[..., 0]
     elif isinstance(params, AbsObservable):
-        out = params.scale * abs_F(params.gain * xs + params.offset)
+        out = _col(params.scale) * abs_F(_col(params.gain) * xs + _col(params.offset))
     else:
         raise InvalidInput(f"unknown parameter container {type(params).__name__}")
     return out[..., None]

@@ -575,7 +575,7 @@ def test_fit_predict_and_coverage_build_the_same_regions(tmp_path, capsys, monke
 
     def recording_fit(data, family, **options):
         stack = estimators.fit_stack(data, family, **options)
-        seen.append((data[0], stack.fit(0)))
+        seen.append((data[0], stack[0]))
         return stack
 
     def recording_region(kind, stack, preds, alpha, **options):
@@ -632,3 +632,15 @@ def test_numeric_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch, erro
     assert main(["transform", "--config", cfg]) == EXIT_RUNTIME
     err = capsys.readouterr().err
     assert err.splitlines() == [f"numeric error: {error.__name__}: numbers went wrong"]
+
+
+def test_unexpected_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    def failing(config, args):
+        raise ValueError("an unforeseen defect")
+
+    monkeypatch.setitem(cli._COMMANDS, "transform", failing)
+    cfg = write_config(tmp_path, "tr.json", {"spec": linear_spec_dict()})
+    assert main(["transform", "--config", cfg]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["internal error: ValueError: an unforeseen defect"]
+    assert "Traceback" not in err

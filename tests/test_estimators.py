@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eivpred import estimators, models, transform
+from eivpred import estimators, models, predictors, transform
 from eivpred.errors import InsufficientData, InvalidInput
 
 from conftest import (
@@ -12,6 +12,7 @@ from conftest import (
     make_linear_spec,
     make_poly_spec,
     make_quadratic_spec,
+    make_trig_spec,
 )
 
 
@@ -161,20 +162,22 @@ class TestResidualCovariance:
         x = np.linspace(0, 1, 10)
         data = handmade_dataset(2 * x + 1, None, x)
         fit = estimators.ols_fit(data, "linear")
-        assert estimators.residual_covariance(data, fit) == pytest.approx(0.0, abs=1e-20)
+        assert fit.residual_moment[0, 0] == pytest.approx(0.0, abs=1e-20)
 
     def test_hand_computed_scalar(self):
         # intercept-only fit on {0, 2}: residuals {-1, +1}, second moment 1
         data = handmade_dataset([0.0, 2.0], None, [1.0, 1.0])
         with pytest.warns(UserWarning, match="condition number"):
             fit = estimators.ols_fit(data, "linear")
-        assert estimators.residual_covariance(data, fit) == pytest.approx(1.0, abs=1e-14)
+        assert fit.residual_moment[0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_converges_to_transformed_residual_cov(self, linear_spec):
         data = models.sample(linear_spec, 100_000, seed=12, keep_hidden=False)
         fit = estimators.ols_fit(data, "linear")
         true = transform.transform_linear(linear_spec)
-        est = estimators.residual_covariance(data, fit)
+        resid = data.y - transform.predict_rows(fit.params, data.z, data.x)
+        np.testing.assert_allclose(fit.residual_moment, resid.T @ resid / data.n, rtol=1e-10)
+        est = fit.residual_moment
         assert np.linalg.norm(est - true.residual_cov) <= 0.05 * np.linalg.norm(true.residual_cov)
 
 
@@ -290,43 +293,62 @@ def _bits(value) -> bytes:
 
 class TestFitStack:
     @pytest.mark.parametrize(
-        "spec, family, degree",
+        "spec, family, options",
         [
-            (make_linear_spec(), "linear", None),
-            (make_linear_spec(d=2, q=2, m=2), "linear", None),
-            (make_linear_spec(d=2, q=0, m=1), "linear", None),
-            (make_poly_spec(), "polynomial", 3),
-            (make_quadratic_spec(), "quadratic", None),
+            (make_linear_spec(), "linear", {}),
+            (make_linear_spec(d=2, q=2, m=2), "linear", {}),
+            (make_linear_spec(d=2, q=0, m=1), "linear", {}),
+            (make_poly_spec(), "polynomial", {"degree": 3}),
+            (make_quadratic_spec(), "quadratic", {}),
+            (make_exponential_spec(), "exponential", {}),
+            (make_trig_spec(), "trigonometric", {"harmonics": 2}),
+            (make_abs_spec(), "absolute_value", {}),
         ],
-        ids=["linear", "linear-2d", "linear-no-z", "polynomial", "quadratic"],
+        ids=[
+            "linear",
+            "linear-2d",
+            "linear-no-z",
+            "polynomial",
+            "quadratic",
+            "exponential",
+            "trigonometric",
+            "absolute_value",
+        ],
     )
-    def test_each_fit_equals_its_own_ols_fit_bit_for_bit(self, spec, family, degree):
+    def test_each_fit_equals_its_own_ols_fit_bit_for_bit(self, spec, family, options):
+        """Each ``[i]`` slice of a stack equals the one-dataset fit (the OLS
+        kernel, or nls_fit), and so do its stacked prediction and region shape."""
         sampler = models.Sampler(spec)
         data = [sampler.sample(60, seed, keep_hidden=False) for seed in range(7)]
         subjects = [sampler.new_subject(100 + seed) for seed in range(7)]
-        stack = estimators.fit_stack(data, family, degree=degree)
+        stack = estimators.fit_stack(data, family, **options)
         z0 = np.array([s.z0 for s in subjects]) if spec.z_dim else None
-        points = stack.predict(z0, np.array([s.x0 for s in subjects]))
+        points = predictors.predict_individual(stack, z0, np.array([s.x0 for s in subjects])).point
         shapes, _ = stack.region_shape
-        assert len(stack) == 7
+        assert stack.residual_moment.shape[0] == 7 and points.shape[0] == 7
         for i, (one_data, subject) in enumerate(zip(data, subjects)):
-            alone, got = estimators.ols_fit(one_data, family, degree=degree), stack.fit(i)
+            if family in estimators.NLS_FAMILIES:
+                alone = estimators.nls_fit(one_data, family, **options)
+            else:
+                alone = estimators.ols_fit(one_data, family, **options)
+            got = stack[i]
             assert models.to_jsonable(got) == models.to_jsonable(alone)
             assert _bits(got.residual_moment) == _bits(alone.residual_moment)
             for name in ("y_mean", "r_mean", "s_rr", "s_ry", "x_mean", "x_cov"):
                 assert _bits(getattr(got.moments, name)) == _bits(getattr(alone.moments, name))
             assert _bits(shapes[i]) == _bits(alone.region_shape[0])
             z = subject.z0 if spec.z_dim else None
-            assert _bits(points[i]) == _bits(np.atleast_1d(alone.predict(z, subject.x0)))
+            assert _bits(points[i]) == _bits(predictors.predict_individual(alone, z, subject.x0).point)
 
     def test_nls_families_fit_one_dataset_at_a_time(self):
         spec = make_exponential_spec()
         data = [models.sample(spec, 80, seed, keep_hidden=False) for seed in range(3)]
         stack = estimators.fit_stack(data, "exponential")
-        assert stack.params is None
+        assert stack.params.scale.shape == stack.params.rate.shape == (3,)
+        assert stack.converged.dtype == bool and stack.objective.shape == (3,)
         for i, one_data in enumerate(data):
             alone = estimators.nls_fit(one_data, "exponential")
-            assert models.to_jsonable(stack.fit(i)) == models.to_jsonable(alone)
+            assert models.to_jsonable(stack[i]) == models.to_jsonable(alone)
             assert _bits(stack.residual_moment[i]) == _bits(alone.residual_moment)
 
     def test_ill_conditioning_warns_once_per_fit_when_asked(self, recwarn):
@@ -337,5 +359,5 @@ class TestFitStack:
         assert not recwarn.list
         stack.warn_ill_conditioned()
         assert [str(w.message) for w in recwarn.list] == ["regressor covariance condition number inf"]
-        assert stack.fit(1).notes == ("ill-conditioned regressors (cond inf)",)
-        assert stack.fit(0).notes == ()
+        assert stack[1].notes == ("ill-conditioned regressors (cond inf)",)
+        assert stack[0].notes == ()

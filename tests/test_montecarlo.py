@@ -442,8 +442,9 @@ class TestChunking:
             make_linear_spec(d=2, q=1, m=2, sigma_eps_delta=[[0.1, 0.0], [0.0, 0.2]]),
             make_poly_spec(),
             make_quadratic_spec(),
+            make_exponential_spec(),
         ],
-        ids=["linear", "linear-2d", "poly", "quadratic"],
+        ids=["linear", "linear-2d", "poly", "quadratic", "exponential"],
     )
     def test_consistency_report_does_not_depend_on_chunking(self, monkeypatch, spec):
         cfg = montecarlo.ExperimentConfig(spec=spec, mean_prediction=spec.family != "quadratic", **_GRID)
