@@ -8,13 +8,15 @@ trees, with ``OPENBLAS_NUM_THREADS=1``, the script runs ``transform`` for one
 spec of each of the six families, both simulate configs
 (``scripts/configs/simulate_linear.json`` and
 ``perfbench/configs/fit_predict_file.simulate.json``), ``fit-predict`` on the
-latter's dataset and on ``tests/data/golden_fit_predict_config.json``, and
-every experiment config in ``scripts/configs`` and ``perfbench/configs`` at
-``--threads 1`` and ``--threads 2``.  Those configs use n >= 1e4 except
-``coverage_small_n``, so each of their chunks holds one replication; six
-small-n experiments written into the temporary directory (``SMALL_N_EXPERIMENTS``),
-two of them on nonlinear families, run chunks of many replications next to
-chunks of one, at both thread counts too.  Every output goes to the
+latter's dataset and on ``tests/data/golden_fit_predict_config.json``, a
+``simulate`` (n = 2000) and a ``fit-predict`` run (one point, one Chebyshev
+region; two harmonics for the trigonometric fit) for each nonlinear family
+(``NLS_FIT_SPECS``), and every experiment config in ``scripts/configs`` and
+``perfbench/configs`` at ``--threads 1`` and ``--threads 2``.  Those configs
+use n >= 1e4 except ``coverage_small_n``, so each of their chunks holds one
+replication; six small-n experiments written into the temporary directory
+(``SMALL_N_EXPERIMENTS``), two of them on nonlinear families, run chunks of
+many replications next to chunks of one, at both thread counts too.  Every output goes to the
 temporary directory, which is removed at the end.
 
 Each output is printed as identical or differing; for a JSON output that
@@ -70,12 +72,16 @@ SMALL_N_EXPERIMENTS = {
     "small_n_coverage_exponential": dict(
         _SMALL_N, suite="coverage", spec=TRANSFORM_SPECS[3], master_seed=25, alphas=[0.05, 0.5],
         region_kinds=["chebyshev", "chi_square"]),
-    # a two-harmonic trigonometric fit takes 0.1-0.6 s on a 2-core x86-64 VM, so
-    # 30 replications, and n = 2500 (still chunks of one) in place of 5000
+    # a two-harmonic trigonometric fit takes 0.03-0.25 s (means of 10 fits at
+    # n = 50 to 5000) on a 2-core x86-64 VM, so 30 replications, and n = 2500
+    # (still chunks of one) in place of 5000
     "small_n_consistency_trigonometric": dict(
         suite="consistency", spec=TRANSFORM_SPECS[4], master_seed=26, n_grid=[50, 200, 2500],
         replications=30),
 }
+
+# the nonlinear families, each simulated and then fitted by fit-predict
+NLS_FIT_SPECS = TRANSFORM_SPECS[3:6]
 
 EXPERIMENTS = sorted(
     str(path.relative_to(ROOT))
@@ -92,7 +98,7 @@ def run_all(tree: Path, out: Path, configs: Path) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
     fit = json.loads((tree / "perfbench/configs/fit_predict_file.fit.json").read_text())
     fit["data"] = str(out / "fit_predict_file")
-    (out / "fit_predict_file.fit.json").write_text(json.dumps(fit))
+    temp_configs = {"fit_predict_file.fit": fit}
     runs = []
     for spec in TRANSFORM_SPECS:
         name = f"transform_{spec['family']}"
@@ -109,6 +115,22 @@ def run_all(tree: Path, out: Path, configs: Path) -> list[str]:
         ("golden_fit_predict", ["fit-predict", "--config", "tests/data/golden_fit_predict_config.json",
                                 "--out", str(out / "golden_fit_predict.json")]),
     ]
+    for spec in NLS_FIT_SPECS:
+        name = f"nls_{spec['family']}"
+        temp_configs[f"{name}.simulate"] = {"spec": spec, "n": 2000, "seed": 31}
+        nls_fit = {"data": str(out / name), "family": spec["family"], "predict": [{"x0": [0.5]}],
+                   "regions": [{"kind": "chebyshev", "alpha": 0.05}]}
+        if spec["family"] == "trigonometric":
+            nls_fit["harmonics"] = len(spec["cos_amps"])
+        temp_configs[f"{name}.fit"] = nls_fit
+        runs += [
+            (f"{name}.simulate", ["simulate", "--config", str(out / f"{name}.simulate.json"),
+                                  "--out", str(out / name)]),
+            (f"{name}.fit", ["fit-predict", "--config", str(out / f"{name}.fit.json"),
+                             "--out", str(out / f"{name}.prediction.json")]),
+        ]
+    for name, config in temp_configs.items():
+        (out / f"{name}.json").write_text(json.dumps(config))
     small_n = [str(configs / f"{name}.json") for name in SMALL_N_EXPERIMENTS]
     for config in EXPERIMENTS + small_n:
         for threads in ("1", "2"):
@@ -123,7 +145,8 @@ def run_all(tree: Path, out: Path, configs: Path) -> list[str]:
         if proc.returncode:
             last = proc.stderr.strip().splitlines()[-1:] or [""]
             failed.append(f"{name}: exit {proc.returncode}: {last[0]}")
-    (out / "fit_predict_file.fit.json").unlink()
+    for name in temp_configs:
+        (out / f"{name}.json").unlink()
     return failed
 
 

@@ -32,6 +32,7 @@ from .transform import (
     QuadraticObservable,
     TransformedParams,
     TrigObservable,
+    _erf,
     abs_F,
     power_basis,
     predict_rows,
@@ -51,9 +52,6 @@ __all__ = [
 ]
 
 MAX_POLY_DEGREE = 6
-# Fitted by nls_fit; every other family is linear in its coefficients and
-# fitted by ols_fit.  Only the NLS fits (and naive_ols_abs) load scipy.
-NLS_FAMILIES = ("exponential", "trigonometric", "absolute_value")
 CONDITION_WARN = 1e12
 
 
@@ -290,12 +288,48 @@ _REL_TOL = 1e-12
 _MAX_ITER = 500
 
 
-def _exp_model(x, scale, rate):
-    return scale * np.exp(np.clip(rate * x, -700.0, 700.0))
+def _least_squares(make, jac, x: np.ndarray, y: np.ndarray, starts: list[np.ndarray]):
+    """Levenberg-Marquardt on the residual ``y - predict_rows(make(p), None, x)``
+    with its analytic Jacobian ``jac(p, x)``, from every start, each allowed
+    ``_MAX_ITER`` evaluations per parameter and at least three times that.
+
+    Returns ``(make(p), objective, converged)`` for the lowest-cost finite
+    result ``p``: ``objective`` is its summed squared residuals, and
+    ``converged`` says whether the solver met a tolerance.
+    """
+    from scipy.optimize import least_squares
+
+    def residual(p, x):
+        return y - predict_rows(make(p), None, x)[:, 0]
+
+    best = None
+    for p0 in starts:
+        try:
+            res = least_squares(
+                residual, p0, jac, method="lm", ftol=_REL_TOL, xtol=_REL_TOL,
+                max_nfev=_MAX_ITER * max(3, p0.size), args=(x,),
+            )
+        except ValueError:  # residuals not finite at this start
+            continue
+        finite = np.isfinite(res.cost) and np.all(np.isfinite(res.x))
+        if finite and (best is None or res.cost < best.cost):
+            best = res
+    if best is None:
+        raise NonConvergence(f"all {len(starts)} least-squares starts failed")
+    return make(best.x), 2.0 * float(best.cost), bool(best.status > 0)
 
 
-def _exp_starts(x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
-    """Moment-based starts plus sign flips for the exponential family."""
+def _scaled_start(make, x: np.ndarray, y: np.ndarray, shape: tuple) -> np.ndarray:
+    """The start ``(scale, *shape)`` with the least-squares scale of the
+    unit-scale surface ``make((1, *shape))``."""
+    unit = predict_rows(make(np.array([1.0, *shape])), None, x)[:, 0]
+    denom = float(unit @ unit)
+    scale = float(y @ unit) / denom if denom > 0 else float(np.mean(y))
+    return np.array([scale, *shape])
+
+
+def _exp_starts(x: np.ndarray, y: np.ndarray, harmonics: int) -> list[np.ndarray]:
+    """Moment-based rates plus sign flips, each with its least-squares scale."""
     sd = float(np.std(x)) or 1.0
     rates = []
     positive = y > 0
@@ -304,165 +338,111 @@ def _exp_starts(x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
         if np.isfinite(slope) and abs(slope) > 1e-12:
             rates += [slope, -slope, 2 * slope]
     rates += [1.0 / sd, -1.0 / sd, 0.5 / sd, -0.5 / sd, 0.0]
-    starts = []
-    for rate in rates[:8]:
-        weights = _exp_model(x, 1.0, rate)
-        denom = float(weights @ weights)
-        scale = float(y @ weights) / denom if denom > 0 else float(np.mean(y))
-        starts.append(np.array([scale, rate]))
-    return starts
+    return [_scaled_start(_exp_make, x, y, (rate,)) for rate in rates[:8]]
 
 
-def _least_squares(residual, starts, jac, max_nfev: int, family: str):
-    """Levenberg-Marquardt from every start; the lowest-cost finite result
-    as ``(x, objective, converged)`` with ``objective`` the summed squared
-    residuals."""
-    from scipy.optimize import least_squares
-
-    best = None
-    for p0 in starts:
-        try:
-            res = least_squares(
-                residual, p0, jac=jac, method="lm", ftol=_REL_TOL, xtol=_REL_TOL, max_nfev=max_nfev
-            )
-        except ValueError:  # residuals not finite at this start
-            continue
-        if not (np.isfinite(res.cost) and np.all(np.isfinite(res.x))):
-            continue
-        if best is None or res.cost < best.cost:
-            best = res
-    if best is None:
-        raise NonConvergence(f"all {family} starts failed")
-    return best.x, 2.0 * float(best.cost), bool(best.status > 0)
+def _exp_make(p: np.ndarray) -> ExponentialObservable:
+    return ExponentialObservable(scale=float(p[0]), rate=float(p[1]))
 
 
-def _fit_exponential(x, y, starts):
-    def residual(p):
-        return y - _exp_model(x, p[0], p[1])
-
-    def jac(p):
-        ex = _exp_model(x, 1.0, p[1])
-        return np.column_stack([-ex, -p[0] * x * ex])
-
-    (scale, rate), objective, ok = _least_squares(residual, starts, jac, _MAX_ITER * 3, "exponential")
-    return ExponentialObservable(scale=float(scale), rate=float(rate)), objective, ok
+def _exp_jac(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    ex = np.exp(np.clip(p[1] * x, -700.0, 700.0))
+    return np.column_stack([-ex, -p[0] * x * ex])
 
 
-def _trig_design(x, freq, harmonics):
-    k = np.arange(1, harmonics + 1)
-    phase = freq * x[:, None] * k
+def _trig_design(x: np.ndarray, freq: float, harmonics: int) -> np.ndarray:
+    """The amplitude columns 1, cos(k freq x), sin(k freq x) for k = 1..harmonics."""
+    phase = freq * x[:, None] * np.arange(1, harmonics + 1)
     return np.hstack([np.ones((x.shape[0], 1)), np.cos(phase), np.sin(phase)])
 
 
-def _fit_trig(x, y, harmonics, freq_grid):
-    """Profile the amplitudes (linear given the frequency), then polish."""
-    h = harmonics
-
-    def unpack(p):
-        return p[0], p[1 : 1 + h], p[1 + h : 1 + 2 * h], p[1 + 2 * h]
-
-    def residual(p):
-        const, ca, sa, freq = unpack(p)
-        design = _trig_design(x, freq, h)
-        return y - design @ np.concatenate([[const], ca, sa])
-
+def _trig_starts(x: np.ndarray, y: np.ndarray, harmonics: int) -> list[np.ndarray]:
+    """An 8-frequency grid, each with its least-squares (profiled) amplitudes."""
+    base = math.pi / (2.0 * (float(np.std(x)) or 1.0))
     starts = []
-    for freq in freq_grid:
-        amps, *_ = np.linalg.lstsq(_trig_design(x, freq, h), y, rcond=None)
+    for freq in base * np.array([0.25, 0.4, 0.6, 0.8, 1.0, 1.4, 2.0, 3.0]):
+        amps, *_ = np.linalg.lstsq(_trig_design(x, freq, harmonics), y, rcond=None)
         starts.append(np.concatenate([amps, [freq]]))
-    best, objective, ok = _least_squares(
-        residual, starts, "2-point", _MAX_ITER * (2 * h + 2), "trigonometric"
-    )
-    const, ca, sa, freq = unpack(best)
-    if freq < 0:  # canonical orientation: cos is even, sin flips with frequency
-        freq, sa = -freq, -sa
-    params = TrigObservable(const=float(const), cos_amps=ca.copy(), sin_amps=sa.copy(), freq=float(freq))
-    return params, objective, ok
+    return starts
 
 
-def _fit_abs(x, y, starts):
-    """Joint fit of (scale, gain, offset); each (gain, offset) start gets its
-    least-squares scale."""
-    from scipy.special import erf
+def _trig_make(p: np.ndarray) -> TrigObservable:
+    """``p`` is (const, cos_amps, sin_amps, freq), oriented to freq > 0: cos
+    is even, and sin flips with the frequency."""
+    h = (p.size - 2) // 2
+    sin_amps, freq = p[1 + h : 1 + 2 * h], float(p[-1])
+    if freq < 0:
+        sin_amps, freq = -sin_amps, -freq
+    return TrigObservable(const=float(p[0]), cos_amps=p[1 : 1 + h], sin_amps=sin_amps, freq=freq)
 
-    def residual(p):
-        return y - p[0] * abs_F(p[1] * x + p[2])
 
-    def jac(p):
-        a = p[1] * x + p[2]
-        slope = p[0] * erf(a / math.sqrt(2.0))  # s F'(a)
-        return -np.column_stack([abs_F(a), slope * x, slope])
+def _trig_jac(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Negated: the amplitude columns, and sum_k k x (b_k cos(k w x) - a_k sin(k w x))
+    for the frequency w."""
+    h = (p.size - 2) // 2
+    design = _trig_design(x, p[-1], h)
+    cos, sin = design[:, 1 : 1 + h], design[:, 1 + h :]
+    d_freq = x * ((cos * p[1 + h : 1 + 2 * h] - sin * p[1 : 1 + h]) @ np.arange(1.0, h + 1))
+    return -np.column_stack([design, d_freq])
 
-    full_starts = []
-    for gain, offset in starts:
-        shape = abs_F(gain * x + offset)
-        full_starts.append(np.array([float(y @ shape) / float(shape @ shape), gain, offset]))
-    (scale, gain, offset), objective, ok = _least_squares(
-        residual, full_starts, jac, _MAX_ITER * 3, "absolute-value"
-    )
-    if gain < 0:  # F is even: (scale, gain, offset) ~ (scale, -gain, -offset)
+
+def _abs_starts(x: np.ndarray, y: np.ndarray, harmonics: int) -> list[np.ndarray]:
+    """Eight (gain, offset) pairs, each with its least-squares scale."""
+    sd = float(np.std(x)) or 1.0
+    center = -float(np.mean(x))
+    pairs = [(g / sd, b) for g in (1.0, -1.0, 2.0, -2.0) for b in (center / sd, 0.0)]
+    return [_scaled_start(_abs_make, x, y, pair) for pair in pairs]
+
+
+def _abs_make(p: np.ndarray) -> AbsObservable:
+    """``p`` is (scale, gain, offset), oriented to gain > 0: F is even."""
+    scale, gain, offset = (float(v) for v in p)
+    if gain < 0:
         gain, offset = -gain, -offset
-    return AbsObservable(scale=float(scale), gain=float(gain), offset=float(offset)), objective, ok
+    return AbsObservable(scale=scale, gain=gain, offset=offset)
 
 
-def nls_fit(
-    data: Dataset,
-    family: str,
-    init_strategy="auto",
-    harmonics: int = 1,
-) -> FittedModel:
-    """Least squares over the transformed-parameter space of a nonlinear family.
+def _abs_jac(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    a = p[1] * x + p[2]
+    slope = p[0] * _erf()(a / math.sqrt(2.0))  # s F'(a)
+    return -np.column_stack([abs_F(a), slope * x, slope])
 
-    Runs a deterministic multi-start protocol (moment-based starts plus sign
-    flips, or the starts supplied through ``init_strategy``) and keeps the
-    best local minimizer.  Every family runs the same damped Gauss-Newton
-    (Levenberg-Marquardt) least squares from each start, with an analytic
-    Jacobian for the exponential and absolute-value families and forward
-    differences for the trigonometric one.  ``objective`` is the summed
-    squared residuals of the returned parameters.
-    """
+
+# Each nonlinear family's starts(x, y, harmonics), make and jac for
+# _least_squares.  Every other family is linear in its coefficients and
+# fitted by ols_fit.  Only the NLS fits (and naive_ols_abs) load scipy.
+_NLS_FITS = {
+    "exponential": (_exp_starts, _exp_make, _exp_jac),
+    "trigonometric": (_trig_starts, _trig_make, _trig_jac),
+    "absolute_value": (_abs_starts, _abs_make, _abs_jac),
+}
+NLS_FAMILIES = tuple(_NLS_FITS)
+
+
+def nls_fit(data: Dataset, family: str, harmonics: int = 1) -> FittedModel:
+    """Least squares of the observable regression ``predict_rows(params, None, x)``
+    of a nonlinear family, from its deterministic starts (:func:`_least_squares`);
+    ``harmonics`` sizes the trigonometric fit.  ``objective`` is the summed
+    squared residuals of the returned parameters, and ``converged`` a bool."""
     if data.x.shape[1] != 1 or data.y.shape[1] != 1:
         raise DimensionError("nonlinear families are scalar in x and y")
-    x, y = data.x[:, 0], data.y[:, 0]
-    n = data.n
-    if family not in NLS_FAMILIES:
+    if family not in _NLS_FITS:
         raise InvalidInput(f"nls_fit does not handle family {family!r}")
+    n = data.n
     if n < min_sample_size(family, harmonics=harmonics):
         raise InsufficientData("too few observations for the parameter count")
 
-    if family == "exponential":
-        starts = _exp_starts(x, y) if init_strategy == "auto" else [np.asarray(s, float) for s in init_strategy]
-        params, objective, ok = _fit_exponential(x, y, starts)
-    elif family == "trigonometric":
-        if init_strategy == "auto":
-            base = math.pi / (2.0 * (float(np.std(x)) or 1.0))
-            freq_grid = base * np.array([0.25, 0.4, 0.6, 0.8, 1.0, 1.4, 2.0, 3.0])
-        else:
-            freq_grid = np.asarray(init_strategy, dtype=float)
-        params, objective, ok = _fit_trig(x, y, harmonics, freq_grid)
-    else:
-        if init_strategy == "auto":
-            sd = float(np.std(x)) or 1.0
-            center = -float(np.mean(x))
-            starts = [
-                np.array([g / sd, b])
-                for g in (1.0, -1.0, 2.0, -2.0)
-                for b in (center / sd, 0.0)
-            ]
-        else:
-            starts = [np.asarray(s, float) for s in init_strategy]
-        params, objective, ok = _fit_abs(x, y, starts)
-
-    moments = _moments(data.y, data.x, data.x)  # the raw surrogate as the only regressor
+    starts, make, jac = _NLS_FITS[family]
+    x, y = data.x[:, 0], data.y[:, 0]
+    params, objective, ok = _least_squares(make, jac, x, y, starts(x, y, harmonics))
     resid = y - predict_rows(params, None, data.x)[:, 0]
-    resid_moment = np.array([[float(resid @ resid) / n]])
     return FittedModel(
         family=family,
         params=params,
-        residual_moment=resid_moment,
-        moments=moments,
+        residual_moment=np.array([[float(resid @ resid) / n]]),
+        moments=_moments(data.y, data.x, data.x),  # the raw surrogate as the only regressor
         n=n,
-        objective=float(objective),
+        objective=objective,
         converged=ok,
     )
 

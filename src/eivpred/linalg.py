@@ -21,6 +21,11 @@ __all__ = [
     "min_eigenvalue",
 ]
 
+# Rank and PSD tolerances per matrix dimension, relative to the largest
+# eigenvalue (or diagonal entry); exact powers of two.
+_RANK_TOL = np.finfo(float).eps
+_PSD_TOL = 16 * np.finfo(float).eps
+
 
 def as_symmetric(a, *, name: str = "matrix") -> np.ndarray:
     """Validate and return a square symmetric float array, or a ``(..., p, p)``
@@ -47,38 +52,32 @@ def as_symmetric(a, *, name: str = "matrix") -> np.ndarray:
     return 0.5 * (m + mt)
 
 
-def pinv(a, rank_tol: float | None = None) -> np.ndarray:
+def pinv(a) -> np.ndarray:
     """Moore-Penrose pseudo-inverse of a symmetric matrix, or of each matrix
     in a ``(..., p, p)`` stack.
 
     Computed by symmetric eigendecomposition; eigenvalues with
-    ``|lam| <= rank_tol * max|lam|`` (per matrix) are treated as zero.
-    ``rank_tol`` defaults to ``dim * machine epsilon``.
+    ``|lam| <= dim * _RANK_TOL * max|lam|`` (per matrix) are treated as zero.
     """
     m = as_symmetric(a)
-    if rank_tol is None:
-        rank_tol = m.shape[-1] * np.finfo(float).eps
-    if rank_tol < 0:
-        raise InvalidMatrix("rank_tol must be nonnegative")
     w, v = np.linalg.eigh(m)
-    cutoff = rank_tol * np.abs(w).max(axis=-1, keepdims=True)
+    cutoff = m.shape[-1] * _RANK_TOL * np.abs(w).max(axis=-1, keepdims=True)
     inv_w = np.where(np.abs(w) > cutoff, 1.0 / np.where(w == 0, 1.0, w), 0.0)
     out = (v * inv_w[..., None, :]) @ v.swapaxes(-1, -2)
     return 0.5 * (out + out.swapaxes(-1, -2))
 
 
-def sym_sqrt(a, rank_tol: float | None = None) -> np.ndarray:
+def sym_sqrt(a) -> np.ndarray:
     """Symmetric square root S of a PSD matrix, with S @ S == a, or of each
     matrix in a ``(..., p, p)`` stack.
 
-    Eigenvalues within ``-rank_tol * max(lam)`` of zero are clamped to 0;
-    anything more negative, in any matrix of a stack, raises NotPSD.
+    Eigenvalues within ``dim * _PSD_TOL * max(lam, 1)`` below zero are
+    clamped to 0; anything more negative, in any matrix of a stack, raises
+    NotPSD.
     """
     m = as_symmetric(a)
-    if rank_tol is None:
-        rank_tol = m.shape[-1] * np.finfo(float).eps * 16
     w, v = np.linalg.eigh(m)
-    floor = -rank_tol * np.maximum(w.max(axis=-1), 1.0)
+    floor = -(m.shape[-1] * _PSD_TOL) * np.maximum(w.max(axis=-1), 1.0)
     low = w.min(axis=-1)
     bad = low < floor
     if bad.any():
@@ -88,7 +87,7 @@ def sym_sqrt(a, rank_tol: float | None = None) -> np.ndarray:
     return 0.5 * (out + out.swapaxes(-1, -2))
 
 
-def cholesky_psd(a, rank_tol: float | None = None) -> np.ndarray:
+def cholesky_psd(a) -> np.ndarray:
     """Lower factor L with L @ L.T == a for PSD input.
 
     Positive definite input uses the standard Cholesky factorization.  For
@@ -103,10 +102,9 @@ def cholesky_psd(a, rank_tol: float | None = None) -> np.ndarray:
     except np.linalg.LinAlgError:
         pass
     d = m.shape[0]
-    if rank_tol is None:
-        rank_tol = d * np.finfo(float).eps * 16
+    tol = d * _PSD_TOL
     scale = max(np.max(np.abs(np.diag(m))), 1.0)
-    if np.min(np.diag(m)) < -rank_tol * scale:
+    if np.min(np.diag(m)) < -tol * scale:
         raise NotPSD("diagonal has a negative entry beyond tolerance")
     # outer-product Cholesky with diagonal pivoting; stops at numerical rank
     work = m.copy()
@@ -120,8 +118,8 @@ def cholesky_psd(a, rank_tol: float | None = None) -> np.ndarray:
             low[[k, j], :k] = low[[j, k], :k]
             perm[[k, j]] = perm[[j, k]]
         piv = work[k, k]
-        if piv <= rank_tol * scale:
-            if piv < -rank_tol * scale:
+        if piv <= tol * scale:
+            if piv < -tol * scale:
                 raise NotPSD("pivot became negative beyond tolerance")
             break
         low[k, k] = np.sqrt(piv)

@@ -107,23 +107,23 @@ class ZDistribution:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    def violations(self) -> list[str]:
-        out = []
+    def violations(self) -> list[tuple[str, bool]]:
+        """``(message, blocking)`` per violated assumption; only a singular
+        covariance can still be sampled."""
         if self.kind not in self.KINDS:
-            out.append(f"unknown z distribution kind {self.kind!r}")
-            return out
+            return [(f"unknown z distribution kind {self.kind!r}", True)]
         q = self.dim
         if self.cov.shape != (q, q):
-            out.append("z covariance shape does not match z mean")
-            return out
+            return [("z covariance shape does not match z mean", True)]
+        out = []
         if np.max(np.abs(self.cov - self.cov.T), initial=0.0) > 0:
-            out.append("z covariance not symmetric")
+            out.append(("z covariance not symmetric", True))
         if q >= 1 and min_eigenvalue(self.cov) <= 0:
-            out.append("z covariance singular (assumption: Cov(z) nonsingular)")
+            out.append(("z covariance singular (assumption: Cov(z) nonsingular)", False))
         if self.kind != "gaussian" and q >= 1:
             off = self.cov - np.diag(np.diag(self.cov))
             if np.max(np.abs(off)) > 0:
-                out.append(f"{self.kind} z distribution requires diagonal covariance")
+                out.append((f"{self.kind} z distribution requires diagonal covariance", True))
         return out
 
 
@@ -510,7 +510,7 @@ def _z_violations(spec, q: int) -> list[tuple[str, bool]]:
         return [("z distribution required when z slopes are present", True)]
     if spec.z_dist.dim != q:
         return [("z distribution dimension does not match z slopes", True)]
-    return [(v, "singular" not in v) for v in spec.z_dist.violations()]
+    return spec.z_dist.violations()
 
 
 # ---------------------------------------------------------------------------

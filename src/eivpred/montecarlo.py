@@ -91,9 +91,9 @@ class ExperimentConfig:
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "region_kinds", tuple(self.region_kinds))
         if self.replications < 1:
-            raise InvalidInput("replications must be >= 1")
-        if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
-            raise InvalidInput("n_grid must be strictly ascending")
+            raise SpecError(["replications must be >= 1"])
+        if not self.n_grid or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
+            raise SpecError([f"n_grid must be non-empty and strictly ascending, got {list(self.n_grid)}"])
 
 
 @dataclass(eq=False)
@@ -458,7 +458,7 @@ def run_consistency(cfg: ExperimentConfig) -> McReport:
 
 def _check_regions(cfg: ExperimentConfig) -> None:
     """Reject region settings that would fail every replication."""
-    problems = []
+    problems = [f"{name} must be non-empty" for name in ("alphas", "region_kinds") if not getattr(cfg, name)]
     if not all(0 < alpha < 1 for alpha in cfg.alphas):
         problems.append(f"alphas must lie in (0, 1), got {list(cfg.alphas)}")
     unknown = [kind for kind in cfg.region_kinds if kind not in REGION_KINDS]

@@ -93,6 +93,15 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
         assert "not PSD" in capsys.readouterr().err
 
+    def test_unknown_z_kind_naming_singular_exits_2(self, tmp_path, capsys):
+        spec = dict(linear_spec_dict(), z_dist=dict(linear_spec_dict()["z_dist"], kind="nonsingular"))
+        out = tmp_path / "x"
+        cfg = write_config(tmp_path, "bad.json", {"spec": spec, "n": 10, "seed": 1, "out": str(out)})
+        assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "spec violation: unknown z distribution kind 'nonsingular'"
+        assert not out.with_suffix(".csv").exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -425,6 +434,24 @@ class TestExperiment:
         cfg = self.experiment_config(tmp_path, **extra)
         assert main(["experiment", "--config", cfg]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n_grid", [], "n_grid must be non-empty and strictly ascending, got []"),
+            ("n_grid", [500, 200], "n_grid must be non-empty and strictly ascending, got [500, 200]"),
+            ("alphas", [], "alphas must be non-empty"),
+            ("region_kinds", [], "region_kinds must be non-empty"),
+        ],
+        ids=["empty-n_grid", "descending-n_grid", "empty-alphas", "empty-region_kinds"],
+    )
+    def test_bad_grid_exits_2_with_one_line(self, tmp_path, capsys, field, value, message):
+        cfg = self.experiment_config(tmp_path, **{field: value})
+        assert main(["experiment", "--config", cfg]) == EXIT_CONFIG
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"spec violation: {message}"
         assert not (tmp_path / "report.json").exists()
         assert not (tmp_path / "report.csv").exists()
 

@@ -181,6 +181,31 @@ class TestResidualCovariance:
         assert np.linalg.norm(est - true.residual_cov) <= 0.05 * np.linalg.norm(true.residual_cov)
 
 
+NLS_SPECS = {
+    "exponential": (make_exponential_spec(), 1),
+    "trigonometric": (make_trig_spec(), 2),
+    "absolute_value": (make_abs_spec(), 1),
+}
+
+
+def fit_from(data, family, starts):
+    """The family's table entry for nls_fit, run from ``starts``."""
+    _, make, jac = estimators._NLS_FITS[family]
+    starts = [np.asarray(p0, dtype=float) for p0 in starts]
+    return estimators._least_squares(make, jac, data.x[:, 0], data.y[:, 0], starts)
+
+
+def surface(params, x):
+    """The observable regression of a nonlinear family at ``x``, written out."""
+    if params.family == "exponential":
+        return params.scale * np.exp(params.rate * x)
+    if params.family == "trigonometric":
+        k = np.arange(1, params.cos_amps.size + 1)
+        phase = params.freq * np.outer(x, k)
+        return params.const + np.cos(phase) @ params.cos_amps + np.sin(phase) @ params.sin_amps
+    return params.scale * transform.abs_F(params.gain * x + params.offset)
+
+
 class TestNlsFit:
     def test_noiseless_exponential_recovery(self):
         spec = make_exponential_spec(sigma2_e=0.0, sigma2_delta=0.0, latent_mean=0.0, scale=1.5, rate=0.8)
@@ -192,25 +217,27 @@ class TestNlsFit:
 
     def test_exponential_sign_flipped_start_recovers(self):
         """Sign-flipped starts reach the auto-start minimum: exponential
-        (scale, rate) starts, and absolute-value (gain, offset) starts."""
+        (scale, rate) starts, and absolute-value (gain, offset) starts with
+        their least-squares scale."""
         spec = make_exponential_spec(sigma2_e=0.01, sigma2_delta=0.2, scale=1.2, rate=0.6)
         data = models.sample(spec, 5000, seed=9, keep_hidden=False)
         auto = estimators.nls_fit(data, "exponential")
-        flipped = estimators.nls_fit(
-            data, "exponential", init_strategy=[[-1.2, -0.6], [1.0, 0.3]]
-        )
-        assert flipped.objective == pytest.approx(auto.objective, rel=1e-6)
-        assert flipped.params.rate == pytest.approx(auto.params.rate, rel=1e-4)
+        flipped, objective, _ = fit_from(data, "exponential", [[-1.2, -0.6], [1.0, 0.3]])
+        assert objective == pytest.approx(auto.objective, rel=1e-6)
+        assert flipped.rate == pytest.approx(auto.params.rate, rel=1e-4)
 
         data = models.sample(make_abs_spec(), 5000, seed=9, keep_hidden=False)
         auto = estimators.nls_fit(data, "absolute_value")
-        flipped = estimators.nls_fit(data, "absolute_value", init_strategy=[[-0.7, 1.4], [0.5, -1.0]])
-        assert flipped.converged
-        assert flipped.objective == pytest.approx(auto.objective, rel=1e-6)
+        make = estimators._NLS_FITS["absolute_value"][1]
+        x, y = data.x[:, 0], data.y[:, 0]
+        starts = [estimators._scaled_start(make, x, y, pair) for pair in ((-0.7, 1.4), (0.5, -1.0))]
+        flipped, objective, converged = fit_from(data, "absolute_value", starts)
+        assert converged
+        assert objective == pytest.approx(auto.objective, rel=1e-6)
         for got, want in (
-            (flipped.params.scale, auto.params.scale),
-            (flipped.params.gain, auto.params.gain),
-            (flipped.params.offset, auto.params.offset),
+            (flipped.scale, auto.params.scale),
+            (flipped.gain, auto.params.gain),
+            (flipped.offset, auto.params.offset),
         ):
             assert got == pytest.approx(want, rel=1e-4)
 
@@ -223,12 +250,37 @@ class TestNlsFit:
         assert fit.params.offset == pytest.approx(0.4, abs=1e-8)
         assert fit.converged
 
-    def test_abs_objective_is_the_residual_sum_of_squares(self):
-        data = models.sample(make_abs_spec(), 2000, seed=17, keep_hidden=False)
-        fit = estimators.nls_fit(data, "absolute_value")
-        p = fit.params
-        resid = data.y[:, 0] - p.scale * transform.abs_F(p.gain * data.x[:, 0] + p.offset)
+    @pytest.mark.parametrize("family", estimators.NLS_FAMILIES)
+    def test_objective_is_the_residual_sum_of_squares(self, family):
+        spec, harmonics = NLS_SPECS[family]
+        data = models.sample(spec, 2000, seed=17, keep_hidden=False)
+        fit = estimators.nls_fit(data, family, harmonics=harmonics)
+        resid = data.y[:, 0] - surface(fit.params, data.x[:, 0])
         assert fit.objective == pytest.approx(float(resid @ resid), rel=1e-12)
+        assert fit.residual_moment[0, 0] * data.n == pytest.approx(float(resid @ resid), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "family, harmonics",
+        [("exponential", 1), ("trigonometric", 1), ("trigonometric", 2), ("trigonometric", 3), ("absolute_value", 1)],
+    )
+    def test_jacobian_matches_central_differences(self, family, harmonics):
+        """The analytic Jacobian of each family's residual, at random points
+        (either orientation), equals its central differences."""
+        _, make, jac = estimators._NLS_FITS[family]
+        rng = np.random.default_rng(harmonics)
+        x = rng.standard_normal(60)
+
+        def residual(p):
+            return -transform.predict_rows(make(p), None, x)[:, 0]  # y = 0
+
+        for _ in range(5):
+            p = rng.standard_normal(estimators.min_sample_size(family, harmonics=harmonics) - 1)
+            analytic = jac(p, x)
+            steps = 1e-6 * np.maximum(np.abs(p), 1.0)
+            numeric = np.column_stack(
+                [(residual(p + step) - residual(p - step)) / (2 * step[i]) for i, step in enumerate(np.diag(steps))]
+            )
+            np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-6 * np.abs(analytic).max())
 
     def test_abs_family_matches_transform_at_scale(self):
         spec = make_abs_spec()

@@ -36,13 +36,13 @@ def coverage_config(**overrides):
 
 class TestConfig:
     def test_ascending_grid_required(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(SpecError):
             montecarlo.ExperimentConfig(
                 spec=make_linear_spec(), n_grid=(100, 100), replications=2, master_seed=0
             )
 
     def test_replication_floor(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(SpecError):
             montecarlo.ExperimentConfig(
                 spec=make_linear_spec(), n_grid=(100,), replications=0, master_seed=0
             )
