@@ -19,12 +19,15 @@ replication; six small-n experiments written into the temporary directory
 many replications next to chunks of one, at both thread counts too.  Every output goes to the
 temporary directory, which is removed at the end.
 
-Each output is printed as identical or differing; for a JSON output that
-differs, the largest relative difference between its numbers is printed too.
+Each output is printed as identical or differing; for a JSON or CSV output
+that differs, the largest relative difference between its numbers (for a CSV,
+cell by cell, numeric cells parsed) is printed too.
 Exits 1 on any difference or failed run, 0 otherwise.  The experiments make
 this take a few minutes.
 """
 
+import csv
+import io
 import json
 import math
 import os
@@ -152,18 +155,37 @@ def run_all(tree: Path, out: Path, configs: Path) -> list[str]:
 
 def largest_rel_diff(a, b) -> float:
     """Largest relative difference between corresponding numbers of two JSON
-    values; inf when their structure differs."""
+    values (or two CSV tables, see :func:`csv_cells`); inf when their
+    structure, a string or an infinity differs."""
     if isinstance(a, bool) or isinstance(b, bool):
         return 0.0 if a == b else math.inf
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
         if a == b or (math.isnan(a) and math.isnan(b)):
             return 0.0
+        if not (math.isfinite(a) and math.isfinite(b)):
+            return math.inf
         return abs(a - b) / max(abs(a), abs(b))
     if isinstance(a, dict) and isinstance(b, dict) and list(a) == list(b):
         return max((largest_rel_diff(a[k], b[k]) for k in a), default=0.0)
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         return max((largest_rel_diff(x, y) for x, y in zip(a, b)), default=0.0)
     return 0.0 if a == b else math.inf
+
+
+def csv_cells(text: str) -> list[list]:
+    """The rows of a CSV text, each a list of cells, a cell that parses as a
+    float as that float."""
+
+    def cell(value: str):
+        try:
+            return float(value)
+        except ValueError:
+            return value
+
+    return [[cell(value) for value in row] for row in csv.reader(io.StringIO(text))]
+
+
+PARSERS = {".json": json.loads, ".csv": csv_cells}
 
 
 def main() -> int:
@@ -195,8 +217,9 @@ def main() -> int:
                 continue
             differing += 1
             detail = "missing on one side" if not (old.exists() and new.exists()) else ""
-            if not detail and name.endswith(".json"):
-                diff = largest_rel_diff(json.loads(old.read_text()), json.loads(new.read_text()))
+            parse = PARSERS.get(Path(name).suffix)
+            if not detail and parse:
+                diff = largest_rel_diff(parse(old.read_text()), parse(new.read_text()))
                 detail = f"largest relative difference {diff:.3g}"
             print(f"DIFFERS    {name}" + (f"  ({detail})" if detail else ""))
         for f in failed:

@@ -158,10 +158,18 @@ CONFIG_SCHEMAS = {
 
 
 def _load_config(path: str, command: str) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         config = json.load(fh)
     jsonschema.validate(config, CONFIG_SCHEMAS[command])
     return config
+
+
+def _thread_count(flag: int | None, config: dict) -> int:
+    """``--threads``, else the config's ``threads``, else ``EIVPRED_THREADS``, else 1."""
+    value = flag if flag is not None else config.get("threads", os.environ.get(THREADS_ENV, "1"))
+    if not str(value).isdecimal() or int(value) < 1:
+        raise ValueError(f"--threads or {THREADS_ENV} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _dump(obj, out: str | None) -> None:
@@ -275,7 +283,7 @@ def cmd_experiment(config: dict, args) -> int:
     options.update(
         spec=spec_from_dict(config["spec"]),
         master_seed=args.seed if args.seed is not None else config["master_seed"],
-        threads=args.threads or config.get("threads") or int(os.environ.get(THREADS_ENV, "1")),
+        threads=args.threads,
     )
     cfg = ExperimentConfig(**options)
     check_sample_sizes(cfg)
@@ -351,7 +359,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.config, args.command)
-    except (OSError, json.JSONDecodeError) as exc:
+        if args.command == "experiment":  # the one command that runs threads
+            args.threads = _thread_count(args.threads, config)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON, a bad thread count
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except jsonschema.ValidationError as exc:

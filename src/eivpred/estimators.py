@@ -14,6 +14,7 @@ the bit.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -32,8 +33,9 @@ from .transform import (
     QuadraticObservable,
     TransformedParams,
     TrigObservable,
-    _erf,
-    abs_F,
+    _exp_terms,
+    _folded_normal,
+    _trig_terms,
     power_basis,
     predict_rows,
 )
@@ -288,26 +290,29 @@ _REL_TOL = 1e-12
 _MAX_ITER = 500
 
 
-def _least_squares(make, jac, x: np.ndarray, y: np.ndarray, starts: list[np.ndarray]):
-    """Levenberg-Marquardt on the residual ``y - predict_rows(make(p), None, x)``
-    with its analytic Jacobian ``jac(p, x)``, from every start, each allowed
-    ``_MAX_ITER`` evaluations per parameter and at least three times that.
+def _least_squares(make, evaluate, x: np.ndarray, y: np.ndarray, starts: list[np.ndarray]):
+    """Levenberg-Marquardt (MINPACK) from every start on ``y - values``, each
+    start allowed ``_MAX_ITER`` evaluations per parameter and at least three
+    times that.  ``evaluate(p, x)`` gives the values (those of
+    ``predict_rows(make(p), None, x)`` to the bit) and their Jacobian in ``p``
+    from one set of intermediates; MINPACK asks for the Jacobian at the point
+    it has just evaluated, so each call keeps its last point's pair.
 
     Returns ``(make(p), objective, converged)`` for the lowest-cost finite
-    result ``p``: ``objective`` is its summed squared residuals, and
-    ``converged`` says whether the solver met a tolerance.
+    result ``p``: its summed squared residuals, and whether a tolerance was met.
     """
     from scipy.optimize import least_squares
 
-    def residual(p, x):
-        return y - predict_rows(make(p), None, x)[:, 0]
+    @functools.lru_cache(maxsize=1)  # keyed by the point's bytes: reused only at the same point
+    def evaluated(point: bytes) -> tuple[np.ndarray, np.ndarray]:
+        return evaluate(np.frombuffer(point), x)
 
     best = None
     for p0 in starts:
         try:
             res = least_squares(
-                residual, p0, jac, method="lm", ftol=_REL_TOL, xtol=_REL_TOL,
-                max_nfev=_MAX_ITER * max(3, p0.size), args=(x,),
+                lambda p: y - evaluated(p.tobytes())[0], p0, lambda p: -evaluated(p.tobytes())[1],
+                method="lm", ftol=_REL_TOL, xtol=_REL_TOL, max_nfev=_MAX_ITER * max(3, p0.size),
             )
         except ValueError:  # residuals not finite at this start
             continue
@@ -345,15 +350,9 @@ def _exp_make(p: np.ndarray) -> ExponentialObservable:
     return ExponentialObservable(scale=float(p[0]), rate=float(p[1]))
 
 
-def _exp_jac(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    ex = np.exp(np.clip(p[1] * x, -700.0, 700.0))
-    return np.column_stack([-ex, -p[0] * x * ex])
-
-
-def _trig_design(x: np.ndarray, freq: float, harmonics: int) -> np.ndarray:
-    """The amplitude columns 1, cos(k freq x), sin(k freq x) for k = 1..harmonics."""
-    phase = freq * x[:, None] * np.arange(1, harmonics + 1)
-    return np.hstack([np.ones((x.shape[0], 1)), np.cos(phase), np.sin(phase)])
+def _exp_evaluate(p: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    values, ex = _exp_terms(p[0], p[1], x)
+    return values, np.column_stack([ex, p[0] * x * ex])
 
 
 def _trig_starts(x: np.ndarray, y: np.ndarray, harmonics: int) -> list[np.ndarray]:
@@ -361,7 +360,8 @@ def _trig_starts(x: np.ndarray, y: np.ndarray, harmonics: int) -> list[np.ndarra
     base = math.pi / (2.0 * (float(np.std(x)) or 1.0))
     starts = []
     for freq in base * np.array([0.25, 0.4, 0.6, 0.8, 1.0, 1.4, 2.0, 3.0]):
-        amps, *_ = np.linalg.lstsq(_trig_design(x, freq, harmonics), y, rcond=None)
+        design = _trig_evaluate(np.r_[np.zeros(2 * harmonics + 1), freq], x)[1][:, :-1]  # amplitude columns
+        amps, *_ = np.linalg.lstsq(design, y, rcond=None)
         starts.append(np.concatenate([amps, [freq]]))
     return starts
 
@@ -376,14 +376,14 @@ def _trig_make(p: np.ndarray) -> TrigObservable:
     return TrigObservable(const=float(p[0]), cos_amps=p[1 : 1 + h], sin_amps=sin_amps, freq=freq)
 
 
-def _trig_jac(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Negated: the amplitude columns, and sum_k k x (b_k cos(k w x) - a_k sin(k w x))
-    for the frequency w."""
+def _trig_evaluate(p: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobian: 1, cos(k w x), sin(k w x), and sum_k k x (b_k cos(k w x) - a_k sin(k w x))
+    for the frequency w.  At w < 0 too the values are those of ``_trig_make(p)``."""
     h = (p.size - 2) // 2
-    design = _trig_design(x, p[-1], h)
-    cos, sin = design[:, 1 : 1 + h], design[:, 1 + h :]
-    d_freq = x * ((cos * p[1 + h : 1 + 2 * h] - sin * p[1 : 1 + h]) @ np.arange(1.0, h + 1))
-    return -np.column_stack([design, d_freq])
+    cos_amps, sin_amps = p[1 : 1 + h], p[1 + h : 1 + 2 * h]
+    values, cos, sin = _trig_terms(p[0], cos_amps, sin_amps, p[-1], x)
+    d_freq = x * ((cos * sin_amps - sin * cos_amps) @ np.arange(1.0, h + 1))
+    return values, np.column_stack([np.ones_like(x), cos, sin, d_freq])
 
 
 def _abs_starts(x: np.ndarray, y: np.ndarray, harmonics: int) -> list[np.ndarray]:
@@ -402,19 +402,21 @@ def _abs_make(p: np.ndarray) -> AbsObservable:
     return AbsObservable(scale=scale, gain=gain, offset=offset)
 
 
-def _abs_jac(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    a = p[1] * x + p[2]
-    slope = p[0] * _erf()(a / math.sqrt(2.0))  # s F'(a)
-    return -np.column_stack([abs_F(a), slope * x, slope])
+def _abs_evaluate(p: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """At a negative gain too the values are those of ``_abs_make(p)``: F is even."""
+    mean, erf = _folded_normal(p[1] * x + p[2])
+    slope = p[0] * erf  # s F'(a)
+    return p[0] * mean, np.column_stack([mean, slope * x, slope])
 
 
-# Each nonlinear family's starts(x, y, harmonics), make and jac for
-# _least_squares.  Every other family is linear in its coefficients and
-# fitted by ols_fit.  Only the NLS fits (and naive_ols_abs) load scipy.
+# Each nonlinear family's starts(x, y, harmonics), make and evaluate for
+# _least_squares; evaluate calls the surface helper of predict_rows.  Every other
+# family is linear in its coefficients and fitted by ols_fit.  Only the NLS fits
+# (and naive_ols_abs) load scipy.
 _NLS_FITS = {
-    "exponential": (_exp_starts, _exp_make, _exp_jac),
-    "trigonometric": (_trig_starts, _trig_make, _trig_jac),
-    "absolute_value": (_abs_starts, _abs_make, _abs_jac),
+    "exponential": (_exp_starts, _exp_make, _exp_evaluate),
+    "trigonometric": (_trig_starts, _trig_make, _trig_evaluate),
+    "absolute_value": (_abs_starts, _abs_make, _abs_evaluate),
 }
 NLS_FAMILIES = tuple(_NLS_FITS)
 
@@ -432,14 +434,13 @@ def nls_fit(data: Dataset, family: str, harmonics: int = 1) -> FittedModel:
     if n < min_sample_size(family, harmonics=harmonics):
         raise InsufficientData("too few observations for the parameter count")
 
-    starts, make, jac = _NLS_FITS[family]
+    starts, make, evaluate = _NLS_FITS[family]
     x, y = data.x[:, 0], data.y[:, 0]
-    params, objective, ok = _least_squares(make, jac, x, y, starts(x, y, harmonics))
-    resid = y - predict_rows(params, None, data.x)[:, 0]
+    params, objective, ok = _least_squares(make, evaluate, x, y, starts(x, y, harmonics))
     return FittedModel(
         family=family,
         params=params,
-        residual_moment=np.array([[float(resid @ resid) / n]]),
+        residual_moment=np.array([[objective / n]]),
         moments=_moments(data.y, data.x, data.x),  # the raw surrogate as the only regressor
         n=n,
         objective=objective,

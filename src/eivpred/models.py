@@ -769,19 +769,19 @@ def save_dataset(data: Dataset, spec: ModelSpec, prefix) -> tuple[Path, Path]:
 def load_dataset(prefix) -> tuple[Dataset, ModelSpec]:
     """Read back a dataset written by :func:`save_dataset`.
 
-    Raises :class:`DatasetError` when the sidecar is not JSON, lacks its
-    ``spec``, ``seed`` or ``n``, or gives a ``seed`` or ``n`` that is not an
-    integer, when the CSV does not parse, or when its
+    Raises :class:`DatasetError` when the sidecar is not UTF-8 JSON, lacks
+    its ``spec``, ``seed`` or ``n``, or gives a ``seed`` or ``n`` that is not
+    an integer, when the CSV is not UTF-8 or does not parse, or when its
     header or row count disagrees with what the sidecar's spec implies.
     """
     prefix = Path(prefix)
     csv_path = prefix.with_suffix(".csv")
     json_path = prefix.with_suffix(".spec.json")
     try:
-        with open(json_path) as fh:
+        with open(json_path, encoding="utf-8") as fh:
             sidecar = json.load(fh)
         spec_dict, seed, n = sidecar["spec"], sidecar["seed"], sidecar["n"]
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise DatasetError(f"{json_path}: not valid JSON: {exc}") from None
     except KeyError as exc:
         raise DatasetError(f"{json_path}: missing key {exc}") from None
@@ -792,11 +792,11 @@ def load_dataset(prefix) -> tuple[Dataset, ModelSpec]:
     d, q, m = spec.response_dim, spec.z_dim, spec.latent_dim
     has_hidden = bool(sidecar.get("has_hidden"))
     columns = _csv_header(d, q, m, has_hidden)
-    with open(csv_path) as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if header != columns:
-            raise DatasetError(f"{csv_path}: header {header}, but {json_path} implies {columns}")
-        try:
+    with open(csv_path, encoding="utf-8") as fh:
+        try:  # a ValueError: not UTF-8, or a value or row that does not parse
+            header = fh.readline().rstrip("\n").split(",")
+            if header != columns:
+                raise DatasetError(f"{csv_path}: header {header}, but {json_path} implies {columns}")
             rows = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=float, comments=None)
         except ValueError as exc:
             raise DatasetError(f"{csv_path}: {exc}") from None

@@ -19,7 +19,6 @@ covariance is the Schur complement of Var(x) in the joint covariance.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -409,25 +408,24 @@ def transform_trig(spec: TrigSpec) -> TrigObservable:
     )
 
 
-@functools.cache
-def _erf():
-    """``scipy.special.erf``, imported on first use: scipy.special takes about
-    0.3 s to import, and only the absolute-value family calls it."""
-    from scipy.special import erf
-
-    return erf
-
-
 def abs_F(a):
     """Mean of |g + a| for standard normal g: 2 phi(a) + a (2 Phi(a) - 1).
 
     Even in ``a``; evaluated on the nonnegative branch where every term is
     positive, so there is no cancellation for large |a|.  Vectorized.
     """
-    mag = np.abs(np.asarray(a, dtype=float))
-    pdf = np.exp(-0.5 * mag**2) / np.sqrt(2.0 * np.pi)
-    out = 2.0 * pdf + mag * _erf()(mag / np.sqrt(2.0))
+    out = _folded_normal(np.asarray(a, dtype=float))[0]
     return out if out.ndim else float(out)
+
+
+def _folded_normal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``abs_F(a)`` and its derivative erf(a / sqrt 2), from one erf: erf is odd to the bit."""
+    from scipy.special import erf  # about 0.3 s to import, so loaded on first use
+
+    mag = np.abs(a)
+    pdf = np.exp(-0.5 * mag**2) / np.sqrt(2.0 * np.pi)
+    erf_mag = erf(mag / np.sqrt(2.0))
+    return 2.0 * pdf + mag * erf_mag, np.copysign(erf_mag, a)
 
 
 def transform_abs(spec: AbsSpec) -> AbsObservable:
@@ -464,6 +462,20 @@ def _col(value) -> np.ndarray:
     return np.asarray(value)[..., None]
 
 
+def _exp_terms(scale, rate, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exponential surface scale exp(rate x) and its factor exp(rate x)."""
+    ex = np.exp(np.clip(_col(rate) * xs, -700.0, 700.0))
+    return _col(scale) * ex, ex
+
+
+def _trig_terms(const, cos_amps, sin_amps, freq, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The trigonometric surface, and its columns cos(k freq x) and sin(k freq x)."""
+    phase = np.asarray(freq)[..., None, None] * xs[..., None] * np.arange(1, cos_amps.shape[-1] + 1)
+    cos, sin = np.cos(phase), np.sin(phase)
+    values = _col(const) + (cos @ cos_amps[..., None])[..., 0] + (sin @ sin_amps[..., None])[..., 0]
+    return values, cos, sin
+
+
 def predict_rows(params: TransformedParams, z: Optional[np.ndarray], x: np.ndarray) -> np.ndarray:
     """Vectorized observable-regression values, shape (n, d).
 
@@ -491,14 +503,11 @@ def predict_rows(params: TransformedParams, z: Optional[np.ndarray], x: np.ndarr
     elif isinstance(params, QuadraticObservable):
         out = _col(params.intercept) + _col(params.slope) * xs + _col(params.curvature) * xs**2
     elif isinstance(params, ExponentialObservable):
-        out = _col(params.scale) * np.exp(np.clip(_col(params.rate) * xs, -700.0, 700.0))
+        out = _exp_terms(params.scale, params.rate, xs)[0]
     elif isinstance(params, TrigObservable):
-        k = np.arange(1, params.cos_amps.shape[-1] + 1)
-        phase = np.asarray(params.freq)[..., None, None] * xs[..., None] * k
-        cos_part = (np.cos(phase) @ params.cos_amps[..., None])[..., 0]
-        out = _col(params.const) + cos_part + (np.sin(phase) @ params.sin_amps[..., None])[..., 0]
+        out = _trig_terms(params.const, params.cos_amps, params.sin_amps, params.freq, xs)[0]
     elif isinstance(params, AbsObservable):
-        out = _col(params.scale) * abs_F(_col(params.gain) * xs + _col(params.offset))
+        out = _col(params.scale) * _folded_normal(_col(params.gain) * xs + _col(params.offset))[0]
     else:
         raise InvalidInput(f"unknown parameter container {type(params).__name__}")
     return out[..., None]

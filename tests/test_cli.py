@@ -304,6 +304,21 @@ class TestFitPredict:
         [line] = captured.err.splitlines()
         assert line.startswith(f"i/o error: {sidecar}: ") and message in line
 
+    @pytest.mark.parametrize("suffix", [".csv", ".spec.json"])
+    def test_non_utf8_dataset_file_exits_2_with_one_line(self, tmp_path, capsys, suffix):
+        """A dataset CSV or sidecar that is not UTF-8 is a dataset error."""
+        sim = {"spec": linear_spec_dict(), "n": 200, "seed": 4, "out": str(tmp_path / "ds")}
+        assert main(["simulate", "--config", write_config(tmp_path, "sim.json", sim)]) == EXIT_OK
+        damaged = tmp_path / f"ds{suffix}"
+        damaged.write_bytes(b"\xe9" + damaged.read_bytes())  # a Latin-1 letter: not UTF-8
+        capsys.readouterr()
+        fp = write_config(tmp_path, "fp.json", {"data": str(tmp_path / "ds"), "family": "linear"})
+        assert main(["fit-predict", "--config", fp]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"i/o error: {damaged}: ") and "can't decode byte 0xe9" in line
+
     def test_config_out_is_written(self, tmp_path, capsys):
         out = tmp_path / "sub" / "report.json"
         config = {
@@ -417,6 +432,40 @@ class TestExperiment:
         monkeypatch.setenv("EIVPRED_THREADS", "2")
         cfg = self.experiment_config(tmp_path)
         assert main(["experiment", "--config", cfg]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "flag, env, message",
+        [
+            ("-1", None, "--threads or EIVPRED_THREADS must be a positive integer, got -1"),
+            ("0", None, "--threads or EIVPRED_THREADS must be a positive integer, got 0"),
+            (None, "abc", "--threads or EIVPRED_THREADS must be a positive integer, got 'abc'"),
+            (None, "0", "--threads or EIVPRED_THREADS must be a positive integer, got '0'"),
+        ],
+        ids=["flag_negative", "flag_zero", "env_abc", "env_zero"],
+    )
+    def test_bad_thread_count_exits_2_without_report(self, tmp_path, capsys, monkeypatch, flag, env, message):
+        """Each source of the thread count must give a positive integer, as the
+        config's ``threads`` must; the run stops before any replication."""
+        if env is None:
+            monkeypatch.delenv("EIVPRED_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("EIVPRED_THREADS", env)
+        cfg = self.experiment_config(tmp_path)
+        argv = ["experiment", "--config", cfg] + ([] if flag is None else ["--threads", flag])
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"config error: {message}"]
+        assert not (tmp_path / "report.json").exists()
+
+    def test_non_utf8_config_exits_2_with_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "binary.json"
+        cfg.write_bytes(bytes(range(128, 256)))
+        assert main(["experiment", "--config", str(cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("config error: 'utf-8' codec can't decode byte 0x80")
 
     @pytest.mark.parametrize(
         "field, value, message",

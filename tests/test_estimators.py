@@ -188,11 +188,17 @@ NLS_SPECS = {
 }
 
 
+# each nonlinear family at each harmonic count its fits use in the tests
+NLS_ORDERS = [
+    ("exponential", 1), ("trigonometric", 1), ("trigonometric", 2), ("trigonometric", 3), ("absolute_value", 1)
+]
+
+
 def fit_from(data, family, starts):
     """The family's table entry for nls_fit, run from ``starts``."""
-    _, make, jac = estimators._NLS_FITS[family]
+    _, make, evaluate = estimators._NLS_FITS[family]
     starts = [np.asarray(p0, dtype=float) for p0 in starts]
-    return estimators._least_squares(make, jac, data.x[:, 0], data.y[:, 0], starts)
+    return estimators._least_squares(make, evaluate, data.x[:, 0], data.y[:, 0], starts)
 
 
 def surface(params, x):
@@ -259,28 +265,73 @@ class TestNlsFit:
         assert fit.objective == pytest.approx(float(resid @ resid), rel=1e-12)
         assert fit.residual_moment[0, 0] * data.n == pytest.approx(float(resid @ resid), rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "family, harmonics",
-        [("exponential", 1), ("trigonometric", 1), ("trigonometric", 2), ("trigonometric", 3), ("absolute_value", 1)],
-    )
+    @pytest.mark.parametrize("family, harmonics", NLS_ORDERS)
     def test_jacobian_matches_central_differences(self, family, harmonics):
-        """The analytic Jacobian of each family's residual, at random points
-        (either orientation), equals its central differences."""
-        _, make, jac = estimators._NLS_FITS[family]
+        """The analytic Jacobian that each family's ``evaluate`` returns, at
+        random points (either orientation), equals the central differences of
+        its surface."""
+        _, make, evaluate = estimators._NLS_FITS[family]
         rng = np.random.default_rng(harmonics)
         x = rng.standard_normal(60)
 
-        def residual(p):
-            return -transform.predict_rows(make(p), None, x)[:, 0]  # y = 0
+        def surface_at(p):
+            return transform.predict_rows(make(p), None, x)[:, 0]
 
         for _ in range(5):
             p = rng.standard_normal(estimators.min_sample_size(family, harmonics=harmonics) - 1)
-            analytic = jac(p, x)
+            analytic = evaluate(p, x)[1]
             steps = 1e-6 * np.maximum(np.abs(p), 1.0)
             numeric = np.column_stack(
-                [(residual(p + step) - residual(p - step)) / (2 * step[i]) for i, step in enumerate(np.diag(steps))]
+                [(surface_at(p + step) - surface_at(p - step)) / (2 * step[i]) for i, step in enumerate(np.diag(steps))]
             )
             np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-6 * np.abs(analytic).max())
+
+    @pytest.mark.parametrize("family, harmonics", NLS_ORDERS)
+    def test_evaluate_values_equal_predict_rows_bit_for_bit(self, family, harmonics):
+        """``evaluate(p, x)`` gives the values of ``predict_rows(make(p))`` to
+        the bit, in both orientations: a negative gain (absolute value) or
+        frequency (trigonometric) is flipped by ``make`` but not by ``evaluate``."""
+        _, make, evaluate = estimators._NLS_FITS[family]
+        rng = np.random.default_rng(100 + harmonics)
+        x = 2.0 * rng.standard_normal(500)
+        size = estimators.min_sample_size(family, harmonics=harmonics) - 1
+        flip = {"exponential": 1, "trigonometric": size - 1, "absolute_value": 1}[family]
+        for sign in (1.0, -1.0):
+            for _ in range(20):
+                p = rng.standard_normal(size)
+                p[flip] = sign * abs(p[flip])
+                values = evaluate(p, x)[0]
+                assert values.shape == x.shape
+                want = transform.predict_rows(make(p), None, x)[:, 0]
+                assert values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("family", estimators.NLS_FAMILIES)
+    def test_least_squares_evaluates_each_point_once(self, family):
+        """One ``_least_squares`` run evaluates the family's surface and
+        Jacobian once per distinct point: the Jacobian that MINPACK asks for
+        at the point it has just evaluated comes from that evaluation.  The
+        one exception is scipy's closing Jacobian request at the solution,
+        made after MINPACK returns, which repeats an earlier point when the
+        last trial step was rejected: at most one per start."""
+        spec, harmonics = NLS_SPECS[family]
+        data = models.sample(spec, 500, seed=23, keep_hidden=False)
+        start_rule, make, evaluate = estimators._NLS_FITS[family]
+        x, y = data.x[:, 0], data.y[:, 0]
+        starts = start_rule(x, y, harmonics)
+        points = []
+
+        def counted(p, x):
+            points.append(p.tobytes())
+            return evaluate(p, x)
+
+        fitted, objective, _ = estimators._least_squares(make, counted, x, y, starts)
+        assert len(points) > 3 * len(starts)  # every start took several steps
+        assert all(a != b for a, b in zip(points, points[1:]))
+        assert len(points) - len(set(points)) <= len(starts)
+        # the same fit as with the uncounted evaluation
+        again, again_objective, _ = estimators._least_squares(make, evaluate, x, y, starts)
+        assert objective == again_objective
+        assert models.to_jsonable(fitted) == models.to_jsonable(again)
 
     def test_abs_family_matches_transform_at_scale(self):
         spec = make_abs_spec()

@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -34,3 +36,32 @@ def test_every_traced_layer_function_exists(full_name):
     layer, name = full_name.split(".")
     module = importlib.import_module(f"eivpred.{layer}")
     assert callable(getattr(module, name, None)), f"eivpred.{full_name} is not a callable"
+
+
+def load_compare_outputs():
+    """``scripts/compare_outputs.py``, imported as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
+    spec = importlib.util.spec_from_file_location("compare_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_differing_csv_outputs_are_sized_cell_by_cell():
+    """A differing CSV gets the largest relative difference of its numeric
+    cells, as a JSON output does; a differing text cell, a missing row or an
+    infinity against a number has no size (inf)."""
+    compare = load_compare_outputs()
+    head = "experiment,n,alpha,kind,statistic,value,se\r\n"
+    old = head + "coverage,50,0.05,chebyshev,coverage,0.95,0.01\r\nconsistency,50,,,mse,2.0,\r\n"
+
+    def size(new: str) -> float:
+        return compare.largest_rel_diff(compare.csv_cells(old), compare.csv_cells(new))
+
+    assert compare.csv_cells(old)[1] == ["coverage", 50.0, 0.05, "chebyshev", "coverage", 0.95, 0.01]
+    assert size(old) == 0.0
+    assert size(old.replace("2.0,", "2.5,")) == pytest.approx(0.2)
+    assert size(old.replace("0.95", "0.9500000001")) == pytest.approx(0.1 / 0.95 * 1e-9)
+    assert size(old.replace("chebyshev", "chi_square")) == math.inf
+    assert size(old.replace("2.0,", "inf,")) == math.inf
+    assert size(old.rsplit("consistency", 1)[0]) == math.inf
