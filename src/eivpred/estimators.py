@@ -291,37 +291,42 @@ _MAX_ITER = 500
 
 
 def _least_squares(make, evaluate, x: np.ndarray, y: np.ndarray, starts: list[np.ndarray]):
-    """Levenberg-Marquardt (MINPACK) from every start on ``y - values``, each
-    start allowed ``_MAX_ITER`` evaluations per parameter and at least three
-    times that.  ``evaluate(p, x)`` gives the values (those of
-    ``predict_rows(make(p), None, x)`` to the bit) and their Jacobian in ``p``
-    from one set of intermediates; MINPACK asks for the Jacobian at the point
-    it has just evaluated, so each call keeps its last point's pair.
+    """Levenberg-Marquardt from every start on ``y - values``: MINPACK's
+    ``lmder`` through ``scipy.optimize.leastsq``, with its own column scaling,
+    gradient tolerance 1e-8, and ``_MAX_ITER`` evaluations per parameter and
+    at least three times that for each start.  ``evaluate(p, x)`` gives the
+    values (those of ``predict_rows(make(p), None, x)`` to the bit) and their
+    Jacobian in ``p`` from one set of intermediates; MINPACK asks for the
+    Jacobian at the point it has just evaluated, so each call keeps its last
+    point's pair, and every point is evaluated once.  A start whose residuals
+    are not finite is skipped.
 
     Returns ``(make(p), objective, converged)`` for the lowest-cost finite
     result ``p``: its summed squared residuals, and whether a tolerance was met.
     """
-    from scipy.optimize import least_squares
+    from scipy.optimize import leastsq
 
     @functools.lru_cache(maxsize=1)  # keyed by the point's bytes: reused only at the same point
     def evaluated(point: bytes) -> tuple[np.ndarray, np.ndarray]:
-        return evaluate(np.frombuffer(point), x)
+        values, jac = evaluate(np.frombuffer(point), x)
+        return y - values, jac
 
     best = None
     for p0 in starts:
-        try:
-            res = least_squares(
-                lambda p: y - evaluated(p.tobytes())[0], p0, lambda p: -evaluated(p.tobytes())[1],
-                method="lm", ftol=_REL_TOL, xtol=_REL_TOL, max_nfev=_MAX_ITER * max(3, p0.size),
-            )
-        except ValueError:  # residuals not finite at this start
+        if not np.all(np.isfinite(evaluated(p0.tobytes())[0])):
             continue
-        finite = np.isfinite(res.cost) and np.all(np.isfinite(res.x))
-        if finite and (best is None or res.cost < best.cost):
-            best = res
+        p, _, info, _, ier = leastsq(
+            lambda p: evaluated(p.tobytes())[0], p0, Dfun=lambda p: -evaluated(p.tobytes())[1],
+            full_output=True, ftol=_REL_TOL, xtol=_REL_TOL, gtol=1e-8, maxfev=_MAX_ITER * max(3, p0.size),
+        )
+        resid = info["fvec"]
+        cost = 0.5 * np.dot(resid, resid)
+        if np.isfinite(cost) and np.all(np.isfinite(p)) and (best is None or cost < best[1]):
+            best = p, cost, ier in (1, 2, 3, 4)  # a tolerance was met; 5: evaluations ran out
     if best is None:
         raise NonConvergence(f"all {len(starts)} least-squares starts failed")
-    return make(best.x), 2.0 * float(best.cost), bool(best.status > 0)
+    p, cost, converged = best
+    return make(p), 2.0 * float(cost), converged
 
 
 def _scaled_start(make, x: np.ndarray, y: np.ndarray, shape: tuple) -> np.ndarray:

@@ -769,8 +769,8 @@ def save_dataset(data: Dataset, spec: ModelSpec, prefix) -> tuple[Path, Path]:
 def load_dataset(prefix) -> tuple[Dataset, ModelSpec]:
     """Read back a dataset written by :func:`save_dataset`.
 
-    Raises :class:`DatasetError` when the sidecar is not UTF-8 JSON, lacks
-    its ``spec``, ``seed`` or ``n``, or gives a ``seed`` or ``n`` that is not
+    Raises :class:`DatasetError` when the sidecar is not a UTF-8 JSON object,
+    lacks its ``spec``, ``seed`` or ``n``, or gives a ``seed`` or ``n`` that is not
     an integer, when the CSV is not UTF-8 or does not parse, or when its
     header or row count disagrees with what the sidecar's spec implies.
     """
@@ -780,9 +780,12 @@ def load_dataset(prefix) -> tuple[Dataset, ModelSpec]:
     try:
         with open(json_path, encoding="utf-8") as fh:
             sidecar = json.load(fh)
-        spec_dict, seed, n = sidecar["spec"], sidecar["seed"], sidecar["n"]
     except ValueError as exc:  # not UTF-8, or not JSON
         raise DatasetError(f"{json_path}: not valid JSON: {exc}") from None
+    if not isinstance(sidecar, dict):
+        raise DatasetError(f"{json_path}: must hold a JSON object, got {type(sidecar).__name__}")
+    try:
+        spec_dict, seed, n = sidecar["spec"], sidecar["seed"], sidecar["n"]
     except KeyError as exc:
         raise DatasetError(f"{json_path}: missing key {exc}") from None
     for key, value in (("seed", seed), ("n", n)):

@@ -94,8 +94,8 @@ def _check_point(fit: FittedModel, z0, x0) -> tuple[Optional[np.ndarray], np.nda
         raise DimensionError(f"x0 must have shape {lead + (m,)}")
     if not q:
         return None, x0
-    z0 = np.atleast_1d(np.asarray(z0, dtype=float))
-    if z0.shape != lead + (q,):
+    z0 = None if z0 is None else np.atleast_1d(np.asarray(z0, dtype=float))
+    if z0 is None or z0.shape != lead + (q,):
         raise DimensionError(f"z0 must have shape {lead + (q,)}")
     return z0, x0
 
@@ -123,7 +123,10 @@ def predict_mean(fit: FittedModel, z0, x0, sigma_eps_delta) -> Prediction:
     base = predict_individual(fit, z0, x0)
     m = fit.moments.x_mean.shape[0]
     d = base.point.shape[0]
-    cross = np.asarray(sigma_eps_delta, dtype=float).reshape(d, m)
+    cross = np.asarray(sigma_eps_delta, dtype=float)
+    if cross.size != d * m:
+        raise DimensionError(f"sigma_eps_delta must have shape ({d}, {m}), got {cross.shape}")
+    cross = cross.reshape(d, m)
     x_cov = fit.moments.x_cov
     scale = max(float(np.max(np.abs(x_cov))), 1e-300)
     if min_eigenvalue(x_cov) <= 1e-12 * scale:

@@ -279,6 +279,7 @@ class TestFitPredict:
             (lambda text: json.dumps(dict(json.loads(text), n="abc")), "'n' must be an integer, got 'abc'"),
             (lambda text: json.dumps(dict(json.loads(text), n=200.0)), "'n' must be an integer, got 200.0"),
             (lambda text: json.dumps(dict(json.loads(text), n=True)), "'n' must be an integer, got True"),
+            (lambda text: "[1, 2]", "must hold a JSON object, got list"),
         ],
         ids=[
             "cut_after_first_line",
@@ -289,6 +290,7 @@ class TestFitPredict:
             "n_str",
             "n_float",
             "n_bool",
+            "not_an_object",
         ],
     )
     def test_damaged_sidecar_exits_2_with_one_line(self, tmp_path, capsys, damage, message):
@@ -362,6 +364,25 @@ class TestFitPredict:
         assert captured.err.splitlines() == [
             "spec violation: spec field 'latent_cov' must be a 2-D array, got [1.0]"
         ]
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"predict": [{"x0": [1.5]}]}, "z0 must have shape (1,)"),
+            ({"predict": [{"z0": None, "x0": [1.5]}]}, "z0 must have shape (1,)"),
+            ({"sigma_eps_delta": [0.1, 0.2]}, "sigma_eps_delta must have shape (1, 1), got (2,)"),
+        ],
+        ids=["missing_z0", "null_z0", "sigma_eps_delta_size_2"],
+    )
+    def test_point_that_does_not_fit_exits_3_with_one_line(self, tmp_path, capsys, change, message):
+        """A point or cross-covariance of the wrong shape for the fit is a
+        dimension error, not a NaN prediction or a failed reshape."""
+        config = json.loads((DATA_DIR / "golden_fit_predict_config.json").read_text())
+        config.update(change, data=str(DATA_DIR / "golden_dataset"))
+        assert main(["fit-predict", "--config", write_config(tmp_path, "fp.json", config)]) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize("data", ["golden_dataset", "missing"])
     def test_polynomial_without_degree_exits_2_before_reading_data(self, tmp_path, capsys, data):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eivpred import estimators, models, predictors, transform
-from eivpred.errors import InsufficientData, InvalidInput
+from eivpred.errors import InsufficientData, InvalidInput, NonConvergence
 
 from conftest import (
     make_abs_spec,
@@ -308,11 +308,11 @@ class TestNlsFit:
     @pytest.mark.parametrize("family", estimators.NLS_FAMILIES)
     def test_least_squares_evaluates_each_point_once(self, family):
         """One ``_least_squares`` run evaluates the family's surface and
-        Jacobian once per distinct point: the Jacobian that MINPACK asks for
-        at the point it has just evaluated comes from that evaluation.  The
-        one exception is scipy's closing Jacobian request at the solution,
-        made after MINPACK returns, which repeats an earlier point when the
-        last trial step was rejected: at most one per start."""
+        Jacobian once per distinct point: the finiteness check at a start,
+        leastsq's shape checks and MINPACK's first requests share one
+        evaluation, and the Jacobian that MINPACK asks for at the point it
+        has just evaluated comes from that evaluation.  No point is evaluated
+        twice, in one start or across them."""
         spec, harmonics = NLS_SPECS[family]
         data = models.sample(spec, 500, seed=23, keep_hidden=False)
         start_rule, make, evaluate = estimators._NLS_FITS[family]
@@ -327,11 +327,39 @@ class TestNlsFit:
         fitted, objective, _ = estimators._least_squares(make, counted, x, y, starts)
         assert len(points) > 3 * len(starts)  # every start took several steps
         assert all(a != b for a, b in zip(points, points[1:]))
-        assert len(points) - len(set(points)) <= len(starts)
+        assert len(points) == len(set(points))
         # the same fit as with the uncounted evaluation
         again, again_objective, _ = estimators._least_squares(make, evaluate, x, y, starts)
         assert objective == again_objective
         assert models.to_jsonable(fitted) == models.to_jsonable(again)
+
+    def test_start_with_non_finite_residuals_is_skipped(self):
+        """A start whose residuals overflow is skipped, and the other starts
+        give the fit they give without it."""
+        spec = make_exponential_spec(sigma2_e=0.01, sigma2_delta=0.2, scale=1.2, rate=0.6)
+        data = models.sample(spec, 2000, seed=9, keep_hidden=False)
+        good = [1.0, 0.3]
+        with np.errstate(over="ignore"):
+            assert not np.all(np.isfinite(surface(transform.ExponentialObservable(1e300, 1e3), data.x[:, 0])))
+            got = fit_from(data, "exponential", [[1e300, 1e3], good])
+        want = fit_from(data, "exponential", [good])
+        assert got[1:] == want[1:]
+        assert models.to_jsonable(got[0]) == models.to_jsonable(want[0])
+
+    def test_all_starts_non_finite_raises(self):
+        data = models.sample(make_exponential_spec(), 200, seed=9, keep_hidden=False)
+        with np.errstate(over="ignore"), pytest.raises(NonConvergence, match="all 2 least-squares starts failed"):
+            fit_from(data, "exponential", [[1e300, 1e3], [-1e300, 2e3]])
+
+    def test_evaluation_budget_exhausted_is_not_converged(self, monkeypatch):
+        """One evaluation per parameter, at least three: MINPACK stops on its
+        budget, and the fit says so."""
+        data = models.sample(make_exponential_spec(), 2000, seed=9, keep_hidden=False)
+        assert estimators.nls_fit(data, "exponential").converged
+        monkeypatch.setattr(estimators, "_MAX_ITER", 1)
+        fit = estimators.nls_fit(data, "exponential")
+        assert fit.converged is False
+        assert np.isfinite(fit.objective)
 
     def test_abs_family_matches_transform_at_scale(self):
         spec = make_abs_spec()

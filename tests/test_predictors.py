@@ -89,8 +89,9 @@ class TestPredictIndividual:
                 r"z0 must have shape \(2,\)",
             ),
             (make_exponential_spec, "exponential", None, None, [1.0, 2.0], r"x0 must have shape \(1,\)"),
+            (make_linear_spec, "linear", None, None, [1.0], r"z0 must have shape \(1,\)"),
         ],
-        ids=["linear-m2-scalar-x0", "polynomial-short-z0", "exponential-x0-length-2"],
+        ids=["linear-m2-scalar-x0", "polynomial-short-z0", "exponential-x0-length-2", "linear-missing-z0"],
     )
     def test_point_shape_follows_the_fit(self, spec, family, degree, z0, x0, message):
         data = models.sample(spec(), 400, seed=2, keep_hidden=False)
@@ -113,6 +114,12 @@ class TestPredictMean:
         ind = predictors.predict_individual(fit, [0.3], x0)
         mean = predictors.predict_mean(fit, [0.3], x0, 0.5)
         assert np.allclose(ind.point, mean.point, atol=1e-15)
+
+    @pytest.mark.parametrize("cross", [[0.1, 0.2], []])
+    def test_cross_covariance_of_the_wrong_size(self, linear_spec, cross):
+        fit = fitted(linear_spec)
+        with pytest.raises(DimensionError, match=r"sigma_eps_delta must have shape \(1, 1\)"):
+            predictors.predict_mean(fit, [0.3], [0.5], cross)
 
     def test_converges_to_true_mean_predictor(self):
         spec = make_linear_spec(sigma_eps_delta=[[0.3]])
