@@ -43,6 +43,8 @@ EXIT_RUNTIME = 3
 
 THREADS_ENV = "EIVPRED_THREADS"
 
+_SUITES = {"consistency": run_consistency, "coverage": run_coverage, "abs_failure": run_abs_failure}
+
 _SPEC_SCHEMA = {"type": "object", "required": ["family"], "properties": {"family": {"type": "string"}}}
 _NUMBER_ARRAY = {"type": "array", "items": {"type": "number"}}
 
@@ -135,7 +137,7 @@ CONFIG_SCHEMAS = {
         "required": ["suite", "spec", "n_grid", "replications", "master_seed"],
         "properties": {
             "schema_version": {"type": "integer"},
-            "suite": {"enum": ["consistency", "coverage", "abs_failure"]},
+            "suite": {"enum": list(_SUITES)},
             "spec": _SPEC_SCHEMA,
             "n_grid": {"type": "array", "items": {"type": "integer", "minimum": 1}},
             "replications": {"type": "integer", "minimum": 1},
@@ -187,12 +189,12 @@ def _dump(obj, out: str | None) -> None:
 
 
 def cmd_simulate(config: dict, args) -> int:
-    spec = spec_from_dict(config["spec"])
-    seed = args.seed if args.seed is not None else config["seed"]
-    data = sample(spec, config["n"], seed, keep_hidden=config.get("include_hidden", False))
     out = args.out or config.get("out")
     if not out:
         raise SpecError(["simulate needs an output prefix (config 'out' or --out)"])
+    spec = spec_from_dict(config["spec"])
+    seed = args.seed if args.seed is not None else config["seed"]
+    data = sample(spec, config["n"], seed, keep_hidden=config.get("include_hidden", False))
     csv_path, json_path = save_dataset(data, spec, out)
     sys.stdout.write(f"{csv_path}\n{json_path}\n")
     return EXIT_OK
@@ -250,9 +252,6 @@ def cmd_fit_predict(config: dict, args) -> int:
     return EXIT_OK
 
 
-_SUITES = {"consistency": run_consistency, "coverage": run_coverage, "abs_failure": run_abs_failure}
-
-
 def _evaluate_checks(report, checks: list[dict]) -> list[str]:
     problems = []
     for check in checks:
@@ -278,6 +277,9 @@ def _evaluate_checks(report, checks: list[dict]) -> list[str]:
 
 
 def cmd_experiment(config: dict, args) -> int:
+    out = args.out or config.get("out")
+    if not out:
+        raise SpecError(["experiment needs an output prefix (config 'out' or --out)"])
     # the config keys that name ExperimentConfig fields; absent ones take its defaults
     options = {k: config[k] for k in ExperimentConfig.__dataclass_fields__ if k in config}
     options.update(
@@ -288,9 +290,6 @@ def cmd_experiment(config: dict, args) -> int:
     cfg = ExperimentConfig(**options)
     check_sample_sizes(cfg)
     report = _SUITES[config["suite"]](cfg)
-    out = args.out or config.get("out")
-    if not out:
-        raise SpecError(["experiment needs an output prefix (config 'out' or --out)"])
     json_path, csv_path = report.write(out)
     sys.stdout.write(f"{json_path}\n{csv_path}\n")
     sys.stderr.write(f"elapsed: {report.elapsed_seconds:.2f}s\n")

@@ -1,32 +1,37 @@
-"""Monte Carlo experiment drivers.
+"""Monte Carlo experiment suites.
 
 Turns the asymptotic guarantees of the predictors into finite-sample
 empirical checks: consistency curves for the plug-in predictors, coverage
 tables for the confidence regions, and the head-to-head comparison that
 demonstrates where the naive plug-in predictor fails.
 
-Each driver compiles its experiment once before the replication loop: the
-spec into a validated :class:`~eivpred.models.Sampler` with cached Cholesky
-factors, the fixed-subject conditional law (when requested) into its
-moments and factors, and the region settings into checked values.  Invalid
-specs and region settings therefore raise :class:`~eivpred.errors.SpecError`
-up front instead of failing every replication, and the spec must not be
-mutated while a run is in progress.
+Every suite runs on one skeleton, :func:`_run`.  A suite is a compile
+function, run once before the replication loop: it checks the config and
+compiles the spec into a validated :class:`~eivpred.models.Sampler` with
+cached Cholesky factors, the fixed-subject conditional law (when requested)
+into its moments and factors, and the region settings into checked values,
+so invalid specs and settings raise :class:`~eivpred.errors.SpecError` up
+front instead of failing every replication (and the spec must not be
+mutated while a run is in progress).  It returns ``one``, the outcomes of a
+chunk of replications, and ``rows``, the report rows of one sample size.
+``_run`` owns the rest: the clock, the provenance, the failure entries, one
+``failure_rate`` row per sample size and the trailing log-log slope rows.
 
 The replications of one sample size n run in chunks of
-``max(1, _CHUNK_ROWS // n)``: a chunk's datasets are fitted into one stack
-of fits, a :class:`~eivpred.estimators.FittedModel` whose arrays carry a
-leading axis over the chunk (:func:`~eivpred.estimators.fit_stack`), for
-every family, and its predictions, regions and memberships are computed for
-the whole stack on the one-fit code path.  Each replication still draws
-from its own counter-based seeds, and every stacked quantity equals the
+``max(1, _CHUNK_ROWS // n)``.  The suites that score fitted predictions fit
+a chunk's datasets into one stack of fits, a
+:class:`~eivpred.estimators.FittedModel` whose arrays carry a leading axis
+over the chunk (:func:`~eivpred.estimators.fit_stack`), and compute its
+predictions, regions and memberships for the whole stack on the one-fit
+code path (:func:`_fitted_prediction`).  Each replication still draws from
+its own counter-based seeds, and every stacked quantity equals the
 one-replication value to the bit.  When a chunk raises
 :class:`~eivpred.errors.EivError` it is run again one replication at a time,
-so a failed replication gets the failure row it would get alone.  Chunks are
-dealt to the worker threads in interleaved shares and merged in replication
-order.  So a report is byte-identical for a fixed master seed across worker
-counts and chunkings; wall-clock time is kept out of the serialized payload
-for the same reason.
+so a failed replication gets the failure entry it would get alone.  Chunks
+are dealt to the worker threads in interleaved shares and merged in
+replication order.  So a report is byte-identical for a fixed master seed
+across worker counts and chunkings; wall-clock time is kept out of the
+serialized payload for the same reason.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .errors import EivError, InvalidInput, ReplicationsFailed, SpecError
+from .errors import EivError, ReplicationsFailed, SpecError
 from .estimators import fit_stack, min_sample_size, naive_ols_abs, nls_fit
 from .linalg import cholesky_psd
 from .models import AbsSpec, LinearSpec, ModelSpec, NewSubject, QuadraticSpec, Sampler, spec_to_dict
@@ -258,23 +263,23 @@ def check_sample_sizes(cfg: ExperimentConfig) -> None:
         )
 
 
-def _fitted_prediction(cfg: ExperimentConfig):
-    """``(n_idx, reps) -> (stack, subjects, prediction)``: the fits of a chunk
-    of replications of one sample size as one stack of fits (whose ``[i]``
-    is the fit of replication ``reps[i]``), each replication's subject, and
-    the individual predictions for them, stacked.
+def _fitted_prediction(cfg: ExperimentConfig, score):
+    """``one(n_idx, reps)`` for a suite that scores fitted predictions: it fits
+    a chunk of replications of one sample size as one stack of fits (whose
+    ``[i]`` is the fit of replication ``reps[i]``), draws each replication's
+    subject, predicts for them, and returns ``score(stack, subjects, pred)``,
+    one value per replication.
 
     Compiles the spec into one :class:`Sampler` for the run.  A chunk of one
     replication warns of an ill-conditioned fit right after fitting, as
-    :func:`fit_family` does; a larger chunk leaves that to the driver, which
-    warns once the chunk is kept (a chunk that fails runs again in chunks of
-    one), so each fit warns once."""
+    :func:`fit_family` does; a larger chunk warns only once it is scored (a
+    chunk that fails runs again in chunks of one), so each fit warns once."""
     spec = cfg.spec
     sampler = Sampler(spec)
     draw_subject = _subject_drawer(cfg, sampler)
     degree, harmonics = _fit_size(cfg)
 
-    def replicate(n_idx: int, reps: tuple[int, ...]):
+    def one(n_idx: int, reps: tuple[int, ...]):
         n = cfg.n_grid[n_idx]
         data = [
             sampler.sample(n, derive_seed(cfg.master_seed, 1, n_idx, rep), keep_hidden=False)
@@ -286,9 +291,12 @@ def _fitted_prediction(cfg: ExperimentConfig):
         subjects = [draw_subject(n_idx, rep) for rep in reps]
         z0 = np.array([s.z0 for s in subjects]) if subjects[0].z0.size else None
         pred = predict_individual(stack, z0, np.array([s.x0 for s in subjects]))
-        return stack, subjects, pred
+        scores = score(stack, subjects, pred)
+        if len(reps) > 1:
+            stack.warn_ill_conditioned()
+        return scores
 
-    return replicate
+    return one
 
 
 # A chunk of replications of sample size n holds max(1, _CHUNK_ROWS // n) of
@@ -326,17 +334,17 @@ def _run_tasks(cfg: ExperimentConfig, tasks, worker):
     return results
 
 
-def _replications(cfg: ExperimentConfig, report: McReport, one):
+def _replications(cfg: ExperimentConfig, one):
     """Run ``one(n_idx, reps)``, which returns one value per replication of
     the chunk ``reps``, for every chunk on the pool; then yield
-    ``(n, results)`` per sample size, in grid order, over the replications
-    that succeeded.
+    ``(n, values, messages)`` per sample size, in grid order: the values of
+    the replications that succeeded (empty where every one failed) and the
+    failure messages of the others.
 
     A chunk that raises :class:`EivError` runs again one replication at a
-    time, and a replication that raises alone becomes a failure row of
-    ``report``; a sample size where every replication failed yields nothing
-    and gets a ``failure_rate`` row of 1.0 instead.  When no replication
-    succeeded at all, raises :class:`ReplicationsFailed` before yielding.
+    time, and a replication that raises alone fails with that message.  When
+    no replication succeeded at all, raises :class:`ReplicationsFailed`
+    before yielding.
     """
 
     def attempt(task):
@@ -355,22 +363,41 @@ def _replications(cfg: ExperimentConfig, report: McReport, one):
         )
     for i, n in enumerate(cfg.n_grid):
         chunk = results[i * cfg.replications : (i + 1) * cfg.replications]
-        report.failures += [{"n": n, "message": value} for ok, value in chunk if not ok]
-        oks = [value for ok, value in chunk if ok]
-        if oks:
-            yield n, oks
-        else:
-            report.rows.append({"n": n, "statistic": "failure_rate", "value": 1.0})
+        yield n, [value for ok, value in chunk if ok], [value for ok, value in chunk if not ok]
 
 
-def _slope(curve: dict[int, float]) -> float:
-    """Log-log slope of the positive values of ``curve`` (n -> value)."""
-    pairs = [(n, v) for n, v in curve.items() if v > 0]
+def _slope(rows: list[dict], statistic: str) -> float:
+    """Log-log slope over n of the positive per-n values of ``statistic``."""
+    pairs = [(r["n"], r["value"]) for r in rows if r["statistic"] == statistic and r["value"] > 0]
     if len(pairs) < 2:
         return float("nan")
     logs_n = np.log([p[0] for p in pairs])
     logs_v = np.log([p[1] for p in pairs])
     return float(np.polyfit(logs_n, logs_v, 1)[0])
+
+
+def _run(cfg: ExperimentConfig, experiment: str, compile, slopes=()) -> McReport:
+    """Run one suite and report it.
+
+    ``compile(cfg)`` checks the config, computes the per-spec invariants
+    once and returns ``(one, rows)``: ``one(n_idx, reps)`` gives one outcome
+    per replication of a chunk (see :func:`_replications`), ``rows(n, oks)``
+    the rows of sample size n from its successful outcomes.  Every n then
+    gets a ``failure_rate`` row, last, and the report ends with one row
+    ``{"statistic": name, "value": slope}`` per ``(name, statistic)`` in
+    ``slopes``: the log-log slope of that per-n statistic.
+    """
+    t0 = time.perf_counter()
+    one, rows = compile(cfg)
+    report = McReport(experiment, provenance=_provenance(cfg, experiment))
+    for n, oks, messages in _replications(cfg, one):
+        report.failures += [{"n": n, "message": message} for message in messages]
+        if oks:
+            report.rows += rows(n, oks)
+        report.rows.append({"n": n, "statistic": "failure_rate", "value": 1.0 - len(oks) / cfg.replications})
+    report.rows += [{"statistic": name, "value": _slope(report.rows, stat)} for name, stat in slopes]
+    report.elapsed_seconds = time.perf_counter() - t0
+    return report
 
 
 def _check_fit_size(cfg: ExperimentConfig) -> None:
@@ -384,25 +411,12 @@ def _check_fit_size(cfg: ExperimentConfig) -> None:
 
 
 # ---------------------------------------------------------------------------
-# drivers
+# suites: a compile function for _run each, and the driver that runs it
 # ---------------------------------------------------------------------------
 
 
-def run_consistency(cfg: ExperimentConfig) -> McReport:
-    """Prediction and coefficient errors of the fitted predictor versus the
-    true best predictor, across the sample-size grid."""
-    t0 = time.perf_counter()
-    replicate = _fitted_prediction(cfg)
-    _check_fit_size(cfg)
-    true_params = transform(cfg.spec)
-    true_vec = _coef_vector(true_params)
-    true_norm = float(np.linalg.norm(true_vec))
-    cross = cfg.spec.gaussian_blocks()[2].sigma_eps_delta if cfg.mean_prediction else None
-
-    report = McReport("consistency", provenance=_provenance(cfg, "consistency"))
-
-    def one(n_idx, reps):
-        stack, subjects, pred = replicate(n_idx, reps)
+def _consistency(cfg: ExperimentConfig):
+    def score(stack, subjects, pred):
         out = []
         for i, subject in enumerate(subjects):
             fit = stack[i]
@@ -420,40 +434,28 @@ def run_consistency(cfg: ExperimentConfig) -> McReport:
                     np.linalg.norm(mpred.point - mtrue) / max(float(np.linalg.norm(mtrue)), 1e-12)
                 )
             out.append((err, coef_rel, mean_rel))
-        if len(reps) > 1:
-            stack.warn_ill_conditioned()
         return out
 
-    medians = {}
-    coef_medians = {}
-    for n, oks in _replications(cfg, report, one):
-        errs = np.array([r[0] for r in oks])
-        coefs = np.array([r[1] for r in oks])
-        medians[n] = float(np.median(errs))
-        coef_medians[n] = float(np.median(coefs))
-        report.rows.append(
-            {"n": n, "statistic": "median_abs_prediction_error", "value": medians[n]}
-        )
-        report.rows.append(
-            {"n": n, "statistic": "q90_abs_prediction_error", "value": float(np.quantile(errs, 0.9))}
-        )
-        report.rows.append({"n": n, "statistic": "median_rel_coef_error", "value": coef_medians[n]})
+    one = _fitted_prediction(cfg, score)  # its Sampler checks the spec before transform sees it
+    _check_fit_size(cfg)
+    true_params = transform(cfg.spec)
+    true_vec = _coef_vector(true_params)
+    true_norm = float(np.linalg.norm(true_vec))
+    cross = cfg.spec.gaussian_blocks()[2].sigma_eps_delta if cfg.mean_prediction else None
+
+    def rows(n, oks):
+        errs, coefs, mean_rels = (np.array(column) for column in zip(*oks))
+        out = [
+            {"n": n, "statistic": "median_abs_prediction_error", "value": float(np.median(errs))},
+            {"n": n, "statistic": "q90_abs_prediction_error", "value": float(np.quantile(errs, 0.9))},
+            {"n": n, "statistic": "median_rel_coef_error", "value": float(np.median(coefs))},
+        ]
         if cross is not None:
-            mean_rels = np.array([r[2] for r in oks])
-            report.rows.append(
-                {
-                    "n": n,
-                    "statistic": "median_rel_mean_prediction_error",
-                    "value": float(np.median(mean_rels)),
-                }
-            )
-        report.rows.append(
-            {"n": n, "statistic": "failure_rate", "value": 1.0 - len(oks) / cfg.replications}
-        )
-    report.rows.append({"statistic": "prediction_error_loglog_slope", "value": _slope(medians)})
-    report.rows.append({"statistic": "coef_error_loglog_slope", "value": _slope(coef_medians)})
-    report.elapsed_seconds = time.perf_counter() - t0
-    return report
+            value = float(np.median(mean_rels))
+            out.append({"n": n, "statistic": "median_rel_mean_prediction_error", "value": value})
+        return out
+
+    return one, rows
 
 
 def _check_regions(cfg: ExperimentConfig) -> None:
@@ -473,66 +475,36 @@ def _check_regions(cfg: ExperimentConfig) -> None:
         raise SpecError(problems)
 
 
-def run_coverage(cfg: ExperimentConfig) -> McReport:
-    """Empirical coverage of the requested regions at each (n, alpha)."""
-    t0 = time.perf_counter()
+def _coverage(cfg: ExperimentConfig):
     _check_regions(cfg)
-    replicate = _fitted_prediction(cfg)
-    report = McReport("coverage", provenance=_provenance(cfg, "coverage"))
+    cells = [(kind, alpha) for kind in cfg.region_kinds for alpha in cfg.alphas]
 
-    def one(n_idx, reps):
-        stack, subjects, pred = replicate(n_idx, reps)
+    def score(stack, subjects, pred):
         y0 = np.array([s.y0 for s in subjects])
-        inside = {
-            (kind, alpha): region_contains(
+        inside = [
+            region_contains(
                 build_region(kind, stack, pred, alpha, purely_normal=cfg.purely_normal, k0=cfg.k0), y0
-            )
-            for kind in cfg.region_kinds
-            for alpha in cfg.alphas
-        }
-        if len(reps) > 1:
-            stack.warn_ill_conditioned()
-        return [dict(zip(inside, hits)) for hits in zip(*(h.tolist() for h in inside.values()))]
+            ).tolist()
+            for kind, alpha in cells
+        ]
+        return list(zip(*inside))
 
-    for n, oks in _replications(cfg, report, one):
-        reps = len(oks)
-        for kind in cfg.region_kinds:
-            for alpha in cfg.alphas:
-                p = float(np.mean([h[(kind, alpha)] for h in oks]))
-                se = float(np.sqrt(p * (1.0 - p) / reps))
-                report.rows.append(
-                    {
-                        "n": n,
-                        "alpha": alpha,
-                        "kind": kind,
-                        "statistic": "coverage",
-                        "value": p,
-                        "se": se,
-                    }
-                )
-        report.rows.append(
-            {"n": n, "statistic": "failure_rate", "value": 1.0 - reps / cfg.replications}
-        )
-    report.elapsed_seconds = time.perf_counter() - t0
-    return report
+    def rows(n, oks):
+        out = []
+        for (kind, alpha), hits in zip(cells, zip(*oks)):
+            p = float(np.mean(hits))
+            se = float(np.sqrt(p * (1.0 - p) / len(oks)))
+            out.append({"n": n, "alpha": alpha, "kind": kind, "statistic": "coverage", "value": p, "se": se})
+        return out
+
+    return _fitted_prediction(cfg, score), rows
 
 
-def run_abs_failure(cfg: ExperimentConfig) -> McReport:
-    """Out-of-sample comparison of the folded-normal least-squares predictor
-    against the naive plug-in predictor for the absolute-value family.
-
-    Both predictors are scored against the true best predictor on fresh test
-    subjects; the gap row carries the paired-difference standard error.
-    """
+def _abs_failure(cfg: ExperimentConfig):
     if not isinstance(cfg.spec, AbsSpec):
-        raise InvalidInput("run_abs_failure needs an absolute-value family spec")
-    t0 = time.perf_counter()
+        raise SpecError([f"the abs_failure suite needs an absolute_value spec, got {cfg.spec.family}"])
     sampler = Sampler(cfg.spec)
     true_params = transform(cfg.spec)
-    report = McReport("abs_failure", provenance=_provenance(cfg, "abs_failure"))
-
-    def one(n_idx, reps):
-        return [one_replication(n_idx, rep) for rep in reps]
 
     def one_replication(n_idx, rep):
         data = sampler.sample(
@@ -557,13 +529,37 @@ def run_abs_failure(cfg: ExperimentConfig) -> McReport:
             float(np.std(diff, ddof=1) / np.sqrt(diff.shape[0])),
         )
 
-    ls_curve = {}
-    for n, oks in _replications(cfg, report, one):
+    def rows(n, oks):
         ls_mse, naive_mse, gap, gap_se = (float(np.median(column)) for column in zip(*oks))
-        ls_curve[n] = ls_mse
-        report.rows.append({"n": n, "statistic": "ls_predictor_mse", "value": ls_mse})
-        report.rows.append({"n": n, "statistic": "naive_predictor_mse", "value": naive_mse})
-        report.rows.append({"n": n, "statistic": "mse_gap", "value": gap, "se": gap_se})
-    report.rows.append({"statistic": "ls_mse_loglog_slope", "value": _slope(ls_curve)})
-    report.elapsed_seconds = time.perf_counter() - t0
-    return report
+        return [
+            {"n": n, "statistic": "ls_predictor_mse", "value": ls_mse},
+            {"n": n, "statistic": "naive_predictor_mse", "value": naive_mse},
+            {"n": n, "statistic": "mse_gap", "value": gap, "se": gap_se},
+        ]
+
+    return (lambda n_idx, reps: [one_replication(n_idx, rep) for rep in reps]), rows
+
+
+def run_consistency(cfg: ExperimentConfig) -> McReport:
+    """Prediction and coefficient errors of the fitted predictor versus the
+    true best predictor, across the sample-size grid."""
+    slopes = (
+        ("prediction_error_loglog_slope", "median_abs_prediction_error"),
+        ("coef_error_loglog_slope", "median_rel_coef_error"),
+    )
+    return _run(cfg, "consistency", _consistency, slopes)
+
+
+def run_coverage(cfg: ExperimentConfig) -> McReport:
+    """Empirical coverage of the requested regions at each (n, alpha)."""
+    return _run(cfg, "coverage", _coverage)
+
+
+def run_abs_failure(cfg: ExperimentConfig) -> McReport:
+    """Out-of-sample comparison of the folded-normal least-squares predictor
+    against the naive plug-in predictor for the absolute-value family.
+
+    Both predictors are scored against the true best predictor on fresh test
+    subjects; the gap row carries the paired-difference standard error.
+    """
+    return _run(cfg, "abs_failure", _abs_failure, (("ls_mse_loglog_slope", "ls_predictor_mse"),))

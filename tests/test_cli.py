@@ -102,6 +102,17 @@ class TestSimulate:
         assert line == "spec violation: unknown z distribution kind 'nonsingular'"
         assert not out.with_suffix(".csv").exists()
 
+    def test_missing_output_prefix_exits_2_before_drawing(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the dataset was drawn")
+
+        monkeypatch.setattr(cli, "sample", unreachable)
+        cfg = write_config(tmp_path, "sim.json", {"spec": linear_spec_dict(), "n": 10, "seed": 1})
+        assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "spec violation: simulate needs an output prefix (config 'out' or --out)"
+        ]
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -592,6 +603,27 @@ class TestExperiment:
         assert main(["experiment", "--config", cfg]) == EXIT_CONFIG
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("spec violation: n_grid entries ") and message in line
+
+    def test_missing_output_prefix_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def unreachable(cfg):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setitem(cli._SUITES, "coverage", unreachable)
+        payload = json.loads(Path(self.experiment_config(tmp_path)).read_text())
+        del payload["out"]
+        cfg = write_config(tmp_path, "no_out.json", payload)
+        assert main(["experiment", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "spec violation: experiment needs an output prefix (config 'out' or --out)"
+        ]
+
+    def test_abs_failure_on_another_family_exits_2_with_one_line(self, tmp_path, capsys):
+        cfg = self.experiment_config(tmp_path, suite="abs_failure", replications=2)
+        assert main(["experiment", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "spec violation: the abs_failure suite needs an absolute_value spec, got linear"
+        ]
+        assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize(

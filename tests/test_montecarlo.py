@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from eivpred import estimators, linalg, models, montecarlo, predictors, transform
-from eivpred.errors import InvalidInput, ReplicationsFailed, SpecError
+from eivpred.errors import ReplicationsFailed, SpecError
 
 from conftest import (
     make_abs_spec,
@@ -105,6 +105,38 @@ class TestConsistency:
         assert [r["statistic"] for r in report.rows if r.get("n") == 2] == ["failure_rate"]
         assert report.rows[0] == {"n": 2, "statistic": "failure_rate", "value": 1.0}
         assert report.value("failure_rate", n=200) == 0.0
+
+    @pytest.mark.parametrize(
+        "driver, spec",
+        [
+            (montecarlo.run_consistency, make_linear_spec()),
+            (montecarlo.run_coverage, make_linear_spec()),
+            (montecarlo.run_abs_failure, make_abs_spec()),
+        ],
+    )
+    def test_every_sample_size_ends_with_one_failure_rate_row(self, driver, spec, monkeypatch):
+        """The first n is below the fit's smallest sample, so every replication
+        fails there; at n = 50 replication 1 gets a non-finite response."""
+        poisoned = montecarlo.derive_seed(0, 1, 1, 1)
+
+        class Damaging(models.Sampler):
+            def sample(self, n, seed, *, keep_hidden=True):
+                data = super().sample(n, seed, keep_hidden=keep_hidden)
+                if seed == poisoned:
+                    data.y[0, 0] = np.inf
+                return data
+
+        small = estimators.min_sample_size(spec.family, spec.z_dim, spec.latent_dim) - 1
+        cfg = montecarlo.ExperimentConfig(
+            spec=spec, n_grid=(small, 50, 80), replications=3, master_seed=0, test_subjects=20
+        )
+        monkeypatch.setattr(montecarlo, "Sampler", Damaging)
+        report = driver(cfg)
+        for n, rate in {small: 1.0, 50: 1.0 - 2 / 3, 80: 0.0}.items():
+            statistics = [r["statistic"] for r in report.rows if r.get("n") == n]
+            assert statistics.count("failure_rate") == 1 and statistics[-1] == "failure_rate"
+            assert report.value("failure_rate", n=n) == rate
+        assert [f["n"] for f in report.failures] == [small] * 3 + [50]
 
     @pytest.mark.parametrize(
         "driver, spec",
@@ -284,7 +316,7 @@ class TestAbsFailure:
         cfg = montecarlo.ExperimentConfig(
             spec=make_linear_spec(), n_grid=(100,), replications=1, master_seed=0
         )
-        with pytest.raises(InvalidInput):
+        with pytest.raises(SpecError, match="needs an absolute_value spec, got linear"):
             montecarlo.run_abs_failure(cfg)
 
 

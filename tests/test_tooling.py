@@ -38,6 +38,15 @@ def test_every_traced_layer_function_exists(full_name):
     assert callable(getattr(module, name, None)), f"eivpred.{full_name} is not a callable"
 
 
+def test_every_suite_is_a_callable_named_in_the_experiment_schema():
+    """The benchmark's child wraps each ``cli._SUITES`` value in its timer and
+    tracer, so each must stay a plain callable ``cfg -> McReport``."""
+    from eivpred import cli
+
+    assert all(callable(run) for run in cli._SUITES.values())
+    assert list(cli._SUITES) == cli.CONFIG_SCHEMAS["experiment"]["properties"]["suite"]["enum"]
+
+
 def load_compare_outputs():
     """``scripts/compare_outputs.py``, imported as a module."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
