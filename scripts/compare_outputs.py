@@ -16,8 +16,9 @@ region; two harmonics for the trigonometric fit) for each nonlinear family
 use n >= 1e4 except ``coverage_small_n``, so each of their chunks holds one
 replication; six small-n experiments written into the temporary directory
 (``SMALL_N_EXPERIMENTS``), two of them on nonlinear families, run chunks of
-many replications next to chunks of one, at both thread counts too.  Every output goes to the
-temporary directory, which is removed at the end.
+many replications next to chunks of one, at ``--threads 1``, ``2`` and ``3``
+(three workers split the chunks unevenly: the CLI process and two forked ones).
+Every output goes to the temporary directory, which is removed at the end.
 
 Each output is printed as identical or differing; for a JSON or CSV output
 that differs, the largest relative difference between its numbers (for a CSV,
@@ -136,7 +137,7 @@ def run_all(tree: Path, out: Path, configs: Path) -> list[str]:
         (out / f"{name}.json").write_text(json.dumps(config))
     small_n = [str(configs / f"{name}.json") for name in SMALL_N_EXPERIMENTS]
     for config in EXPERIMENTS + small_n:
-        for threads in ("1", "2"):
+        for threads in ("1", "2", "3") if config in small_n else ("1", "2"):
             name = f"{Path(config).stem}_t{threads}"  # a dot would become the suffix
             runs.append((name, ["experiment", "--config", config, "--threads", threads,
                                 "--out", str(out / name)]))

@@ -325,7 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output path or prefix")
         p.add_argument("--check", action="store_true", help="evaluate acceptance checks")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
+        p.add_argument(
+            "--threads", type=int, default=None, help="experiment workers: this process and forked ones"
+        )
     return parser
 
 
@@ -358,7 +360,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.config, args.command)
-        if args.command == "experiment":  # the one command that runs threads
+        if args.command == "experiment":  # the one command that runs workers
             args.threads = _thread_count(args.threads, config)
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON, a bad thread count
         sys.stderr.write(f"config error: {exc}\n")

@@ -771,8 +771,9 @@ def load_dataset(prefix) -> tuple[Dataset, ModelSpec]:
 
     Raises :class:`DatasetError` when the sidecar is not a UTF-8 JSON object,
     lacks its ``spec``, ``seed`` or ``n``, or gives a ``seed`` or ``n`` that is not
-    an integer, when the CSV is not UTF-8 or does not parse, or when its
-    header or row count disagrees with what the sidecar's spec implies.
+    an integer, when the CSV is not UTF-8 or does not parse, when its
+    header or row count disagrees with what the sidecar's spec implies, or
+    when it holds a value that is not finite (``nan``, ``inf``).
     """
     prefix = Path(prefix)
     csv_path = prefix.with_suffix(".csv")
@@ -807,6 +808,11 @@ def load_dataset(prefix) -> tuple[Dataset, ModelSpec]:
         raise DatasetError(
             f"{csv_path}: {rows.shape[0]} rows of {rows.shape[1]} values, "
             f"but {json_path} gives n = {n} and {len(columns)} columns"
+        )
+    if not np.isfinite(rows).all():
+        row, col = np.argwhere(~np.isfinite(rows))[0]
+        raise DatasetError(
+            f"{csv_path}: line {row + 2}, column {columns[col]}: {rows[row, col]} is not finite"
         )
     # column-major: each block is contiguous, so its column sums are pairwise
     rows = np.asfortranarray(rows)

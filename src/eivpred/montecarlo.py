@@ -28,10 +28,10 @@ its own counter-based seeds, and every stacked quantity equals the
 one-replication value to the bit.  When a chunk raises
 :class:`~eivpred.errors.EivError` it is run again one replication at a time,
 so a failed replication gets the failure entry it would get alone.  Chunks
-are dealt to the worker threads in interleaved shares and merged in
-replication order.  So a report is byte-identical for a fixed master seed
-across worker counts and chunkings; wall-clock time is kept out of the
-serialized payload for the same reason.
+are dealt to the workers, this process and forked copies of it, in
+interleaved shares and merged in replication order.  So a report is
+byte-identical for a fixed master seed across worker counts and chunkings;
+wall-clock time is kept out of the serialized payload for the same reason.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -81,7 +80,7 @@ class ExperimentConfig:
     replications: int
     alphas: tuple[float, ...] = (0.05,)
     master_seed: int = 0
-    threads: int = 1
+    threads: int = 1  # worker processes: this one and threads - 1 forked ones
     region_kinds: tuple[str, ...] = ("chebyshev",)
     purely_normal: bool = False
     k0: Optional[float] = None  # quadratic-interval reliability floor
@@ -317,17 +316,39 @@ def _chunks(cfg: ExperimentConfig) -> list[tuple[int, tuple[int, ...]]]:
     return tasks
 
 
+# The ``(tasks, worker)`` of the pool run in progress.  The forked workers
+# inherit it, so the worker (a closure) is never pickled.
+_JOB = None
+
+
+def _share(j: int, k: int) -> list:
+    tasks, worker = _JOB
+    return [worker(t) for t in tasks[j::k]]
+
+
 def _run_tasks(cfg: ExperimentConfig, tasks, worker):
     """Run ``worker(task)`` over all tasks; results in task order.
 
-    With k > 1 threads, thread j runs every k-th task starting at j, so each
-    thread gets an even share of every sample size, and the waiting main
-    thread wakes (and takes the GIL) k times rather than once per task."""
+    With k > 1 workers, worker j runs every k-th task starting at j, so each
+    gets an even share of every sample size.  Worker 0 is this process; the
+    others are forked for the call, so they inherit ``worker`` and the
+    compiled run it closes over (neither can be pickled), and they send back
+    only their shares' results.  The CLI has no other thread for a fork to
+    cut off.  Without ``fork``, the tasks run here, as with k = 1."""
+    global _JOB
     k = min(cfg.threads, len(tasks))
-    if k <= 1:
+    if k > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+    if k <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         return [worker(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        shares = list(pool.map(lambda j: [worker(t) for t in tasks[j::k]], range(k)))
+    _JOB = tasks, worker
+    try:
+        with ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_share, j, k) for j in range(1, k)]
+            shares = [_share(0, k)] + [f.result() for f in futures]
+    finally:
+        _JOB = None
     results = [None] * len(tasks)
     for j, share in enumerate(shares):
         results[j::k] = share

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -22,6 +25,29 @@ from conftest import (
 )
 
 DATA_DIR = Path(__file__).parent / "data"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# Runs the CLI on sys.argv[2:] with every fit in a forked worker failing as
+# sys.argv[1] says, by raising or by exiting (the fits of this process's own
+# share go through), then prints the exit code and the number of child
+# processes still alive.
+_FAIL_IN_WORKER = """
+import multiprocessing, os, sys
+from eivpred import cli, montecarlo
+
+parent, fit_stack, how = os.getpid(), montecarlo.fit_stack, sys.argv[1]
+
+def failing(*args, **kwargs):
+    if os.getpid() != parent:
+        if how == "exit":
+            os._exit(1)
+        raise RuntimeError("a defect in a worker")
+    return fit_stack(*args, **kwargs)
+
+montecarlo.fit_stack = failing
+code = cli.main(sys.argv[2:])
+print(code, len(multiprocessing.active_children()))
+"""
 
 
 def linear_spec_dict():
@@ -262,8 +288,16 @@ class TestFitPredict:
             (lambda lines: lines[:7] + [lines[7] + "x"] + lines[8:], "could not convert"),
             (lambda lines: lines[:7] + [lines[7].rsplit(",", 1)[0]] + lines[8:], "number of columns"),
             (lambda lines: ["y_1,x_1,z_1"] + lines[1:], "header ['y_1', 'x_1', 'z_1']"),
+            (
+                lambda lines: lines[:7] + ["nan," + lines[7].split(",", 1)[1]] + lines[8:],
+                "line 8, column y_1: nan is not finite",
+            ),
+            (
+                lambda lines: lines[:9] + [lines[9].rsplit(",", 1)[0] + ",-inf"] + lines[10:],
+                "line 10, column x_1: -inf is not finite",
+            ),
         ],
-        ids=["truncated", "non_numeric", "short_row", "header"],
+        ids=["truncated", "non_numeric", "short_row", "header", "nan_response", "inf_covariate"],
     )
     def test_damaged_dataset_exits_2_with_one_line(self, tmp_path, capsys, damage, message):
         sim = {"spec": linear_spec_dict(), "n": 200, "seed": 4, "out": str(tmp_path / "ds")}
@@ -580,6 +614,31 @@ class TestExperiment:
         assert err.splitlines() == [
             "error: all 3 replications failed; first failure: no linear fit at n = 20"
         ]
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "how, line",
+        [
+            ("raise", "internal error: RuntimeError: a defect in a worker"),
+            (
+                "exit",
+                "internal error: BrokenProcessPool: A process in the process pool was terminated "
+                "abruptly while the future was running or pending.",
+            ),
+        ],
+    )
+    def test_a_failing_worker_process_exits_3_with_one_line(self, tmp_path, how, line):
+        """A worker's failure reaches the CLI as one line; the run neither
+        hangs nor leaves a process behind."""
+        cfg = self.experiment_config(tmp_path)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _FAIL_IN_WORKER, how, "experiment", "--config", cfg, "--threads", "2"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.splitlines() == [line]
+        assert done.stdout.split() == [str(EXIT_RUNTIME), "0"]
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eivpred import models
-from eivpred.errors import SpecError
+from eivpred.errors import DatasetError, SpecError
 from eivpred.transform import params_to_dict, transform
 
 from conftest import (
@@ -512,7 +512,13 @@ class TestDatasetFile:
     def test_writer_matches_reference_and_round_trips_bits(self, shape, chunk, data):
         n, d, q, m, hidden = shape
         size = n * (3 * d + q + 3 * m)  # y, z, x and the four hidden blocks
-        values = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, width=64))
+        # half the tables hold finite values only, so that they round-trip;
+        # the others can hold infinities, which are written but refused on reading
+        finite = data.draw(st.booleans())
+        edges = [v for v in _EDGE_FLOATS if np.isfinite(v)] if finite else _EDGE_FLOATS
+        values = st.one_of(
+            st.sampled_from(edges), st.floats(allow_nan=False, allow_infinity=not finite, width=64)
+        )
         table = np.array(data.draw(st.lists(values, min_size=size, max_size=size))).reshape(n, -1)
         blocks = np.split(table, np.cumsum([d, q, m, m, m, d]), axis=1)
         truth = models.HiddenTruth(*blocks[3:7]) if hidden else None
@@ -523,6 +529,12 @@ class TestDatasetFile:
             csv_path, _ = models.save_dataset(written, spec, Path(tmp) / "ds")
             header = models._csv_header(d, q, m, hidden)
             assert csv_path.read_bytes() == _reference_csv(header, table[:, : len(header)])
+            bad = np.argwhere(~np.isfinite(table[:, : len(header)]))
+            if bad.size:
+                row, col = bad[0]
+                with pytest.raises(DatasetError, match=f"line {row + 2}, column {header[col]}: -?inf is"):
+                    models.load_dataset(Path(tmp) / "ds")
+                return
             loaded, _ = models.load_dataset(Path(tmp) / "ds")
         pairs = [(loaded.y, written.y), (loaded.z, written.z), (loaded.x, written.x)]
         if hidden:

@@ -260,23 +260,36 @@ class TestDeterminism:
         assert a.to_json() == b.to_json()
 
     @pytest.mark.parametrize("threads", [2, 3, 12])
-    def test_pool_runs_each_task_once_in_interleaved_shares(self, threads):
-        import threading
+    def test_pool_runs_each_task_once_in_interleaved_shares(self, threads, tmp_path):
+        """Each task logs its process id to a file, since a forked worker
+        cannot append to this process's lists; the first task of every share
+        waits at a barrier of k parties, so each share must be running in a
+        process of its own."""
+        import multiprocessing
+        import os
 
         tasks = [(0, r) for r in range(10)]
-        ran = []
+        k = min(threads, len(tasks))
+        barrier = multiprocessing.get_context("fork").Barrier(k)
+        log = tmp_path / "ran.txt"
 
         def worker(task):
-            ran.append((task, threading.get_ident()))
+            with open(log, "a") as fh:
+                fh.write(f"{task[1]} {os.getpid()}\n")
+            if task[1] < k:
+                barrier.wait(timeout=60)
             return task[1] ** 2
 
         cfg = coverage_config(replications=10, threads=threads)
         assert montecarlo._run_tasks(cfg, tasks, worker) == [r**2 for r in range(10)]
-        assert sorted(t for t, _ in ran) == tasks
-        k = min(threads, len(tasks))
+        ran = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        assert sorted(r for r, _ in ran) == list(range(10))
         owner = dict(ran)
         for j in range(k):
-            assert len({owner[t] for t in tasks[j::k]}) == 1
+            assert len({owner[r] for _, r in tasks[j::k]}) == 1
+        assert len(set(owner.values())) == k
+        assert owner[0] == os.getpid()
+        assert multiprocessing.active_children() == []
 
     def test_wall_clock_not_serialized(self):
         cfg = coverage_config(replications=50)

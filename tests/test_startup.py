@@ -1,42 +1,43 @@
-"""Which scipy modules a CLI run loads, each checked in a fresh interpreter.
+"""Which scipy modules, and whether multiprocessing, a CLI run loads, each checked in a fresh interpreter.
 
 scipy.optimize and scipy.special take most of a second to import, so they
 are loaded only for the runs that call them, and then before the suite
-driver or the command body starts.
+driver or the command body starts.  multiprocessing is loaded only by an
+experiment that runs on more than one worker, and only once its suite
+driver has started.
 """
 
 import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from eivpred import models
 
 from conftest import make_abs_spec, make_exponential_spec, make_poly_spec
-from test_cli import linear_spec_dict, write_config
+from test_cli import SRC, linear_spec_dict, write_config
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-# Prints, as JSON, the scipy modules loaded after running the CLI on the
-# arguments in sys.argv, and those loaded when the suite driver was entered.
+# Prints, as JSON, the watched modules (multiprocessing and the scipy ones)
+# loaded after running the CLI on the arguments in sys.argv, and those loaded
+# when the suite driver was entered.
 _RUN_CLI = """
 import json, sys
 from eivpred import cli
 
-def scipy_modules():
-    return sorted(m for m in ("scipy.optimize", "scipy.special") if m in sys.modules)
+def watched_modules():
+    watched = ("multiprocessing", "scipy.optimize", "scipy.special")
+    return sorted(m for m in watched if m in sys.modules)
 
 entered = []
 for suite, driver in list(cli._SUITES.items()):
     def wrapped(cfg, driver=driver):
-        entered.append(scipy_modules())
+        entered.append(watched_modules())
         return driver(cfg)
     cli._SUITES[suite] = wrapped
 code = cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "loaded": scipy_modules(), "entered": entered}))
+print(json.dumps({"code": code, "loaded": watched_modules(), "entered": entered}))
 """
 
 
@@ -78,6 +79,23 @@ def test_linear_simulate_and_polynomial_consistency_load_no_scipy(tmp_path):
         },
     )
     assert run_cli("experiment", "--config", exp) == {"code": 0, "loaded": [], "entered": [[]]}
+
+
+def test_multiprocessing_is_loaded_only_by_a_pooled_run(tmp_path):
+    assert run_fresh("import sys, eivpred.cli; print('multiprocessing' in sys.modules)") == "False"
+    config = {
+        "suite": "coverage",
+        "spec": linear_spec_dict(),
+        "region_kinds": ["chebyshev"],
+        "n_grid": [200],
+        "replications": 40,  # two chunks of 20
+        "master_seed": 7,
+        "out": str(tmp_path / "report"),
+    }
+    exp = write_config(tmp_path, "exp.json", config)
+    for threads, loaded in (("1", []), ("2", ["multiprocessing"])):
+        result = run_cli("experiment", "--config", exp, "--threads", threads)
+        assert result == {"code": 0, "loaded": loaded, "entered": [[]]}
 
 
 @pytest.mark.parametrize(
