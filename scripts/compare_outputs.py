@@ -67,8 +67,8 @@ SMALL_N_EXPERIMENTS = {
         _SMALL_N, suite="coverage", spec=TRANSFORM_SPECS[0], master_seed=21, alphas=[0.05, 0.5],
         region_kinds=["chebyshev", "chi_square"], fixed_subject=True),
     "small_n_coverage_quadratic_bound": dict(
-        _SMALL_N, suite="coverage", spec=TRANSFORM_SPECS[2], master_seed=22, alphas=[0.1, 0.3],
-        region_kinds=["quadratic_bound", "chebyshev"], k0=0.4),
+        _SMALL_N, suite="coverage", spec=dict(TRANSFORM_SPECS[2], reliability_floor=0.4), master_seed=22,
+        alphas=[0.1, 0.3], region_kinds=["quadratic_bound", "chebyshev"]),
     "small_n_consistency_linear_mean": dict(
         _SMALL_N, suite="consistency", spec=TRANSFORM_SPECS[0], master_seed=23, mean_prediction=True),
     "small_n_consistency_polynomial_mean": dict(

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -41,9 +40,13 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-THREADS_ENV = "EIVPRED_THREADS"
-
 _SUITES = {"consistency": run_consistency, "coverage": run_coverage, "abs_failure": run_abs_failure}
+# the experiment config keys that only some suites read, by the suites that read them
+_SUITE_KEYS = {
+    "consistency": {"fixed_subject", "mean_prediction"},
+    "coverage": {"alphas", "region_kinds", "purely_normal", "fixed_subject"},
+    "abs_failure": {"test_subjects"},
+}
 
 _SPEC_SCHEMA = {"type": "object", "required": ["family"], "properties": {"family": {"type": "string"}}}
 _NUMBER_ARRAY = {"type": "array", "items": {"type": "number"}}
@@ -56,8 +59,10 @@ _REGION_SCHEMA = {
         "kind": {"enum": list(REGION_KINDS)},
         "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
         "purely_normal": {"type": "boolean"},
-        "k0": {"type": "number"},
+        "k0": {"type": "number", "exclusiveMinimum": 0, "maximum": 0.5},
     },
+    "if": {"required": ["kind"], "properties": {"kind": {"const": "quadratic_bound"}}},
+    "then": {"required": ["k0"]},
 }
 
 _CHECK_SCHEMA = {
@@ -143,14 +148,10 @@ CONFIG_SCHEMAS = {
             "replications": {"type": "integer", "minimum": 1},
             "alphas": {"type": "array", "items": {"type": "number"}},
             "master_seed": {"type": "integer"},
-            "threads": {"type": "integer", "minimum": 1},
             "region_kinds": {"type": "array", "items": {"enum": list(REGION_KINDS)}},
             "purely_normal": {"type": "boolean"},
-            "k0": {"type": "number"},
             "fixed_subject": {"type": "boolean"},
             "mean_prediction": {"type": "boolean"},
-            "degree": {"type": "integer", "minimum": 1},
-            "harmonics": {"type": "integer", "minimum": 1},
             "test_subjects": {"type": "integer", "minimum": 2},
             "out": {"type": "string"},
             "checks": {"type": "array", "items": _CHECK_SCHEMA},
@@ -163,15 +164,12 @@ def _load_config(path: str, command: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         config = json.load(fh)
     jsonschema.validate(config, CONFIG_SCHEMAS[command])
+    if command == "experiment":
+        others = set().union(*_SUITE_KEYS.values()) - _SUITE_KEYS[config["suite"]]
+        unread = [key for key in config if key in others]
+        if unread:
+            raise ValueError(f"the {config['suite']} suite does not read {', '.join(unread)}")
     return config
-
-
-def _thread_count(flag: int | None, config: dict) -> int:
-    """``--threads``, else the config's ``threads``, else ``EIVPRED_THREADS``, else 1."""
-    value = flag if flag is not None else config.get("threads", os.environ.get(THREADS_ENV, "1"))
-    if not str(value).isdecimal() or int(value) < 1:
-        raise ValueError(f"--threads or {THREADS_ENV} must be a positive integer, got {value!r}")
-    return int(value)
 
 
 def _dump(obj, out: str | None) -> None:
@@ -218,6 +216,9 @@ def _fit_report(fit) -> dict:
 
 
 def cmd_fit_predict(config: dict, args) -> int:
+    regions = config.get("regions", [])
+    if config["family"] != "quadratic" and any(r["kind"] == "quadratic_bound" for r in regions):
+        raise SpecError(["quadratic_bound regions apply to the quadratic family only"])
     data, _spec = load_dataset(config["data"])
     fit = fit_family(
         data, config["family"], degree=config.get("degree"), harmonics=config.get("harmonics", 1)
@@ -237,14 +238,14 @@ def cmd_fit_predict(config: dict, args) -> int:
         }
         if cross is not None:
             entry["mean"] = predict_mean(fit, z0, x0, cross).point.tolist()
-        for reg_cfg in config.get("regions", []):
+        for reg_cfg in regions:
             region = build_region(
                 reg_cfg["kind"],
                 fit,
                 pred,
                 reg_cfg["alpha"],
                 purely_normal=reg_cfg.get("purely_normal", False),
-                k0=reg_cfg.get("k0", 0.5),
+                k0=reg_cfg.get("k0"),
             )
             entry["regions"].append(to_jsonable(region))
         report["predictions"].append(entry)
@@ -308,26 +309,31 @@ def cmd_experiment(config: dict, args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_FLAGS = {
+    "--seed": dict(type=int, default=None, help="override the config seed"),
+    "--out": dict(default=None, help="output path or prefix"),
+    "--check": dict(action="store_true", help="evaluate acceptance checks"),
+    "--threads": dict(type=int, default=1, help="workers: this process and threads - 1 forked ones"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand accepts only the flags its command reads."""
     parser = argparse.ArgumentParser(
         prog="eivpred",
         description="Prediction in structural errors-in-variables regression models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("simulate", "draw a dataset and write CSV + spec sidecar"),
-        ("transform", "print observable-regression parameters for a spec"),
-        ("fit-predict", "fit a dataset, predict, and build confidence regions"),
-        ("experiment", "run a Monte Carlo experiment suite"),
+    for name, help_text, flags in [
+        ("simulate", "draw a dataset and write CSV + spec sidecar", ("--seed", "--out")),
+        ("transform", "print observable-regression parameters for a spec", ("--out",)),
+        ("fit-predict", "fit a dataset, predict, and build confidence regions", ("--out",)),
+        ("experiment", "run a Monte Carlo experiment suite", ("--seed", "--out", "--check", "--threads")),
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=None, help="output path or prefix")
-        p.add_argument("--check", action="store_true", help="evaluate acceptance checks")
-        p.add_argument(
-            "--threads", type=int, default=None, help="experiment workers: this process and forked ones"
-        )
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -359,10 +365,10 @@ def _scipy_modules(command: str, config: dict) -> list[str]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command == "experiment" and args.threads < 1:
+            raise ValueError(f"--threads must be a positive integer, got {args.threads}")
         config = _load_config(args.config, args.command)
-        if args.command == "experiment":  # the one command that runs workers
-            args.threads = _thread_count(args.threads, config)
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON, a bad thread count
+    except (OSError, ValueError) as exc:  # ValueError: bad --threads, not UTF-8, not JSON, or unread keys
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except jsonschema.ValidationError as exc:

@@ -108,21 +108,12 @@ class FittedModel:
         :func:`nls_fit` returns it."""
         return _take(self, i)
 
-    @property
+    @functools.cached_property
     def region_shape(self) -> tuple[np.ndarray, tuple[str, ...]]:
         """Symmetric square root of the pseudo-inverted residual moment, shared
         by every ellipsoidal region on this fit, plus a note when that moment
-        is near-singular.  Computed on first use, once per fit or stack.
-
-        Cached in the instance by hand: before Python 3.12,
-        ``functools.cached_property`` holds one lock shared by every instance
-        of the class, so pool threads working on different fits would queue
-        on it around the LAPACK calls."""
-        cached = self.__dict__.get("_region_shape")
-        if cached is None:
-            cached = _region_shape(self.residual_moment)
-            object.__setattr__(self, "_region_shape", cached)  # frozen dataclass
-        return cached
+        is near-singular.  Computed on first use, once per fit or stack."""
+        return _region_shape(self.residual_moment)
 
     def _ill_conditioned(self) -> np.ndarray:
         """The condition numbers of the OLS fits whose regressor covariance

@@ -677,7 +677,8 @@ def _numeric(value) -> bool:
 def _violations(cls, data, where: str) -> list[str]:
     """Why the JSON value ``data`` cannot build ``cls``: it is not an object,
     a key is unknown or a required one missing, or a value does not fit its
-    field's annotation (a number for float, a numeric array for ndarray)."""
+    field's annotation (a number for float, a numeric array for ndarray) or
+    is not finite (``NaN`` and ``Infinity`` parse as JSON numbers)."""
     if not isinstance(data, dict):
         return [f"{where} must be an object, got {data!r}"]
     declared = {f.name: f for f in fields(cls)}
@@ -694,6 +695,9 @@ def _violations(cls, data, where: str) -> list[str]:
             out.append(f"{where} field {name!r} must be a number, got {value!r}")
         elif "ndarray" in f.type and not _numeric(value):
             out.append(f"{where} field {name!r} must be a numeric array, got {value!r}")
+        elif ("float" in f.type or "ndarray" in f.type) and not np.isfinite(value).all():
+            entry = "" if np.ndim(value) == 0 else "every entry of "
+            out.append(f"{entry}{where} field {name!r} must be a finite number, got {value!r}")
     return out
 
 

@@ -42,7 +42,6 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -83,11 +82,8 @@ class ExperimentConfig:
     threads: int = 1  # worker processes: this one and threads - 1 forked ones
     region_kinds: tuple[str, ...] = ("chebyshev",)
     purely_normal: bool = False
-    k0: Optional[float] = None  # quadratic-interval reliability floor
     fixed_subject: bool = False  # condition on one (z0, x0) instead of redrawing
     mean_prediction: bool = False  # also track the noiseless-value predictor
-    degree: Optional[int] = None  # polynomial fit degree; defaults to the model's
-    harmonics: Optional[int] = None  # trigonometric fit harmonics; defaults to the model's
     test_subjects: int = 1000  # fresh subjects per replication (abs comparison)
 
     def __post_init__(self):
@@ -240,12 +236,6 @@ def _subject_drawer(cfg: ExperimentConfig, sampler: Sampler):
     return lambda n_idx, rep: conditional(make_rng(cfg.master_seed, 3, n_idx, rep))
 
 
-def _fit_size(cfg: ExperimentConfig) -> tuple[Optional[int], int]:
-    """The fit's ``degree`` and ``harmonics``: the config's, else the spec's own."""
-    degree = cfg.degree or getattr(cfg.spec, "degree", None)
-    return degree, cfg.harmonics or getattr(cfg.spec, "harmonics", 1)
-
-
 def check_sample_sizes(cfg: ExperimentConfig) -> None:
     """Reject ``n_grid`` entries below the smallest sample the run's fit
     accepts, each of which would fail every replication.
@@ -253,7 +243,7 @@ def check_sample_sizes(cfg: ExperimentConfig) -> None:
     The drivers themselves accept such entries and report them as failed
     replications; a front end calls this before the run instead."""
     spec = cfg.spec
-    degree, harmonics = _fit_size(cfg)
+    degree, harmonics = getattr(spec, "degree", None), getattr(spec, "harmonics", 1)
     need = min_sample_size(spec.family, spec.z_dim, spec.latent_dim, degree, harmonics)
     small = [n for n in cfg.n_grid if n < need]
     if small:
@@ -276,7 +266,7 @@ def _fitted_prediction(cfg: ExperimentConfig, score):
     spec = cfg.spec
     sampler = Sampler(spec)
     draw_subject = _subject_drawer(cfg, sampler)
-    degree, harmonics = _fit_size(cfg)
+    degree, harmonics = getattr(spec, "degree", None), getattr(spec, "harmonics", 1)
 
     def one(n_idx: int, reps: tuple[int, ...]):
         n = cfg.n_grid[n_idx]
@@ -300,7 +290,7 @@ def _fitted_prediction(cfg: ExperimentConfig, score):
 
 # A chunk of replications of sample size n holds max(1, _CHUNK_ROWS // n) of
 # them.  The budget bounds the stacked arrays' memory; it depends on n only,
-# so, like the thread count, it cannot change a report.
+# and a report does not depend on how its replications are chunked.
 _CHUNK_ROWS = 4096
 
 
@@ -421,16 +411,6 @@ def _run(cfg: ExperimentConfig, experiment: str, compile, slopes=()) -> McReport
     return report
 
 
-def _check_fit_size(cfg: ExperimentConfig) -> None:
-    """Reject a fit whose coefficients would not line up with the truth's."""
-    for name in ("degree", "harmonics"):
-        given, own = getattr(cfg, name), getattr(cfg.spec, name, None)
-        if given is not None and own is not None and given != own:
-            raise SpecError(
-                [f"{name} {given} differs from the spec's {own}; coefficient errors need the spec's"]
-            )
-
-
 # ---------------------------------------------------------------------------
 # suites: a compile function for _run each, and the driver that runs it
 # ---------------------------------------------------------------------------
@@ -458,7 +438,6 @@ def _consistency(cfg: ExperimentConfig):
         return out
 
     one = _fitted_prediction(cfg, score)  # its Sampler checks the spec before transform sees it
-    _check_fit_size(cfg)
     true_params = transform(cfg.spec)
     true_vec = _coef_vector(true_params)
     true_norm = float(np.linalg.norm(true_vec))
@@ -490,8 +469,8 @@ def _check_regions(cfg: ExperimentConfig) -> None:
     if "quadratic_bound" in cfg.region_kinds:
         if not isinstance(cfg.spec, QuadraticSpec):
             problems.append("quadratic_bound regions apply to the quadratic family only")
-        if not (cfg.k0 is not None and 0 < cfg.k0 <= 0.5):
-            problems.append("quadratic_bound regions need k0 in (0, 1/2] in the experiment config")
+        elif not 0 < (cfg.spec.reliability_floor or 0) <= 0.5:
+            problems.append("quadratic_bound regions need the spec's reliability_floor k0 in (0, 1/2]")
     if problems:
         raise SpecError(problems)
 
@@ -499,12 +478,13 @@ def _check_regions(cfg: ExperimentConfig) -> None:
 def _coverage(cfg: ExperimentConfig):
     _check_regions(cfg)
     cells = [(kind, alpha) for kind in cfg.region_kinds for alpha in cfg.alphas]
+    k0 = getattr(cfg.spec, "reliability_floor", None)
 
     def score(stack, subjects, pred):
         y0 = np.array([s.y0 for s in subjects])
         inside = [
             region_contains(
-                build_region(kind, stack, pred, alpha, purely_normal=cfg.purely_normal, k0=cfg.k0), y0
+                build_region(kind, stack, pred, alpha, purely_normal=cfg.purely_normal, k0=k0), y0
             ).tolist()
             for kind, alpha in cells
         ]

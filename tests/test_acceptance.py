@@ -268,18 +268,16 @@ def test_criterion_06_chebyshev_coverage_non_gaussian():
 
 
 def test_criterion_07_quadratic_interval_coverage():
-    spec = make_quadratic_spec()  # reliability ratio exactly 0.5
     covs = {}
     for k0 in (0.4, 0.5):
         cfg = montecarlo.ExperimentConfig(
-            spec=spec,
+            spec=make_quadratic_spec(reliability_floor=k0),  # reliability ratio exactly 0.5
             n_grid=(10_000,),
             replications=2000,
             alphas=(0.1,),
             master_seed=1007,
             threads=THREADS,
             region_kinds=("quadratic_bound",),
-            k0=k0,
         )
         rep = montecarlo.run_coverage(cfg)
         covs[k0] = rep.value("coverage", n=10_000, alpha=0.1, kind="quadratic_bound")

@@ -429,6 +429,57 @@ class TestFitPredict:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {message}"]
 
+    @pytest.mark.parametrize(
+        "family, region, line",
+        [
+            ("quadratic", {}, "config schema error: 'k0' is a required property"),
+            ("quadratic", {"k0": 0.7}, "config schema error: 0.7 is greater than the maximum of 0.5"),
+            ("quadratic", {"k0": 0}, "config schema error: 0 is less than or equal to the minimum of 0"),
+            (
+                "linear",
+                {"k0": 0.4},
+                "spec violation: quadratic_bound regions apply to the quadratic family only",
+            ),
+        ],
+        ids=["no-k0", "k0-above-half", "k0-zero", "linear-family"],
+    )
+    def test_bad_quadratic_bound_region_exits_2_before_reading_data(
+        self, tmp_path, capsys, monkeypatch, family, region, line
+    ):
+        """A missing floor is not taken as 1/2 (the narrowest interval)."""
+
+        def unreachable(prefix):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(cli, "load_dataset", unreachable)
+        config = {
+            "data": str(tmp_path / "ds"),
+            "family": family,
+            "predict": [{"x0": 0.5}],
+            "regions": [dict(region, kind="quadratic_bound", alpha=0.1)],
+        }
+        assert main(["fit-predict", "--config", write_config(tmp_path, "fp.json", config)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [line]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    def test_non_finite_sidecar_spec_exits_2_with_one_line(self, tmp_path, capsys, value):
+        sim = {"spec": linear_spec_dict(), "n": 50, "seed": 4, "out": str(tmp_path / "ds")}
+        assert main(["simulate", "--config", write_config(tmp_path, "sim.json", sim)]) == EXIT_OK
+        sidecar = tmp_path / "ds.spec.json"
+        payload = json.loads(sidecar.read_text())
+        payload["spec"]["latent_cov"] = [[value]]
+        sidecar.write_text(json.dumps(payload))
+        capsys.readouterr()
+        fp = write_config(tmp_path, "fp.json", {"data": str(tmp_path / "ds"), "family": "linear"})
+        assert main(["fit-predict", "--config", fp]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"spec violation: every entry of spec field 'latent_cov' must be a finite number, got [[{value}]]"
+        ]
+
     @pytest.mark.parametrize("data", ["golden_dataset", "missing"])
     def test_polynomial_without_degree_exits_2_before_reading_data(self, tmp_path, capsys, data):
         fp = write_config(tmp_path, "fp.json", {"data": str(DATA_DIR / data), "family": "polynomial"})
@@ -450,6 +501,9 @@ class TestExperiment:
             "out": str(tmp_path / "report"),
         }
         payload.update(extra)
+        if payload["suite"] != "coverage":  # keys only the coverage suite reads
+            for key in {"alphas", "region_kinds", "purely_normal"} - extra.keys():
+                del payload[key]
         return write_config(tmp_path, "exp.json", payload)
 
     def test_smoke_grid_completes_quickly(self, tmp_path):
@@ -495,30 +549,28 @@ class TestExperiment:
         assert (tmp_path / "report.json").read_bytes() == one
 
     def test_thread_count_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EIVPRED_THREADS", "2")
-        cfg = self.experiment_config(tmp_path)
+        """``EIVPRED_THREADS`` is not read: the worker count is ``--threads``, else 1."""
+        counts = []
+        run = cli._SUITES["coverage"]
+        monkeypatch.setitem(cli._SUITES, "coverage", lambda cfg: counts.append(cfg.threads) or run(cfg))
+        monkeypatch.setenv("EIVPRED_THREADS", "3")
+        cfg = self.experiment_config(tmp_path, replications=5)
         assert main(["experiment", "--config", cfg]) == EXIT_OK
+        assert main(["experiment", "--config", cfg, "--threads", "2"]) == EXIT_OK
+        assert counts == [1, 2]
 
     @pytest.mark.parametrize(
-        "flag, env, message",
+        "flag, message",
         [
-            ("-1", None, "--threads or EIVPRED_THREADS must be a positive integer, got -1"),
-            ("0", None, "--threads or EIVPRED_THREADS must be a positive integer, got 0"),
-            (None, "abc", "--threads or EIVPRED_THREADS must be a positive integer, got 'abc'"),
-            (None, "0", "--threads or EIVPRED_THREADS must be a positive integer, got '0'"),
+            ("-1", "--threads must be a positive integer, got -1"),
+            ("0", "--threads must be a positive integer, got 0"),
         ],
-        ids=["flag_negative", "flag_zero", "env_abc", "env_zero"],
+        ids=["flag_negative", "flag_zero"],
     )
-    def test_bad_thread_count_exits_2_without_report(self, tmp_path, capsys, monkeypatch, flag, env, message):
-        """Each source of the thread count must give a positive integer, as the
-        config's ``threads`` must; the run stops before any replication."""
-        if env is None:
-            monkeypatch.delenv("EIVPRED_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("EIVPRED_THREADS", env)
+    def test_bad_thread_count_exits_2_without_report(self, tmp_path, capsys, flag, message):
+        """The run stops before any replication."""
         cfg = self.experiment_config(tmp_path)
-        argv = ["experiment", "--config", cfg] + ([] if flag is None else ["--threads", flag])
-        assert main(argv) == EXIT_CONFIG
+        assert main(["experiment", "--config", cfg, "--threads", flag]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"config error: {message}"]
@@ -571,37 +623,65 @@ class TestExperiment:
         assert not (tmp_path / "report.csv").exists()
 
     @pytest.mark.parametrize(
-        "spec, extra, code, message",
-        [
-            (make_poly_spec(), {"degree": 2}, EXIT_CONFIG, "degree 2 differs from the spec's 3"),
-            (
-                make_trig_spec(),
-                {"harmonics": 1},
-                EXIT_CONFIG,
-                "harmonics 1 differs from the spec's 2",
-            ),
-            (make_trig_spec(), {}, EXIT_OK, ""),  # harmonics default to the spec's two
-        ],
-        ids=["degree-mismatch", "harmonics-mismatch", "harmonics-default"],
+        "spec", [make_poly_spec(), make_trig_spec()], ids=["degree-default", "harmonics-default"]
     )
-    def test_consistency_fit_size_defaults_to_the_spec(
-        self, tmp_path, capsys, spec, extra, code, message
-    ):
+    def test_consistency_fit_size_defaults_to_the_spec(self, tmp_path, capsys, spec):
+        """The fit has the spec's own degree (three) or harmonic count (two)."""
         cfg = self.experiment_config(
-            tmp_path,
-            suite="consistency",
-            spec=models.spec_to_dict(spec),
-            n_grid=[400],
-            replications=2,
-            **extra,
+            tmp_path, suite="consistency", spec=models.spec_to_dict(spec), n_grid=[400], replications=2
         )
-        assert main(["experiment", "--config", cfg]) == code
-        err = capsys.readouterr().err
-        assert message in err and "Traceback" not in err
-        if code == EXIT_OK:
-            report = json.loads((tmp_path / "report.json").read_text())
-            rates = [r["value"] for r in report["rows"] if r["statistic"] == "failure_rate"]
-            assert rates == [0.0]
+        assert main(["experiment", "--config", cfg]) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((tmp_path / "report.json").read_text())
+        rates = [r["value"] for r in report["rows"] if r["statistic"] == "failure_rate"]
+        assert rates == [0.0]
+
+    @pytest.mark.parametrize(
+        "key, value", [("threads", 2), ("k0", 0.4), ("degree", 2), ("harmonics", 1)]
+    )
+    def test_run_setting_with_another_home_exits_2_before_the_run(
+        self, tmp_path, capsys, monkeypatch, key, value
+    ):
+        """The worker count comes from ``--threads``, the reliability floor and
+        the fit size from the spec; the config keys that repeated them are gone."""
+
+        def unreachable(cfg):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setitem(cli._SUITES, "coverage", unreachable)
+        cfg = self.experiment_config(tmp_path, **{key: value})
+        assert main(["experiment", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"config schema error: Additional properties are not allowed ('{key}' was unexpected)"
+        ]
+
+    @pytest.mark.parametrize(
+        "suite, extra, unread",
+        [
+            (
+                "consistency",
+                {"alphas": [0.5], "region_kinds": ["chebyshev"], "test_subjects": 10},
+                "alphas, region_kinds, test_subjects",
+            ),
+            ("coverage", {"mean_prediction": True, "test_subjects": 10}, "mean_prediction, test_subjects"),
+            ("abs_failure", {"fixed_subject": True, "purely_normal": True}, "fixed_subject, purely_normal"),
+        ],
+        ids=["consistency", "coverage", "abs_failure"],
+    )
+    def test_key_the_suite_does_not_read_exits_2_before_the_run(
+        self, tmp_path, capsys, monkeypatch, suite, extra, unread
+    ):
+        def unreachable(cfg):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setitem(cli._SUITES, suite, unreachable)
+        payload = json.loads(Path(self.experiment_config(tmp_path, suite=suite)).read_text())
+        payload.update(extra)
+        cfg = write_config(tmp_path, "unread.json", payload)
+        assert main(["experiment", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: the {suite} suite does not read {unread}"
+        ]
 
     def test_every_replication_failed_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch):
         def failing(data, family, **options):
@@ -718,6 +798,16 @@ class TestExperiment:
             dict(linear_spec_dict(), errors=dict(linear_spec_dict()["errors"], sigma_e=[[[0.0]]])),
             "spec errors field 'sigma_e' must be a 2-D array, got [[[0.0]]]",
         ),
+        # JSON's NaN and Infinity parse as numbers
+        *(
+            (
+                command,
+                dict(models.spec_to_dict(make_quadratic_spec()), latent_var=value),
+                f"spec field 'latent_var' must be a finite number, got {value}",
+            )
+            for value in (float("nan"), float("inf"))
+            for command in ("transform", "simulate", "experiment")
+        ),
     ],
     ids=[
         "transform-coefs-str",
@@ -726,6 +816,8 @@ class TestExperiment:
         "transform-latent_cov-flat",
         "simulate-z_dist-cov-number",
         "experiment-sigma_e-3d",
+        *(f"{command}-latent_var-{value}" for value in ("NaN", "Infinity")
+          for command in ("transform", "simulate", "experiment")),
     ],
 )
 def test_malformed_spec_value_exits_2_with_one_line(tmp_path, capsys, command, spec, message):
@@ -747,6 +839,32 @@ def test_malformed_spec_value_exits_2_with_one_line(tmp_path, capsys, command, s
     assert captured.out == ""
     assert captured.err.splitlines() == [f"spec violation: {message}"]
     assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
+
+
+_DEAD_FLAGS = [
+    ("simulate", ["--check"]),
+    ("simulate", ["--threads", "2"]),
+    ("transform", ["--seed", "3"]),
+    ("transform", ["--check"]),
+    ("transform", ["--threads", "5"]),
+    ("fit-predict", ["--seed", "3"]),
+    ("fit-predict", ["--check"]),
+    ("fit-predict", ["--threads", "2"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag", _DEAD_FLAGS, ids=[f"{command}{flag[0]}" for command, flag in _DEAD_FLAGS]
+)
+def test_flag_the_command_does_not_read_exits_2_before_any_work(tmp_path, capsys, command, flag):
+    """Each subcommand accepts only the flags its command reads; the config
+    is not even opened."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(tmp_path / "missing.json"), *flag])
+    assert exc.value.code == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"eivpred: error: unrecognized arguments: {' '.join(flag)}"
+    )
 
 
 def test_fit_predict_and_coverage_build_the_same_regions(tmp_path, capsys, monkeypatch):
@@ -773,7 +891,7 @@ def test_fit_predict_and_coverage_build_the_same_regions(tmp_path, capsys, monke
 
     monkeypatch.setattr(montecarlo, "fit_stack", recording_fit)
     monkeypatch.setattr(montecarlo, "build_region", recording_region)
-    spec = make_quadratic_spec()
+    spec = make_quadratic_spec(reliability_floor=0.4)
     cfg = montecarlo.ExperimentConfig(
         spec=spec,
         n_grid=(400,),
@@ -782,7 +900,6 @@ def test_fit_predict_and_coverage_build_the_same_regions(tmp_path, capsys, monke
         master_seed=5,
         region_kinds=predictors.REGION_KINDS,
         purely_normal=True,
-        k0=0.4,
     )
     assert montecarlo.run_coverage(cfg).failures == []
     (data, fit), *built = seen

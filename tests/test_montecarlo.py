@@ -15,7 +15,6 @@ from conftest import (
     make_linear_spec,
     make_poly_spec,
     make_quadratic_spec,
-    make_trig_spec,
 )
 
 
@@ -151,20 +150,6 @@ class TestConsistency:
         with pytest.raises(ReplicationsFailed, match="all 3 replications failed; first failure: "):
             driver(cfg)
 
-    @pytest.mark.parametrize(
-        "spec, overrides, message",
-        [
-            (make_poly_spec(), dict(degree=2), "degree 2 differs from the spec's 3"),
-            (make_trig_spec(), dict(harmonics=1), "harmonics 1 differs from the spec's 2"),
-        ],
-    )
-    def test_fit_size_other_than_the_spec_raises_before_the_loop(self, spec, overrides, message):
-        cfg = montecarlo.ExperimentConfig(
-            spec=spec, n_grid=(200,), replications=2, master_seed=0, **overrides
-        )
-        with pytest.raises(SpecError, match=re.escape(message)):
-            montecarlo.run_consistency(cfg)
-
     def test_consistency_with_nonlinear_family(self):
         from conftest import make_exponential_spec
 
@@ -200,26 +185,23 @@ class TestCoverage:
             assert row["se"] == pytest.approx(np.sqrt(p * (1 - p) / reps), abs=1e-12)
 
     def test_quadratic_interval_slack_floor_covers_more(self):
-        spec = make_quadratic_spec()  # true reliability 0.5
         tight = montecarlo.ExperimentConfig(
-            spec=spec,
+            spec=make_quadratic_spec(reliability_floor=0.5),  # the true reliability
             n_grid=(2000,),
             replications=800,
             alphas=(0.1,),
             master_seed=17,
             threads=2,
             region_kinds=("quadratic_bound",),
-            k0=0.5,
         )
         slack = montecarlo.ExperimentConfig(
-            spec=spec,
+            spec=make_quadratic_spec(reliability_floor=0.3),
             n_grid=(2000,),
             replications=800,
             alphas=(0.1,),
             master_seed=17,
             threads=2,
             region_kinds=("quadratic_bound",),
-            k0=0.3,
         )
         cov_tight = montecarlo.run_coverage(tight).value(
             "coverage", n=2000, alpha=0.1, kind="quadratic_bound"
@@ -341,10 +323,10 @@ class TestFailFast:
             (dict(alphas=(0.0, 0.1)), "alphas must lie in (0, 1)"),
             (dict(spec=make_quadratic_spec(), region_kinds=("quadratic_bound",)), "k0 in (0, 1/2]"),
             (
-                dict(spec=make_quadratic_spec(), region_kinds=("quadratic_bound",), k0=0.7),
+                dict(spec=make_quadratic_spec(reliability_floor=0.7), region_kinds=("quadratic_bound",)),
                 "k0 in (0, 1/2]",
             ),
-            (dict(region_kinds=("quadratic_bound",), k0=0.5), "quadratic family only"),
+            (dict(region_kinds=("quadratic_bound",)), "quadratic family only"),
             (dict(region_kinds=("ellipse",)), "unknown region kinds"),
             (dict(spec=make_linear_spec(latent_cov=[[-1.0]])), "not PSD"),
         ],
@@ -464,12 +446,15 @@ class TestChunking:
             dict(alphas=(0.05, 0.5), fixed_subject=True),
             dict(spec=make_linear_spec(d=2, q=2, m=2), purely_normal=False),
             dict(
-                spec=make_quadratic_spec(),
+                spec=make_quadratic_spec(reliability_floor=0.4),
                 region_kinds=predictors.REGION_KINDS,
-                k0=0.4,
                 alphas=(0.1,),
             ),
-            dict(spec=make_quadratic_spec(), region_kinds=("quadratic_bound",), k0=0.5, fixed_subject=True),
+            dict(
+                spec=make_quadratic_spec(reliability_floor=0.5),
+                region_kinds=("quadratic_bound",),
+                fixed_subject=True,
+            ),
             dict(spec=make_poly_spec(), region_kinds=("chi_square",)),
             dict(spec=make_exponential_spec(), n_grid=(40, 300), replications=6),
         ],

@@ -47,6 +47,24 @@ def test_every_suite_is_a_callable_named_in_the_experiment_schema():
     assert list(cli._SUITES) == cli.CONFIG_SCHEMAS["experiment"]["properties"]["suite"]["enum"]
 
 
+ROOT = Path(__file__).resolve().parents[1]
+EXPERIMENT_CONFIGS = sorted(
+    path.relative_to(ROOT).as_posix()
+    for pattern in ("scripts/configs/*.json", "perfbench/configs/*.json")
+    for path in ROOT.glob(pattern)
+    if '"suite"' in path.read_text()
+)
+
+
+@pytest.mark.parametrize("config", EXPERIMENT_CONFIGS)
+def test_every_shipped_experiment_config_passes_the_config_checks(config):
+    """The schema and the per-suite keys accept every experiment config the
+    scripts and the benchmark run."""
+    from eivpred import cli
+
+    assert cli._load_config(str(ROOT / config), "experiment")["suite"] in cli._SUITES
+
+
 def load_compare_outputs():
     """``scripts/compare_outputs.py``, imported as a module."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
