@@ -9,9 +9,11 @@ spec of each of the six families, both simulate configs
 (``scripts/configs/simulate_linear.json`` and
 ``perfbench/configs/fit_predict_file.simulate.json``), ``fit-predict`` on the
 latter's dataset and on ``tests/data/golden_fit_predict_config.json``, a
-``simulate`` (n = 2000) and a ``fit-predict`` run (one point, one Chebyshev
-region; two harmonics for the trigonometric fit) for each nonlinear family
-(``NLS_FIT_SPECS``), and every experiment config in ``scripts/configs`` and
+``simulate`` (n = 2000) and a ``fit-predict`` run for each entry of
+``SIMULATE_FIT_RUNS`` (each nonlinear family with one point and one Chebyshev
+region, two harmonics for the trigonometric fit; the quadratic family with
+all three region kinds, and the polynomial family with mean predictions, at
+six points each), and every experiment config in ``scripts/configs`` and
 ``perfbench/configs`` at ``--threads 1`` and ``--threads 2``.  Those configs
 use n >= 1e4 except ``coverage_small_n``, so each of their chunks holds one
 replication; six small-n experiments written into the temporary directory
@@ -84,8 +86,30 @@ SMALL_N_EXPERIMENTS = {
         replications=30),
 }
 
-# the nonlinear families, each simulated and then fitted by fit-predict
-NLS_FIT_SPECS = TRANSFORM_SPECS[3:6]
+# x0 values whose C-pow square (Python's float ``x0**2``) differs from the
+# product x0 * x0 in the last bit, so that a quadratic-bound half-width of one
+# fit moves if the rule squares one way instead of the other
+_POW_POINTS = [2.4621229753342657, -0.7216088579636935, 2.0070948059639395, 0.3484479973618271,
+               -0.47536382453165515, 3.3444883747977414]
+
+# name -> (spec, fit-predict options): each spec is simulated (n = 2000) and
+# then fitted by fit-predict; every region holds only the keys its kind reads
+SIMULATE_FIT_RUNS = {
+    **{f"nls_{spec['family']}": (spec, {"predict": [{"x0": [0.5]}],
+                                        "regions": [{"kind": "chebyshev", "alpha": 0.05}]})
+       for spec in TRANSFORM_SPECS[3:6]},
+    "quadratic_regions": (TRANSFORM_SPECS[2], {
+        "predict": [{"x0": [x0]} for x0 in _POW_POINTS],
+        "regions": [{"kind": "chebyshev", "alpha": 0.05},
+                    {"kind": "chi_square", "alpha": 0.05, "purely_normal": True},
+                    {"kind": "quadratic_bound", "alpha": 0.1, "k0": 0.4},
+                    {"kind": "quadratic_bound", "alpha": 0.3, "k0": 0.25}]}),
+    "polynomial_mean": (TRANSFORM_SPECS[1], {
+        "degree": len(TRANSFORM_SPECS[1]["coefs"]),
+        "predict": [{"x0": [x0]} for x0 in _POW_POINTS],
+        "sigma_eps_delta": 0.1}),
+}
+SIMULATE_FIT_RUNS["nls_trigonometric"][1]["harmonics"] = len(TRANSFORM_SPECS[4]["cos_amps"])
 
 EXPERIMENTS = sorted(
     str(path.relative_to(ROOT))
@@ -119,14 +143,9 @@ def run_all(tree: Path, out: Path, configs: Path) -> list[str]:
         ("golden_fit_predict", ["fit-predict", "--config", "tests/data/golden_fit_predict_config.json",
                                 "--out", str(out / "golden_fit_predict.json")]),
     ]
-    for spec in NLS_FIT_SPECS:
-        name = f"nls_{spec['family']}"
+    for name, (spec, options) in SIMULATE_FIT_RUNS.items():
         temp_configs[f"{name}.simulate"] = {"spec": spec, "n": 2000, "seed": 31}
-        nls_fit = {"data": str(out / name), "family": spec["family"], "predict": [{"x0": [0.5]}],
-                   "regions": [{"kind": "chebyshev", "alpha": 0.05}]}
-        if spec["family"] == "trigonometric":
-            nls_fit["harmonics"] = len(spec["cos_amps"])
-        temp_configs[f"{name}.fit"] = nls_fit
+        temp_configs[f"{name}.fit"] = dict(options, data=str(out / name), family=spec["family"])
         runs += [
             (f"{name}.simulate", ["simulate", "--config", str(out / f"{name}.simulate.json"),
                                   "--out", str(out / name)]),

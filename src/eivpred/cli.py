@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -51,18 +52,30 @@ _SUITE_KEYS = {
 _SPEC_SCHEMA = {"type": "object", "required": ["family"], "properties": {"family": {"type": "string"}}}
 _NUMBER_ARRAY = {"type": "array", "items": {"type": "number"}}
 
+# a region holds only the keys its kind reads
 _REGION_SCHEMA = {
     "type": "object",
-    "additionalProperties": False,
     "required": ["kind", "alpha"],
-    "properties": {
-        "kind": {"enum": list(REGION_KINDS)},
-        "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "purely_normal": {"type": "boolean"},
-        "k0": {"type": "number", "exclusiveMinimum": 0, "maximum": 0.5},
-    },
-    "if": {"required": ["kind"], "properties": {"kind": {"const": "quadratic_bound"}}},
-    "then": {"required": ["k0"]},
+    "properties": {"kind": {"enum": list(REGION_KINDS)}},
+    "allOf": [
+        {
+            "if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
+            "then": {
+                "additionalProperties": False,
+                "required": list(required),
+                "properties": {
+                    "kind": {},
+                    "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+                    **own,
+                },
+            },
+        }
+        for kind, own, required in [
+            ("chebyshev", {}, ()),
+            ("chi_square", {"purely_normal": {"type": "boolean"}}, ()),
+            ("quadratic_bound", {"k0": {"type": "number", "exclusiveMinimum": 0, "maximum": 0.5}}, ("k0",)),
+        ]
+    ],
 }
 
 _CHECK_SCHEMA = {
@@ -164,12 +177,25 @@ def _load_config(path: str, command: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         config = json.load(fh)
     jsonschema.validate(config, CONFIG_SCHEMAS[command])
+    if command == "fit-predict":
+        values = [("sigma_eps_delta", config.get("sigma_eps_delta"))]
+        values += [(key, point.get(key)) for point in config.get("predict", []) for key in ("z0", "x0")]
+        bad = dict.fromkeys(key for key, value in values if not all(map(math.isfinite, _numbers(value))))
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must hold finite numbers only")
     if command == "experiment":
         others = set().union(*_SUITE_KEYS.values()) - _SUITE_KEYS[config["suite"]]
         unread = [key for key in config if key in others]
         if unread:
             raise ValueError(f"the {config['suite']} suite does not read {', '.join(unread)}")
     return config
+
+
+def _numbers(value) -> list:
+    """The numbers in a JSON number, null or (nested) array of numbers."""
+    if isinstance(value, list):
+        return [number for item in value for number in _numbers(item)]
+    return [] if value is None else [value]
 
 
 def _dump(obj, out: str | None) -> None:
@@ -230,24 +256,11 @@ def cmd_fit_predict(config: dict, args) -> int:
         z0 = point.get("z0")
         x0 = point["x0"]
         pred = predict_individual(fit, z0, x0)
-        entry = {
-            "z0": z0,
-            "x0": pred.x0.tolist(),
-            "individual": pred.point.tolist(),
-            "regions": [],
-        }
+        entry = {"z0": z0, "x0": pred.x0.tolist(), "individual": pred.point.tolist(), "regions": []}
         if cross is not None:
             entry["mean"] = predict_mean(fit, z0, x0, cross).point.tolist()
-        for reg_cfg in regions:
-            region = build_region(
-                reg_cfg["kind"],
-                fit,
-                pred,
-                reg_cfg["alpha"],
-                purely_normal=reg_cfg.get("purely_normal", False),
-                k0=reg_cfg.get("k0"),
-            )
-            entry["regions"].append(to_jsonable(region))
+        # the schema admits only the keys a region's kind reads: build_region's arguments
+        entry["regions"] = [to_jsonable(build_region(fit=fit, pred=pred, **region)) for region in regions]
         report["predictions"].append(entry)
     _dump(report, args.out or config.get("out"))
     return EXIT_OK

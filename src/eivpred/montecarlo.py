@@ -181,7 +181,9 @@ def _provenance(cfg: ExperimentConfig, experiment: str) -> dict:
     }
 
 
-def _coef_vector(params) -> np.ndarray:
+def _coef_vector(params, lead: tuple[int, ...] = ()) -> np.ndarray:
+    """The coefficients of ``params`` as one vector, or one row per fit for
+    the ``params`` of a stack of fits with leading shape ``lead``."""
     fields = {
         "linear": ("intercept", "z_slopes", "x_slopes"),
         "polynomial": ("intercept", "z_slopes", "coefs"),
@@ -190,15 +192,16 @@ def _coef_vector(params) -> np.ndarray:
         "trigonometric": ("const", "cos_amps", "sin_amps", "freq"),
         "absolute_value": ("scale", "gain", "offset"),
     }[params.family]
-    return np.concatenate([np.ravel(getattr(params, f)) for f in fields])
+    return np.concatenate([np.reshape(getattr(params, f), lead + (-1,)) for f in fields], axis=-1)
 
 
 def _true_mean_point(spec: ModelSpec, best_point: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Noiseless-value predictor from the true model parameters."""
+    """Noiseless-value predictor from the true model parameters, row by row:
+    ``best_point`` (R, d) is the best prediction at each row of ``x0`` (R, m)."""
     if isinstance(spec, LinearSpec):
         cross = spec.errors.sigma_eps_delta
-        corr = cross @ np.linalg.solve(spec.x_cov, x0 - spec.latent_mean)
-        return best_point - corr
+        dev = np.linalg.solve(spec.x_cov, (x0 - spec.latent_mean)[..., None])
+        return best_point - (cross @ dev)[..., 0]
     cross = float(spec.sigma_eps_delta)
     return best_point - cross / spec.x_var * (x0 - spec.latent_mean)
 
@@ -377,11 +380,12 @@ def _replications(cfg: ExperimentConfig, one):
         yield n, [value for ok, value in chunk if ok], [value for ok, value in chunk if not ok]
 
 
-def _slope(rows: list[dict], statistic: str) -> float:
-    """Log-log slope over n of the positive per-n values of ``statistic``."""
+def _slope(rows: list[dict], statistic: str) -> float | None:
+    """Log-log slope over n of the positive per-n values of ``statistic``;
+    None, undefined, where fewer than two sample sizes have one."""
     pairs = [(r["n"], r["value"]) for r in rows if r["statistic"] == statistic and r["value"] > 0]
     if len(pairs) < 2:
-        return float("nan")
+        return None
     logs_n = np.log([p[0] for p in pairs])
     logs_v = np.log([p[1] for p in pairs])
     return float(np.polyfit(logs_n, logs_v, 1)[0])
@@ -396,7 +400,9 @@ def _run(cfg: ExperimentConfig, experiment: str, compile, slopes=()) -> McReport
     the rows of sample size n from its successful outcomes.  Every n then
     gets a ``failure_rate`` row, last, and the report ends with one row
     ``{"statistic": name, "value": slope}`` per ``(name, statistic)`` in
-    ``slopes``: the log-log slope of that per-n statistic.
+    ``slopes``: the log-log slope of that per-n statistic.  A slope that is
+    undefined, with fewer than two sample sizes where the statistic is
+    positive, gets no row, so a report never holds a NaN.
     """
     t0 = time.perf_counter()
     one, rows = compile(cfg)
@@ -406,7 +412,8 @@ def _run(cfg: ExperimentConfig, experiment: str, compile, slopes=()) -> McReport
         if oks:
             report.rows += rows(n, oks)
         report.rows.append({"n": n, "statistic": "failure_rate", "value": 1.0 - len(oks) / cfg.replications})
-    report.rows += [{"statistic": name, "value": _slope(report.rows, stat)} for name, stat in slopes]
+    slope_rows = [{"statistic": name, "value": _slope(report.rows, stat)} for name, stat in slopes]
+    report.rows += [row for row in slope_rows if row["value"] is not None]
     report.elapsed_seconds = time.perf_counter() - t0
     return report
 
@@ -416,26 +423,25 @@ def _run(cfg: ExperimentConfig, experiment: str, compile, slopes=()) -> McReport
 # ---------------------------------------------------------------------------
 
 
+def _norms(rows: np.ndarray) -> list[float]:
+    """The 2-norm of each row, each taken alone: a norm along the last axis
+    sums a row's squares in another order than the norm of one vector."""
+    return [float(np.linalg.norm(row)) for row in rows]
+
+
 def _consistency(cfg: ExperimentConfig):
     def score(stack, subjects, pred):
-        out = []
-        for i, subject in enumerate(subjects):
-            fit = stack[i]
-            z0 = None if pred.z0 is None else pred.z0[i]
-            best = np.atleast_1d(true_params.predict(z0, subject.x0))
-            err = float(np.linalg.norm(pred.point[i] - best))
-            coef_rel = float(
-                np.linalg.norm(_coef_vector(fit.params) - true_vec) / max(true_norm, 1e-300)
-            )
-            mean_rel = None
-            if cross is not None:
-                mpred = predict_mean(fit, z0, subject.x0, cross)
-                mtrue = _true_mean_point(cfg.spec, best, subject.x0)
-                mean_rel = float(
-                    np.linalg.norm(mpred.point - mtrue) / max(float(np.linalg.norm(mtrue)), 1e-12)
-                )
-            out.append((err, coef_rel, mean_rel))
-        return out
+        z0 = None if pred.z0 is None else pred.z0[:, None]
+        best = predict_rows(true_params, z0, pred.x0[:, None])[:, 0]
+        errs = _norms(pred.point - best)
+        coefs = _coef_vector(stack.params, (len(subjects),)) - true_vec
+        coef_rels = [err / max(true_norm, 1e-300) for err in _norms(coefs)]
+        mean_rels = [None] * len(subjects)
+        if cross is not None:
+            mtrue = _true_mean_point(cfg.spec, best, pred.x0)
+            mean_errs = _norms(predict_mean(stack, pred.z0, pred.x0, cross).point - mtrue)
+            mean_rels = [err / max(scale, 1e-12) for err, scale in zip(mean_errs, _norms(mtrue))]
+        return list(zip(errs, coef_rels, mean_rels))
 
     one = _fitted_prediction(cfg, score)  # its Sampler checks the spec before transform sees it
     true_params = transform(cfg.spec)

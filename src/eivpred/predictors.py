@@ -10,11 +10,11 @@ the Markov/Chebyshev bound, a chi-square ellipsoid that is exact for purely
 normal models, and a bound-based interval for the quadratic family driven by
 a known lower bound on the reliability ratio.
 
-Individual prediction, every region rule and the membership test take a
-single fit or a stack of R fits (:func:`~eivpred.estimators.fit_stack`) on
-one code path: on a stack, predictions, regions and memberships carry a
-leading axis of length R, and each slice equals the one-fit result to the
-bit.
+Individual and mean prediction, every region rule and the membership test
+take a single fit or a stack of R fits
+(:func:`~eivpred.estimators.fit_stack`) on one code path: on a stack,
+predictions, regions and memberships carry a leading axis of length R, and
+each slice equals the one-fit result to the bit.
 """
 
 from __future__ import annotations
@@ -118,20 +118,22 @@ def predict_mean(fit: FittedModel, z0, x0, sigma_eps_delta) -> Prediction:
     Subtracts the surrogate-predictable part of the response measurement
     error: ``center - sigma_eps_delta @ inv(x_cov) @ (x0 - x_mean)`` with the
     sample mean and 1/(n-1) covariance of the surrogate.  ``sigma_eps_delta``
-    is the known error cross-covariance (d x m, or a scalar).
+    is the known error cross-covariance (d x m, or a scalar), shared by every
+    fit of a stack; a stack with one singular covariance raises.
     """
     base = predict_individual(fit, z0, x0)
-    m = fit.moments.x_mean.shape[0]
-    d = base.point.shape[0]
+    m = fit.moments.x_mean.shape[-1]
+    d = base.point.shape[-1]
     cross = np.asarray(sigma_eps_delta, dtype=float)
     if cross.size != d * m:
         raise DimensionError(f"sigma_eps_delta must have shape ({d}, {m}), got {cross.shape}")
     cross = cross.reshape(d, m)
     x_cov = fit.moments.x_cov
-    scale = max(float(np.max(np.abs(x_cov))), 1e-300)
-    if min_eigenvalue(x_cov) <= 1e-12 * scale:
+    scale = np.maximum(np.max(np.abs(x_cov), axis=(-2, -1)), 1e-300)
+    if np.any(min_eigenvalue(x_cov) <= 1e-12 * scale):
         raise SingularCovariance("sample covariance of x is singular")
-    correction = cross @ np.linalg.solve(x_cov, base.x0 - fit.moments.x_mean)
+    dev = np.linalg.solve(x_cov, (base.x0 - fit.moments.x_mean)[..., None])
+    correction = (cross @ dev)[..., 0]
     return Prediction(point=base.point - correction, kind="mean", z0=base.z0, x0=base.x0)
 
 
@@ -147,24 +149,30 @@ def chi2_upper_quantile(dim: int, alpha: float) -> float:
     return float(chdtri(dim, alpha))
 
 
+def _ellipsoid(kind: str, fit: FittedModel, pred: Prediction, alpha: float, threshold, note=()):
+    """The ellipsoidal region of ``kind`` around ``pred``, shaped by the fit's
+    residual covariance, with threshold ``threshold(d)`` for a d-vector
+    response; ``note`` is added to the fit's notes."""
+    if not 0 < alpha < 1:
+        raise InvalidInput("alpha must lie in (0, 1)")
+    shape, notes = fit.region_shape
+    return ConfidenceRegion(
+        kind=kind,
+        center=pred.point,
+        threshold=threshold(pred.point.shape[-1]),
+        alpha=alpha,
+        shape=shape,
+        notes=notes + note,
+    )
+
+
 def region_chebyshev(fit: FittedModel, pred: Prediction, alpha: float) -> ConfidenceRegion:
     """Distribution-free region with threshold d / alpha.
 
     Guarantees asymptotic coverage at least 1 - alpha whenever the residual
     covariance is positive definite; conservative in practice.
     """
-    if not 0 < alpha < 1:
-        raise InvalidInput("alpha must lie in (0, 1)")
-    shape, notes = fit.region_shape
-    d = pred.point.shape[-1]
-    return ConfidenceRegion(
-        kind="chebyshev",
-        center=pred.point,
-        threshold=d / alpha,
-        alpha=alpha,
-        shape=shape,
-        notes=notes,
-    )
+    return _ellipsoid("chebyshev", fit, pred, alpha, lambda d: d / alpha)
 
 
 def region_chisquare(
@@ -176,20 +184,8 @@ def region_chisquare(
     error in the equation); the caller asserts that via ``purely_normal`` and
     a note is recorded otherwise.
     """
-    if not 0 < alpha < 1:
-        raise InvalidInput("alpha must lie in (0, 1)")
-    shape, notes = fit.region_shape
-    if not purely_normal:
-        notes = notes + ("purely-normal assumption not asserted",)
-    d = pred.point.shape[-1]
-    return ConfidenceRegion(
-        kind="chi_square",
-        center=pred.point,
-        threshold=chi2_upper_quantile(d, alpha),
-        alpha=alpha,
-        shape=shape,
-        notes=notes,
-    )
+    note = () if purely_normal else ("purely-normal assumption not asserted",)
+    return _ellipsoid("chi_square", fit, pred, alpha, lambda d: chi2_upper_quantile(d, alpha), note)
 
 
 def region_quadratic(
@@ -200,53 +196,31 @@ def region_quadratic(
     Half-width ``alpha^(-1/2) * sqrt(max(m_u2 + 4 (1/k0 - 1) x_var * G, 0))``
     evaluated from the fitted quantities; ``k0`` is the known lower bound on
     the reliability ratio.  A nonpositive bracket collapses the interval to
-    zero width with a note instead of raising.  On a stack the rule runs once
-    per fit, on Python floats as for a single fit.
+    zero width with a note instead of raising; a NaN bracket gives a NaN
+    half-width.
     """
     if not 0 < alpha < 1:
         raise InvalidInput("alpha must lie in (0, 1)")
-    if not 0 < k0 <= 0.5:
-        raise InvalidInput("reliability lower bound must lie in (0, 1/2]")
     params = fit.params
     if not isinstance(params, QuadraticObservable):
         raise InvalidInput("bound-based interval applies to the quadratic family")
-    columns = (
-        fit.residual_moment[..., 0, 0],
-        fit.moments.x_mean[..., 0],
-        fit.moments.x_cov[..., 0, 0],
-        pred.x0[..., 0],
-        params.slope,
-        params.curvature,
+    x_var = fit.moments.x_cov[..., 0, 0]
+    bound = quadratic_bound_term(
+        pred.x0[..., 0], fit.moments.x_mean[..., 0], x_var, params.slope, params.curvature, k0
     )
-    widths, degenerate = zip(
-        *(
-            _quadratic_half_width(*row, alpha, k0)
-            for row in zip(*(np.atleast_1d(c).tolist() for c in columns))
-        )
-    )
+    bracket = fit.residual_moment[..., 0, 0] + 4.0 * (1.0 / k0 - 1.0) * x_var * bound
+    width = np.where(bracket <= 0.0, 0.0, np.sqrt(np.maximum(bracket, 0.0)) / np.sqrt(alpha))
     notes: tuple[str, ...] = ()
-    if any(degenerate):
+    if np.any(bracket <= 0.0):
         notes = ("variance bracket nonpositive; interval degenerates to its center",)
     return ConfidenceRegion(
         kind="quadratic_bound",
         center=pred.point,
-        threshold=widths[0] if pred.point.ndim == 1 else np.array(widths),
+        threshold=float(width) if width.ndim == 0 else width,
         alpha=alpha,
         shape=None,
         notes=notes,
     )
-
-
-def _quadratic_half_width(
-    m_u2, x_mean, x_var, x0, slope, curvature, alpha, k0
-) -> tuple[float, bool]:
-    """The interval's half-width for one fit, and whether its bracket was
-    nonpositive."""
-    bound = quadratic_bound_term(x0, x_mean, x_var, slope, curvature, k0)
-    bracket = m_u2 + 4.0 * (1.0 / k0 - 1.0) * x_var * bound
-    if bracket <= 0.0:
-        return 0.0, True
-    return float(np.sqrt(bracket) / np.sqrt(alpha)), False
 
 
 REGION_KINDS = ("chebyshev", "chi_square", "quadratic_bound")

@@ -330,9 +330,7 @@ def transform_quadratic(spec: QuadraticSpec) -> QuadraticObservable:
     )
 
 
-def quadratic_bound_term(
-    x: float, mean: float, x_var: float, slope_x: float, curvature_x: float, k0: float
-) -> float:
+def quadratic_bound_term(x, mean, x_var, slope_x, curvature_x, k0: float):
     """Computable term G of the conditional-variance bound.
 
     Built from observable-scale quantities only; both the bracketed piece and
@@ -340,15 +338,20 @@ def quadratic_bound_term(
 
         Var(u | x) <= m_{u^2} + 4 (1/k0 - 1) Var(x) G(x)
 
-    holds whenever the true reliability ratio is at least ``k0``.
+    holds whenever the true reliability ratio is at least ``k0``.  Every
+    argument but ``k0`` may be a float or an array (one entry per fit of a
+    stack), and G is evaluated elementwise.
     """
     if not 0 < k0 <= 0.5:
         raise InvalidInput("reliability lower bound must lie in (0, 1/2]")
     dev = x - mean
-    neg_part = max(-(mean * dev), 0.0)
-    bracket = x**2 - mean**2 - x_var + 2.0 * neg_part * (1.0 - k0) ** 2 * (1.0 + 1.0 / k0)
-    cross = max(slope_x * curvature_x * dev, 0.0)
-    return curvature_x**2 * max(bracket, 0.0) + cross
+    neg_term = 2.0 * np.maximum(-(mean * dev), 0.0) * (1.0 - k0) ** 2 * (1.0 + 1.0 / k0)
+    # squares through C pow, as Python's float ``v**2`` computes them, so that
+    # each entry equals G on Python floats: numpy's ``**`` multiplies, which
+    # differs from pow in the last bit for about one value in a thousand
+    bracket = np.float_power(x, 2) - np.float_power(mean, 2) - x_var + neg_term
+    cross = np.maximum(slope_x * curvature_x * dev, 0.0)
+    return np.float_power(curvature_x, 2) * np.maximum(bracket, 0.0) + cross
 
 
 def transform_quadratic_variance(
@@ -359,8 +362,6 @@ def transform_quadratic_variance(
     The exact conditional variance uses the latent parameters; G uses only
     observable-scale quantities plus the reliability lower bound ``k0``.
     """
-    if not 0 < k0 <= 0.5:
-        raise InvalidInput("reliability lower bound must lie in (0, 1/2]")
     _, reliability, g1_var = _poly_ingredients(spec)
     mu = spec.latent_mean
     m_x = reliability * x + (1.0 - reliability) * mu

@@ -480,6 +480,63 @@ class TestFitPredict:
             f"spec violation: every entry of spec field 'latent_cov' must be a finite number, got [[{value}]]"
         ]
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    @pytest.mark.parametrize(
+        "key, change",
+        [
+            ("sigma_eps_delta", lambda v: {"sigma_eps_delta": [[v]]}),
+            ("x0", lambda v: {"predict": [{"z0": [0.0], "x0": [1.0]}, {"z0": [0.0], "x0": [v]}]}),
+            ("z0", lambda v: {"predict": [{"z0": [v], "x0": [1.0]}]}),
+        ],
+        ids=["sigma_eps_delta", "x0", "z0"],
+    )
+    def test_non_finite_input_exits_2_before_reading_data(
+        self, tmp_path, capsys, monkeypatch, key, change, value
+    ):
+        """JSON's NaN and Infinity parse as numbers; a prediction input holding
+        one is a config error, not a NaN in the report or a runtime error."""
+
+        def unreachable(prefix):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(cli, "load_dataset", unreachable)
+        config = json.loads((DATA_DIR / "golden_fit_predict_config.json").read_text())
+        config.update(change(value), data=str(DATA_DIR / "golden_dataset"))
+        assert main(["fit-predict", "--config", write_config(tmp_path, "fp.json", config)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"config error: {key} must hold finite numbers only"]
+
+    @pytest.mark.parametrize(
+        "region, key",
+        [
+            ({"kind": "chebyshev", "k0": 0.3}, "k0"),
+            ({"kind": "chebyshev", "purely_normal": True}, "purely_normal"),
+            ({"kind": "chi_square", "k0": 0.3}, "k0"),
+            ({"kind": "quadratic_bound", "k0": 0.3, "purely_normal": True}, "purely_normal"),
+        ],
+        ids=["chebyshev-k0", "chebyshev-purely_normal", "chi_square-k0", "quadratic_bound-purely_normal"],
+    )
+    def test_region_key_its_kind_does_not_read_exits_2_before_reading_data(
+        self, tmp_path, capsys, monkeypatch, region, key
+    ):
+        def unreachable(prefix):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(cli, "load_dataset", unreachable)
+        config = {
+            "data": str(tmp_path / "ds"),
+            "family": "quadratic",
+            "predict": [{"x0": 0.5}],
+            "regions": [dict(region, alpha=0.1)],
+        }
+        assert main(["fit-predict", "--config", write_config(tmp_path, "fp.json", config)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"config schema error: Additional properties are not allowed ('{key}' was unexpected)"
+        ]
+
     @pytest.mark.parametrize("data", ["golden_dataset", "missing"])
     def test_polynomial_without_degree_exits_2_before_reading_data(self, tmp_path, capsys, data):
         fp = write_config(tmp_path, "fp.json", {"data": str(DATA_DIR / data), "family": "polynomial"})
@@ -531,6 +588,24 @@ class TestExperiment:
             ],
         )
         assert main(["experiment", "--config", bad_cfg, "--check"]) == EXIT_CHECK_FAILED
+
+    def test_undefined_slope_gets_no_row(self, tmp_path, capsys):
+        """With one sample size the log-log slopes are undefined: the report
+        omits their rows, so it holds no NaN, and a check on one finds no row."""
+        check = {"statistic": "prediction_error_loglog_slope", "max": 0.0}
+        cfg = self.experiment_config(
+            tmp_path, suite="consistency", n_grid=[200], replications=5, checks=[check]
+        )
+        code = main(["experiment", "--config", cfg, "--check"])
+
+        def reject(constant):
+            raise ValueError(f"{constant} in the report")
+
+        report = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+        assert [row["statistic"] for row in report["rows"] if "n" not in row] == []
+        assert "nan" not in (tmp_path / "report.csv").read_text()
+        assert code == EXIT_CHECK_FAILED
+        assert f"CHECK FAILED: no report row matches {check}" in capsys.readouterr().err.splitlines()
 
     def test_seed_override_reproducible(self, tmp_path):
         cfg = self.experiment_config(tmp_path)
@@ -907,8 +982,9 @@ def test_fit_predict_and_coverage_build_the_same_regions(tmp_path, capsys, monke
 
     models.save_dataset(data, spec, tmp_path / "replication")
     regions = [
-        {"kind": kind, "alpha": 0.1, "purely_normal": True, "k0": 0.4}
-        for kind in predictors.REGION_KINDS
+        {"kind": "chebyshev", "alpha": 0.1},
+        {"kind": "chi_square", "alpha": 0.1, "purely_normal": True},
+        {"kind": "quadratic_bound", "alpha": 0.1, "k0": 0.4},
     ]
     point = {"x0": built[0][0].x0.tolist()}
     fp_config = {

@@ -323,29 +323,82 @@ class TestQuadraticRegion:
 
 
 @pytest.mark.parametrize(
-    "spec", [make_linear_spec(d=2, q=1, m=2), make_quadratic_spec()], ids=["linear-2d", "quadratic"]
+    "spec",
+    [make_linear_spec(), make_linear_spec(d=2, q=1, m=2), make_poly_spec(), make_quadratic_spec()],
+    ids=["linear-1d", "linear-2d", "polynomial", "quadratic"],
 )
 def test_regions_on_a_stack_equal_the_regions_of_each_fit(spec):
-    """Every region kind built on a stack of fits, and its membership test,
-    give each fit's own threshold, shape and verdict."""
+    """Mean prediction, every region kind built on a stack of fits, and its
+    membership test, give each fit's own point, threshold, shape and verdict."""
+    degree = getattr(spec, "degree", None)
     sampler = models.Sampler(spec)
     data = [sampler.sample(40, seed, keep_hidden=False) for seed in range(6)]
     subjects = [sampler.new_subject(50 + seed) for seed in range(6)]
-    stack = estimators.fit_stack(data, spec.family)
+    fits = [estimators.ols_fit(dataset, spec.family, degree=degree) for dataset in data]
+    stack = estimators.fit_stack(data, spec.family, degree=degree)
     z0 = np.array([s.z0 for s in subjects]) if spec.z_dim else None
     preds = predictors.predict_individual(stack, z0, np.array([s.x0 for s in subjects]))
+    alone_preds = [
+        predictors.predict_individual(fit, subject.z0 if spec.z_dim else None, subject.x0)
+        for fit, subject in zip(fits, subjects)
+    ]
+    d, m = preds.point.shape[-1], preds.x0.shape[-1]
+    cross = 0.1 * np.arange(1.0, d * m + 1.0).reshape(d, m)
+    means = predictors.predict_mean(stack, z0, preds.x0, cross)
+    for i, (fit, pred) in enumerate(zip(fits, alone_preds)):
+        assert np.array_equal(means.point[i], predictors.predict_mean(fit, pred.z0, pred.x0, cross).point)
     y0 = np.array([s.y0 for s in subjects])
     kinds = predictors.REGION_KINDS if spec.family == "quadratic" else ("chebyshev", "chi_square")
     for kind in kinds:
         for alpha in (0.05, 0.5):
             region = predictors.build_region(kind, stack, preds, alpha, k0=0.4)
             inside = predictors.region_contains(region, y0)
-            for i, subject in enumerate(subjects):
-                fit = estimators.ols_fit(data[i], spec.family)
-                pred = predictors.predict_individual(fit, subject.z0 if spec.z_dim else None, subject.x0)
+            for i, (fit, pred, subject) in enumerate(zip(fits, alone_preds, subjects)):
                 alone = predictors.build_region(kind, fit, pred, alpha, k0=0.4)
                 assert np.array_equal(region.center[i], alone.center)
                 assert np.asarray(region.threshold).flat[i if kind == "quadratic_bound" else 0] == alone.threshold
                 if alone.shape is not None:
                     assert np.array_equal(region.shape[i], alone.shape)
                 assert inside[i] == predictors.region_contains(alone, subject.y0)
+
+
+def _quadratic_half_width(m_u2, x_mean, x_var, x0, slope, curvature, alpha, k0):
+    """The bound-based half-width of one fit, computed on Python floats, whose
+    ``v**2`` is C pow."""
+    dev = x0 - x_mean
+    neg_part = max(-(x_mean * dev), 0.0)
+    bracket = x0**2 - x_mean**2 - x_var + 2.0 * neg_part * (1.0 - k0) ** 2 * (1.0 + 1.0 / k0)
+    bound = curvature**2 * max(bracket, 0.0) + max(slope * curvature * dev, 0.0)
+    total = m_u2 + 4.0 * (1.0 / k0 - 1.0) * x_var * bound
+    return 0.0 if total <= 0.0 else float(np.sqrt(total) / np.sqrt(alpha))
+
+
+def test_quadratic_bound_on_a_stack_equals_the_rule_on_python_floats():
+    """At points x0 whose C-pow square differs from the product x0 * x0, each
+    half-width, on a stack and for one fit, equals the rule on Python floats
+    to the bit."""
+    spec = make_quadratic_spec()
+    sampler = models.Sampler(spec)
+    data = [sampler.sample(40, seed, keep_hidden=False) for seed in range(64)]
+    stack = estimators.fit_stack(data, "quadratic")
+    draws = np.random.default_rng(7).uniform(1.5, 3.5, 200_000).tolist()
+    x0 = np.array([v for v in draws if v**2 != v * v][:64])[:, None]
+    assert x0.shape == (64, 1)
+    pred = predictors.predict_individual(stack, None, x0)
+    for alpha in (0.1, 0.3):
+        region = predictors.region_quadratic(stack, pred, alpha, 0.4)
+        for i in range(64):
+            fit = stack[i]
+            alone = predictors.region_quadratic(
+                fit, predictors.predict_individual(fit, None, x0[i]), alpha, 0.4
+            )
+            expected = _quadratic_half_width(
+                *(float(v) for v in (fit.residual_moment[0, 0], fit.moments.x_mean[0], fit.moments.x_cov[0, 0])),
+                float(x0[i, 0]),
+                float(fit.params.slope),
+                float(fit.params.curvature),
+                alpha,
+                0.4,
+            )
+            assert region.threshold[i] == expected
+            assert alone.threshold == expected
