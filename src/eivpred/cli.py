@@ -14,6 +14,7 @@ Configs are schema-validated and unknown keys are rejected.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import math
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import jsonschema
 import numpy as np
+from jsonschema.validators import validator_for
 
 from .errors import DatasetError, EivError, SpecError
 from .estimators import NLS_FAMILIES, fit_family
@@ -176,13 +178,21 @@ CONFIG_SCHEMAS = {
 def _load_config(path: str, command: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         config = json.load(fh)
-    jsonschema.validate(config, CONFIG_SCHEMAS[command])
+    # the schemas are fixed, so their metaschema check runs in the tests, not on every call
+    schema = CONFIG_SCHEMAS[command]
+    error = jsonschema.exceptions.best_match(validator_for(schema)(schema).iter_errors(config))
+    if error is not None:
+        raise error
     if command == "fit-predict":
-        values = [("sigma_eps_delta", config.get("sigma_eps_delta"))]
+        cross = config.get("sigma_eps_delta")
+        values = [("sigma_eps_delta", cross)]
         values += [(key, point.get(key)) for point in config.get("predict", []) for key in ("z0", "x0")]
         bad = dict.fromkeys(key for key, value in values if not all(map(math.isfinite, _numbers(value))))
         if bad:
             raise ValueError(f"{', '.join(bad)} must hold finite numbers only")
+        # the schema admits a list of rows but cannot require them to be of one length
+        if isinstance(cross, list) and len({len(row) for row in cross if isinstance(row, list)}) > 1:
+            raise ValueError("the rows of sigma_eps_delta must all have the same length")
     if command == "experiment":
         others = set().union(*_SUITE_KEYS.values()) - _SUITE_KEYS[config["suite"]]
         unread = [key for key in config if key in others]
@@ -376,6 +386,12 @@ def _scipy_modules(command: str, config: dict) -> list[str]:
 
 
 def main(argv=None) -> int:
+    """Run one CLI command on ``argv`` (default ``sys.argv[1:]``); return its exit code.
+
+    This is a process entry point: before the command runs it freezes
+    (``gc.freeze``) every object the process has loaded, so an in-process
+    caller, such as a test, keeps a frozen heap afterwards.
+    """
     args = build_parser().parse_args(argv)
     try:
         if args.command == "experiment" and args.threads < 1:
@@ -391,6 +407,7 @@ def main(argv=None) -> int:
     # runs that call it, and before the command starts its work
     for module in _scipy_modules(args.command, config):
         importlib.import_module(module)
+    gc.freeze()  # the loaded heap lives to exit: no later full collection, in any process, walks it
     try:
         return _COMMANDS[args.command](config, args)
     except SpecError as exc:

@@ -507,6 +507,22 @@ class TestFitPredict:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"config error: {key} must hold finite numbers only"]
 
+    def test_ragged_sigma_eps_delta_exits_2_before_reading_data(self, tmp_path, capsys, monkeypatch):
+        """The schema admits rows of any lengths; numpy cannot stack ragged ones."""
+
+        def unreachable(prefix):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(cli, "load_dataset", unreachable)
+        config = json.loads((DATA_DIR / "golden_fit_predict_config.json").read_text())
+        config.update(sigma_eps_delta=[[0.1], [0.2, 0.3]], data=str(DATA_DIR / "golden_dataset"))
+        assert main(["fit-predict", "--config", write_config(tmp_path, "fp.json", config)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "config error: the rows of sigma_eps_delta must all have the same length"
+        ]
+
     @pytest.mark.parametrize(
         "region, key",
         [

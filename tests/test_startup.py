@@ -4,7 +4,8 @@ scipy.optimize and scipy.special take most of a second to import, so they
 are loaded only for the runs that call them, and then before the suite
 driver or the command body starts.  multiprocessing is loaded only by an
 experiment that runs on more than one worker, and only once its suite
-driver has started.
+driver has started.  Once those modules are loaded, and before the command
+starts, the CLI freezes the heap (``gc.freeze``).
 """
 
 import json
@@ -21,23 +22,26 @@ from test_cli import SRC, linear_spec_dict, write_config
 
 # Prints, as JSON, the watched modules (multiprocessing and the scipy ones)
 # loaded after running the CLI on the arguments in sys.argv, and those loaded
-# when the suite driver was entered.
+# when the suite driver was entered; and the number of frozen objects
+# (gc.get_freeze_count) when the suite driver was entered and after the run.
 _RUN_CLI = """
-import json, sys
+import gc, json, sys
 from eivpred import cli
 
 def watched_modules():
     watched = ("multiprocessing", "scipy.optimize", "scipy.special")
     return sorted(m for m in watched if m in sys.modules)
 
-entered = []
+entered, frozen = [], []
 for suite, driver in list(cli._SUITES.items()):
     def wrapped(cfg, driver=driver):
         entered.append(watched_modules())
+        frozen.append(gc.get_freeze_count())
         return driver(cfg)
     cli._SUITES[suite] = wrapped
 code = cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "loaded": watched_modules(), "entered": entered}))
+frozen.append(gc.get_freeze_count())
+print(json.dumps({"code": code, "loaded": watched_modules(), "entered": entered, "frozen": frozen}))
 """
 
 
@@ -65,7 +69,9 @@ def test_linear_simulate_and_polynomial_consistency_load_no_scipy(tmp_path):
     sim = write_config(
         tmp_path, "sim.json", {"spec": linear_spec_dict(), "n": 50, "seed": 1, "out": str(tmp_path / "ds")}
     )
-    assert run_cli("simulate", "--config", sim) == {"code": 0, "loaded": [], "entered": []}
+    result = run_cli("simulate", "--config", sim)
+    assert result.pop("frozen")[-1] > 0  # the heap stays frozen after main returns
+    assert result == {"code": 0, "loaded": [], "entered": []}
     exp = write_config(
         tmp_path,
         "exp.json",
@@ -78,7 +84,9 @@ def test_linear_simulate_and_polynomial_consistency_load_no_scipy(tmp_path):
             "out": str(tmp_path / "report"),
         },
     )
-    assert run_cli("experiment", "--config", exp) == {"code": 0, "loaded": [], "entered": [[]]}
+    result = run_cli("experiment", "--config", exp)
+    assert result.pop("frozen")[0] > 0
+    assert result == {"code": 0, "loaded": [], "entered": [[]]}
 
 
 def test_multiprocessing_is_loaded_only_by_a_pooled_run(tmp_path):
@@ -95,6 +103,7 @@ def test_multiprocessing_is_loaded_only_by_a_pooled_run(tmp_path):
     exp = write_config(tmp_path, "exp.json", config)
     for threads, loaded in (("1", []), ("2", ["multiprocessing"])):
         result = run_cli("experiment", "--config", exp, "--threads", threads)
+        assert result.pop("frozen")[0] > 0  # before the workers fork
         assert result == {"code": 0, "loaded": loaded, "entered": [[]]}
 
 
@@ -118,6 +127,7 @@ def test_needed_scipy_is_loaded_before_the_driver(tmp_path, extra, needed):
     result = run_cli("experiment", "--config", exp)
     assert result["code"] == 0
     assert result["entered"] == [needed]
+    assert result["frozen"][0] > 0  # frozen by the time the driver starts, scipy loaded
 
 
 def test_exponential_fit_predict_fits_in_a_fresh_process(tmp_path):
@@ -134,6 +144,7 @@ def test_exponential_fit_predict_fits_in_a_fresh_process(tmp_path):
         },
     )
     result = run_cli("fit-predict", "--config", fp, "--out", str(tmp_path / "fit.json"))
+    assert result.pop("frozen")[-1] > 0
     assert result == {"code": 0, "loaded": ["scipy.optimize", "scipy.special"], "entered": []}
     report = json.loads((tmp_path / "fit.json").read_text())
     assert report["fit"]["converged"] is True

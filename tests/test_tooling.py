@@ -47,6 +47,18 @@ def test_every_suite_is_a_callable_named_in_the_experiment_schema():
     assert list(cli._SUITES) == cli.CONFIG_SCHEMAS["experiment"]["properties"]["suite"]["enum"]
 
 
+def test_every_config_schema_is_valid_against_its_metaschema():
+    """``cli._load_config`` does not check a schema itself on every call, so
+    each one is checked here."""
+    from jsonschema.validators import validator_for
+
+    from eivpred import cli
+
+    assert sorted(cli.CONFIG_SCHEMAS) == sorted(cli._COMMANDS)
+    for schema in cli.CONFIG_SCHEMAS.values():
+        validator_for(schema).check_schema(schema)
+
+
 ROOT = Path(__file__).resolve().parents[1]
 EXPERIMENT_CONFIGS = sorted(
     path.relative_to(ROOT).as_posix()
