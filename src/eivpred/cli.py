@@ -316,7 +316,7 @@ def cmd_experiment(config: dict, args) -> int:
     report = _SUITES[config["suite"]](cfg)
     json_path, csv_path = report.write(out)
     sys.stdout.write(f"{json_path}\n{csv_path}\n")
-    sys.stderr.write(f"elapsed: {report.elapsed_seconds:.2f}s\n")
+    sys.stderr.write(f"elapsed: {report.elapsed_seconds:.3f}s\n")
     if args.check:
         problems = _evaluate_checks(report, config.get("checks", []))
         if problems:

@@ -5,17 +5,19 @@ Ordinary least squares targets the observable regression of the response on
 no attempt is made to recover the latent-regression parameters.  Singular
 regressor covariances fall back to the minimum-norm pseudo-inverse solution.
 
-:func:`fit_stack` fits R datasets of one size into one :class:`FittedModel`
-whose arrays carry a leading axis of length R: the OLS kernel fits them as
-``(R, n, .)`` arrays, and the nonlinear fits are stacked field by field.  A
-single fit is the ``[i]`` slice of a stack, and equals the one-dataset fit to
-the bit.
+:func:`fit_stack` fits R datasets of one size, given as their stacked
+``(R, n, .)`` observed arrays, into one :class:`FittedModel` whose arrays
+carry a leading axis of length R: the OLS kernel fits the arrays as they
+are, and the nonlinear fits are stacked field by field.  A single fit is the
+``[i]`` slice of a stack, and equals the one-dataset fit to the bit.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import NamedTuple, Optional
@@ -166,6 +168,12 @@ class _Stacked(NamedTuple):
     z: np.ndarray
     x: np.ndarray
 
+    @classmethod
+    def of(cls, data: Dataset) -> _Stacked:
+        """One dataset as a stack of one, in views: at large n a copy would
+        cost time and memory."""
+        return cls(data.y[None], data.z[None], data.x[None])
+
 
 def _regressors(
     data: Dataset | _Stacked, family: str, degree: Optional[int]
@@ -231,19 +239,15 @@ def _coef_params(family: str, q: int, intercept: np.ndarray, coefs: np.ndarray):
     return QuadraticObservable(intercept=intercept[:, 0], slope=coefs[:, 0, 0], curvature=coefs[:, 1, 0])
 
 
-def _ols_stack(data: list[Dataset], family: str, degree: Optional[int]) -> FittedModel:
+def _ols_stack(data: _Stacked, family: str, degree: Optional[int]) -> FittedModel:
     """The OLS kernel: the fits of R datasets of one size, stacked.
 
     Coefficients solve ``coefs = pinv(S_rr) @ S_ry`` with the intercept from
     the bar-mean relation, which minimizes the summed squared residuals; a
     singular S_rr yields the minimum-norm coefficients without failure.
     """
-    if len(data) == 1:  # views: at large n a copy would cost time and memory
-        stacked = _Stacked(data[0].y[None], data[0].z[None], data[0].x[None])
-    else:
-        stacked = _Stacked(*(np.stack([getattr(d, k) for d in data]) for k in _Stacked._fields))
-    y, z, x = stacked
-    r, _ = _regressors(stacked, family, degree)
+    y, z, x = data
+    r, _ = _regressors(data, family, degree)
     n = y.shape[1]
     need = min_sample_size(family, z.shape[2], x.shape[2], degree)
     if n < need:
@@ -268,7 +272,7 @@ def _ols_stack(data: list[Dataset], family: str, degree: Optional[int]) -> Fitte
 def ols_fit(data: Dataset, family: str = "linear", degree: Optional[int] = None) -> FittedModel:
     """Ordinary least squares on the observable regressors: the OLS kernel
     (see :func:`fit_stack`) on the one dataset ``data``."""
-    stack = _ols_stack([data], family, degree)
+    stack = _ols_stack(_Stacked.of(data), family, degree)
     stack.warn_ill_conditioned()
     return stack[0]
 
@@ -294,7 +298,32 @@ def _least_squares(make, evaluate, x: np.ndarray, y: np.ndarray, starts: list[np
 
     Returns ``(make(p), objective, converged)`` for the lowest-cost finite
     result ``p``: its summed squared residuals, and whether a tolerance was met.
+
+    The solves run on a thread started for the call and joined before it
+    returns: what scipy's ``lmder`` returns for an ill-conditioned fit depends
+    on the stack it runs on (it moved with the caller's C stack depth, and
+    between processes), and a new thread starts every fit at the same depth,
+    which removes most of that dependence.  The thread runs in a copy of the
+    caller's context, which holds numpy's error state.
     """
+    context, outcome = contextvars.copy_context(), []
+
+    def solve():
+        try:
+            outcome.append(context.run(_solve, make, evaluate, x, y, starts))
+        except BaseException as exc:  # raised again on the calling thread
+            outcome.append(exc)
+
+    solver = threading.Thread(target=solve, daemon=True)  # an interrupted caller does not wait
+    solver.start()
+    solver.join()
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    return outcome[0]
+
+
+def _solve(make, evaluate, x: np.ndarray, y: np.ndarray, starts: list[np.ndarray]):
+    """The solves of :func:`_least_squares`, on the thread that calls this."""
     from scipy.optimize import leastsq
 
     @functools.lru_cache(maxsize=1)  # keyed by the point's bytes: reused only at the same point
@@ -470,24 +499,24 @@ def fit_family(
     :func:`nls_fit` for :data:`NLS_FAMILIES` (``harmonics`` for the
     trigonometric one), the OLS kernel for the families linear in their
     coefficients (``degree`` for the polynomial one)."""
-    stack = fit_stack([data], family, degree=degree, harmonics=harmonics)
+    stack = fit_stack(_Stacked.of(data), family, degree=degree, harmonics=harmonics)
     stack.warn_ill_conditioned()
     return stack[0]
 
 
-def fit_stack(
-    data: list[Dataset], family: str, degree: Optional[int] = None, harmonics: int = 1
-) -> FittedModel:
-    """Fit ``family`` to each of the datasets ``data``, which share one size,
-    as one stack of fits.
+def fit_stack(data, family: str, degree: Optional[int] = None, harmonics: int = 1) -> FittedModel:
+    """Fit ``family`` to each of R datasets of one size n, given as their
+    stacked observed arrays ``data = (y, z, x)``, each (R, n, .) (as
+    :meth:`~eivpred.models.Sampler.samples` draws them), as one stack of fits.
 
-    The OLS families run the OLS kernel once on the datasets stacked as
-    ``(R, n, .)`` arrays; the NLS families run :func:`nls_fit` one dataset at
-    a time and stack its fits field by field.  Ill-conditioning warnings are
-    left to the caller (:meth:`FittedModel.warn_ill_conditioned`), which
-    knows when a fit is kept."""
-    if family in NLS_FAMILIES:
-        return _stack([nls_fit(d, family, harmonics=harmonics) for d in data])
+    The OLS families run the OLS kernel once on the stacked arrays; the NLS
+    families run :func:`nls_fit` on one :class:`Dataset` view per row and
+    stack its fits field by field.  Ill-conditioning warnings are left to the
+    caller (:meth:`FittedModel.warn_ill_conditioned`), which knows when a fit
+    is kept."""
+    data = _Stacked(*data)
+    if family in NLS_FAMILIES:  # a fit does not read the seed
+        return _stack([nls_fit(Dataset(y, z, x, seed=0), family, harmonics=harmonics) for y, z, x in zip(*data)])
     return _ols_stack(data, family, degree)
 
 

@@ -233,7 +233,9 @@ class LinearSpec:
         return self.latent_mean, self.latent_cov, self.errors
 
     def regression(self, z: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """Regression surface evaluated at exact covariates, (n, d)."""
+        """Regression surface evaluated at exact covariates, (..., n, d): ``z``
+        (..., n, q) and ``xi`` (..., n, m) may carry leading axes, as every
+        family's ``regression`` accepts."""
         out = self.intercept + xi @ self.latent_slopes
         if self.z_dim:
             out = out + z @ self.z_slopes
@@ -328,10 +330,10 @@ class PolynomialSpec(_ScalarLatentSpec):
         return self.z_slopes.shape[0]
 
     def regression(self, z: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        out = self.intercept + power_basis(xi[:, 0], self.degree) @ self.coefs
+        out = self.intercept + power_basis(xi[..., 0], self.degree) @ self.coefs
         if self.z_dim:
             out = out + z @ self.z_slopes
-        return out[:, None]
+        return out[..., None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,8 +356,8 @@ class QuadraticSpec(_ScalarLatentSpec):
     family: ClassVar[str] = "quadratic"
 
     def regression(self, z: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        v = xi[:, 0]
-        return (self.intercept + self.slope * v + self.curvature * v**2)[:, None]
+        v = xi[..., 0]
+        return (self.intercept + self.slope * v + self.curvature * v**2)[..., None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,7 +374,7 @@ class ExponentialSpec(_ScalarLatentSpec):
     family: ClassVar[str] = "exponential"
 
     def regression(self, z: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        return (self.scale * np.exp(self.rate * xi[:, 0]))[:, None]
+        return (self.scale * np.exp(self.rate * xi[..., 0]))[..., None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,9 +401,9 @@ class TrigSpec(_ScalarLatentSpec):
 
     def regression(self, z: np.ndarray, xi: np.ndarray) -> np.ndarray:
         k = np.arange(1, self.harmonics + 1)
-        phase = self.freq * xi[:, 0][:, None] * k
+        phase = self.freq * xi[..., 0][..., None] * k
         out = self.const + np.cos(phase) @ self.cos_amps + np.sin(phase) @ self.sin_amps
-        return out[:, None]
+        return out[..., None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,7 +421,7 @@ class AbsSpec(_ScalarLatentSpec):
     family: ClassVar[str] = "absolute_value"
 
     def regression(self, z: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        return (self.scale * np.abs(xi[:, 0] + self.shift))[:, None]
+        return (self.scale * np.abs(xi[..., 0] + self.shift))[..., None]
 
 
 ModelSpec = Union[LinearSpec, PolynomialSpec, QuadraticSpec, ExponentialSpec, TrigSpec, AbsSpec]
@@ -520,7 +522,8 @@ def _z_violations(spec, q: int) -> list[tuple[str, bool]]:
 
 @dataclass(frozen=True, eq=False)
 class HiddenTruth:
-    """Per-observation latent draws kept for oracle checks."""
+    """Per-observation latent draws kept for oracle checks (each with a
+    leading axis of length R in a stacked draw, :meth:`Sampler.draw`)."""
 
     xi: np.ndarray  # (n, m)
     delta: np.ndarray  # (n, m)
@@ -545,13 +548,29 @@ class Dataset:
 
 @dataclass(frozen=True, eq=False)
 class NewSubject:
-    """A fresh draw together with its noiseless regression value."""
+    """A fresh draw together with its noiseless regression value; R subjects
+    stacked (:meth:`Sampler.subjects`) carry a leading axis of length R on
+    every field."""
 
     z0: np.ndarray  # (q,)
     x0: np.ndarray  # (m,)
     y0: np.ndarray  # (d,)
     eta0: np.ndarray  # (d,), regression surface at (z0, xi0)
     xi0: np.ndarray  # (m,), hidden latent draw (kept for oracle checks)
+
+
+def _first(value):
+    """The ``[0]`` slice of every field of a stacked dataclass."""
+    return type(value)(**{name: array[0] for name, array in vars(value).items()})
+
+
+def _standard_normals(rngs, shape: tuple[int, ...]) -> np.ndarray:
+    """A (R, *shape) block of standard normals whose row r is drawn from
+    ``rngs[r]`` alone, as ``rngs[r].standard_normal(shape)`` draws it."""
+    out = np.empty((len(rngs), *shape))
+    for rng, block in zip(rngs, out):
+        rng.standard_normal(out=block)
+    return out
 
 
 class Sampler:
@@ -562,6 +581,12 @@ class Sampler:
     equation-error and Gaussian-z covariances are computed here and reused by
     every draw.  The spec must not be mutated while a sampler built from it
     is in use.
+
+    :meth:`draw` is the one draw path: it takes R generators and returns R
+    datasets stacked as (R, n, .) arrays, whose row r equals the draw from
+    ``rngs[r]`` alone to the bit.  :meth:`samples` and :meth:`subjects` key a
+    stack by seeds, and :meth:`sample` and :meth:`new_subject` are their
+    R = 1 slices.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -584,41 +609,65 @@ class Sampler:
         else:
             self._z_factor = np.sqrt(np.diag(self._z_dist.cov))  # two-point offsets
 
-    def _draw_z(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def _draw_z(self, rngs, n: int) -> np.ndarray:
         z_dist, shape = self._z_dist, (n, self._q)
         if z_dist is None:
-            return np.zeros(shape)
+            return np.zeros((len(rngs), *shape))
         if z_dist.kind == "gaussian":
-            return z_dist.mean + rng.standard_normal(shape) @ self._z_factor
-        if z_dist.kind == "uniform":
-            return z_dist.mean + rng.uniform(-1.0, 1.0, size=shape) * self._z_factor
-        signs = 2.0 * rng.integers(0, 2, size=shape) - 1.0
-        return z_dist.mean + signs * self._z_factor
+            return z_dist.mean + _standard_normals(rngs, shape) @ self._z_factor
+        # u in [0, 1) or {0, 1}: 2u - 1 is the uniform(-1, 1) draw to the bit, or the sign
+        raw = np.empty((len(rngs), *shape))
+        for rng, block in zip(rngs, raw):
+            if z_dist.kind == "uniform":
+                rng.random(out=block)
+            else:
+                block[...] = rng.integers(0, 2, size=shape)
+        return z_dist.mean + (2.0 * raw - 1.0) * self._z_factor
 
-    def draw(self, rng: np.random.Generator, n: int):
-        """Draw n i.i.d. observations; returns (y, z, x, hidden)."""
+    def draw(self, rngs, n: int):
+        """Draw n i.i.d. observations from each generator of ``rngs``; returns
+        ``(y, z, x, hidden, eta)``, every array (R, n, .) with R = len(rngs),
+        ``eta`` the regression surface at (z, xi).
+
+        Each generator draws its raw blocks z, xi, (eps, delta), e in that
+        order.  One block at a time is drawn across the generators and
+        transformed, row by row as ``(n, k) @ (k, k)`` products, and the
+        surface is evaluated once on the stack: row r equals the draw from
+        ``rngs[r]`` alone to the bit, and no raw block outlives its transform.
+        """
+        if n < 1:
+            raise SpecError(["sample size must be >= 1"])
         d, m = self._d, self._m
-        z = self._draw_z(rng, n)
-        xi = self._mu + rng.standard_normal((n, m)) @ self._latent_factor
-        meas = rng.standard_normal((n, d + m)) @ self._meas_factor
-        eps, delta = meas[:, :d], meas[:, d:]
-        e = rng.standard_normal((n, d)) @ self._e_factor
+        z = self._draw_z(rngs, n)
+        xi = self._mu + _standard_normals(rngs, (n, m)) @ self._latent_factor
+        meas = _standard_normals(rngs, (n, d + m)) @ self._meas_factor
+        eps, delta = meas[..., :d], meas[..., d:]
+        e = _standard_normals(rngs, (n, d)) @ self._e_factor
         x = xi + delta
-        y = self.spec.regression(z, xi) + e + eps
-        return y, z, x, HiddenTruth(xi=xi, delta=delta, e=e, eps=eps)
+        eta = self.spec.regression(z, xi)
+        y = eta + e + eps
+        return y, z, x, HiddenTruth(xi=xi, delta=delta, e=e, eps=eps), eta
+
+    def samples(self, n: int, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The observed arrays ``(y, z, x)`` of one sample of ``n`` per seed,
+        stacked as (R, n, .): row r is ``sample(n, seeds[r])``."""
+        return self.draw([make_rng(seed) for seed in seeds], n)[:3]
 
     def sample(self, n: int, seed: int, *, keep_hidden: bool = True) -> Dataset:
         """Draw ``n`` i.i.d. observations; deterministic given ``seed``."""
-        if n < 1:
-            raise SpecError(["sample size must be >= 1"])
-        y, z, x, hidden = self.draw(make_rng(seed), n)
-        return Dataset(y=y, z=z, x=x, seed=int(seed), hidden=hidden if keep_hidden else None)
+        y, z, x, hidden, _ = self.draw([make_rng(seed)], n)
+        hidden = _first(hidden) if keep_hidden else None
+        return Dataset(y=y[0], z=z[0], x=x[0], seed=int(seed), hidden=hidden)
+
+    def subjects(self, seeds) -> NewSubject:
+        """One fresh subject per seed, stacked: every field (R, .), row r is
+        ``new_subject(seeds[r])``."""
+        y, z, x, hidden, eta = self.draw([make_rng(seed, 0x5EED) for seed in seeds], 1)
+        return NewSubject(z0=z[:, 0], x0=x[:, 0], y0=y[:, 0], eta0=eta[:, 0], xi0=hidden.xi[:, 0])
 
     def new_subject(self, seed: int) -> NewSubject:
         """One fresh draw plus the noiseless regression value at its covariates."""
-        y, z, x, hidden = self.draw(make_rng(seed, 0x5EED), 1)
-        eta = self.spec.regression(z, hidden.xi)
-        return NewSubject(z0=z[0], x0=x[0], y0=y[0], eta0=eta[0], xi0=hidden.xi[0])
+        return _first(self.subjects([seed]))
 
 
 def sample(spec: ModelSpec, n: int, seed: int, *, keep_hidden: bool = True) -> Dataset:

@@ -18,14 +18,15 @@ chunk of replications, and ``rows``, the report rows of one sample size.
 ``failure_rate`` row per sample size and the trailing log-log slope rows.
 
 The replications of one sample size n run in chunks of
-``max(1, _CHUNK_ROWS // n)``.  The suites that score fitted predictions fit
-a chunk's datasets into one stack of fits, a
+``max(1, _CHUNK_ROWS // n)``.  The suites that score fitted predictions draw
+a chunk's datasets and subjects as stacked ``(R, n, .)`` arrays in one
+:meth:`~eivpred.models.Sampler.draw` each, each replication's rows from its
+own counter-based streams; they fit the datasets into one stack of fits, a
 :class:`~eivpred.estimators.FittedModel` whose arrays carry a leading axis
 over the chunk (:func:`~eivpred.estimators.fit_stack`), and compute its
 predictions, regions and memberships for the whole stack on the one-fit
-code path (:func:`_fitted_prediction`).  Each replication still draws from
-its own counter-based seeds, and every stacked quantity equals the
-one-replication value to the bit.  When a chunk raises
+code path (:func:`_fitted_prediction`).  Every stacked quantity, the draws
+included, equals the one-replication value to the bit.  When a chunk raises
 :class:`~eivpred.errors.EivError` it is run again one replication at a time,
 so a failed replication gets the failure entry it would get alone.  Chunks
 are dealt to the workers, this process and forked copies of it, in
@@ -50,6 +51,7 @@ from .errors import EivError, ReplicationsFailed, SpecError
 from .estimators import fit_stack, min_sample_size, naive_ols_abs, nls_fit
 from .linalg import cholesky_psd
 from .models import AbsSpec, LinearSpec, ModelSpec, NewSubject, QuadraticSpec, Sampler, spec_to_dict
+from .models import _standard_normals
 from .predictors import (
     REGION_KINDS,
     build_region,
@@ -208,7 +210,13 @@ def _true_mean_point(spec: ModelSpec, best_point: np.ndarray, x0: np.ndarray) ->
 
 def _conditional_subject(spec: ModelSpec, fixed: NewSubject):
     """Draws of a fresh response at the fixed (z0, x0) of ``fixed``, from the
-    exact conditional law; its moments and factors are computed once here."""
+    exact conditional law; its moments and factors are computed once here.
+
+    ``draw(rngs)`` gives one subject per generator, stacked as
+    :meth:`~eivpred.models.Sampler.subjects` stacks them: each generator
+    draws the conditional Gaussian (g1, g2), then the equation error, each
+    block transformed row by row as ``(k, k) @ (k, 1)`` products, so row r
+    equals the draw from ``rngs[r]`` alone to the bit."""
     cg = condition_gaussian(spec)
     m = cg.xi_coef.shape[0]
     mu, _, errors = spec.gaussian_blocks()
@@ -217,26 +225,31 @@ def _conditional_subject(spec: ModelSpec, fixed: NewSubject):
     mean_eps = cg.eps_coef @ (x0 - mu)
     cond_factor = cholesky_psd(cg.cond_cov)
     e_factor = cholesky_psd(errors.sigma_e)
-    zrow = fixed.z0[None, :]
 
-    def draw(rng: np.random.Generator) -> NewSubject:
-        g = cond_factor @ rng.standard_normal(cond_factor.shape[0])
-        xi0 = mean_xi + g[:m]
-        eps0 = mean_eps + g[m:]
-        e0 = e_factor @ rng.standard_normal(e_factor.shape[0])
-        eta0 = spec.regression(zrow, xi0[None, :])[0]
-        return NewSubject(z0=fixed.z0, x0=x0, y0=eta0 + e0 + eps0, eta0=eta0, xi0=xi0)
+    def draw(rngs) -> NewSubject:
+        g = (cond_factor @ _standard_normals(rngs, (cond_factor.shape[0], 1)))[..., 0]
+        e0 = (e_factor @ _standard_normals(rngs, (e_factor.shape[0], 1)))[..., 0]
+        xi0 = mean_xi + g[:, :m]
+        eps0 = mean_eps + g[:, m:]
+        eta0 = spec.regression(fixed.z0[None, None, :], xi0[:, None, :])[:, 0]
+        rows = (len(rngs), 1)
+        return NewSubject(
+            z0=np.tile(fixed.z0, rows), x0=np.tile(x0, rows), y0=eta0 + e0 + eps0, eta0=eta0, xi0=xi0
+        )
 
     return draw
 
 
 def _subject_drawer(cfg: ExperimentConfig, sampler: Sampler):
-    """``(n_idx, rep) -> NewSubject`` for the prediction target of each
-    replication: a fresh subject, or a fresh response at one fixed subject."""
+    """``(n_idx, reps) -> NewSubject``, the prediction targets of the
+    replications ``reps`` stacked: fresh subjects, or fresh responses at one
+    fixed subject."""
     if not cfg.fixed_subject:
-        return lambda n_idx, rep: sampler.new_subject(derive_seed(cfg.master_seed, 2, n_idx, rep))
+        return lambda n_idx, reps: sampler.subjects(
+            [derive_seed(cfg.master_seed, 2, n_idx, rep) for rep in reps]
+        )
     conditional = _conditional_subject(cfg.spec, sampler.new_subject(derive_seed(cfg.master_seed, 4)))
-    return lambda n_idx, rep: conditional(make_rng(cfg.master_seed, 3, n_idx, rep))
+    return lambda n_idx, reps: conditional([make_rng(cfg.master_seed, 3, n_idx, rep) for rep in reps])
 
 
 def check_sample_sizes(cfg: ExperimentConfig) -> None:
@@ -256,11 +269,12 @@ def check_sample_sizes(cfg: ExperimentConfig) -> None:
 
 
 def _fitted_prediction(cfg: ExperimentConfig, score):
-    """``one(n_idx, reps)`` for a suite that scores fitted predictions: it fits
-    a chunk of replications of one sample size as one stack of fits (whose
-    ``[i]`` is the fit of replication ``reps[i]``), draws each replication's
-    subject, predicts for them, and returns ``score(stack, subjects, pred)``,
-    one value per replication.
+    """``one(n_idx, reps)`` for a suite that scores fitted predictions: it
+    draws the datasets of a chunk of replications of one sample size as one
+    stack, fits them as one stack of fits (whose ``[i]`` is the fit of
+    replication ``reps[i]``), draws the chunk's subjects as one stack,
+    predicts for them, and returns ``score(stack, subjects, pred)``, one value
+    per replication.
 
     Compiles the spec into one :class:`Sampler` for the run.  A chunk of one
     replication warns of an ill-conditioned fit right after fitting, as
@@ -268,21 +282,17 @@ def _fitted_prediction(cfg: ExperimentConfig, score):
     chunk that fails runs again in chunks of one), so each fit warns once."""
     spec = cfg.spec
     sampler = Sampler(spec)
-    draw_subject = _subject_drawer(cfg, sampler)
+    draw_subjects = _subject_drawer(cfg, sampler)
     degree, harmonics = getattr(spec, "degree", None), getattr(spec, "harmonics", 1)
 
     def one(n_idx: int, reps: tuple[int, ...]):
-        n = cfg.n_grid[n_idx]
-        data = [
-            sampler.sample(n, derive_seed(cfg.master_seed, 1, n_idx, rep), keep_hidden=False)
-            for rep in reps
-        ]
+        seeds = [derive_seed(cfg.master_seed, 1, n_idx, rep) for rep in reps]
+        data = sampler.samples(cfg.n_grid[n_idx], seeds)
         stack = fit_stack(data, spec.family, degree=degree, harmonics=harmonics)
         if len(reps) == 1:
             stack.warn_ill_conditioned()
-        subjects = [draw_subject(n_idx, rep) for rep in reps]
-        z0 = np.array([s.z0 for s in subjects]) if subjects[0].z0.size else None
-        pred = predict_individual(stack, z0, np.array([s.x0 for s in subjects]))
+        subjects = draw_subjects(n_idx, reps)
+        pred = predict_individual(stack, subjects.z0 if spec.z_dim else None, subjects.x0)
         scores = score(stack, subjects, pred)
         if len(reps) > 1:
             stack.warn_ill_conditioned()
@@ -434,9 +444,9 @@ def _consistency(cfg: ExperimentConfig):
         z0 = None if pred.z0 is None else pred.z0[:, None]
         best = predict_rows(true_params, z0, pred.x0[:, None])[:, 0]
         errs = _norms(pred.point - best)
-        coefs = _coef_vector(stack.params, (len(subjects),)) - true_vec
+        coefs = _coef_vector(stack.params, (len(errs),)) - true_vec
         coef_rels = [err / max(true_norm, 1e-300) for err in _norms(coefs)]
-        mean_rels = [None] * len(subjects)
+        mean_rels = [None] * len(errs)
         if cross is not None:
             mtrue = _true_mean_point(cfg.spec, best, pred.x0)
             mean_errs = _norms(predict_mean(stack, pred.z0, pred.x0, cross).point - mtrue)
@@ -487,10 +497,9 @@ def _coverage(cfg: ExperimentConfig):
     k0 = getattr(cfg.spec, "reliability_floor", None)
 
     def score(stack, subjects, pred):
-        y0 = np.array([s.y0 for s in subjects])
         inside = [
             region_contains(
-                build_region(kind, stack, pred, alpha, purely_normal=cfg.purely_normal, k0=k0), y0
+                build_region(kind, stack, pred, alpha, purely_normal=cfg.purely_normal, k0=k0), subjects.y0
             ).tolist()
             for kind, alpha in cells
         ]

@@ -10,13 +10,26 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_POOL_SIZE = 4  # SeedSequence's default pool, in 32-bit words
+
+
+def _words(value: int) -> list[int]:
+    """The 32-bit words of ``value`` masked to 64 bits, low first: one below 2**32, else two."""
+    value = int(value) & _MASK64
+    return [value & 0xFFFFFFFF, value >> 32] if value >> 32 else [value]
 
 
 def _seed_sequence(seed: int, stream) -> np.random.SeedSequence:
-    return np.random.SeedSequence(
-        entropy=int(seed) & _MASK64,
-        spawn_key=tuple(int(s) & _MASK64 for s in stream),
-    )
+    """``SeedSequence(entropy=seed, spawn_key=stream)``, both masked to 64 bits,
+    from the entropy words numpy assembles for that form (the seed's words,
+    zero-padded to the pool size when there is a stream, then each stream
+    id's), as one uint32 array that numpy does not coerce again."""
+    words = _words(seed)
+    if stream:
+        words += [0] * (_POOL_SIZE - len(words))
+        for s in stream:
+            words += _words(s)
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:

@@ -6,6 +6,12 @@ import pytest
 from eivpred import models
 
 
+def stacked(datasets):
+    """The observed arrays ``(y, z, x)`` of datasets of one size, stacked as
+    (R, n, .) arrays, the form ``estimators.fit_stack`` takes."""
+    return tuple(np.stack([getattr(d, k) for d in datasets]) for k in ("y", "z", "x"))
+
+
 def make_linear_spec(
     d=1,
     q=1,

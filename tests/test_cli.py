@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -589,6 +590,15 @@ class TestExperiment:
         csv_text = (tmp_path / "report.csv").read_text()
         assert csv_text.splitlines()[0] == "experiment,n,alpha,kind,statistic,value,se"
 
+    def test_elapsed_line_is_on_stderr_to_the_millisecond(self, tmp_path, capsys):
+        cfg = self.experiment_config(tmp_path, n_grid=[50], replications=5)
+        assert main(["experiment", "--config", cfg]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert re.fullmatch(r"elapsed: \d+\.\d{3}s", err.splitlines()[-1])
+        paths = [(tmp_path / "report").with_suffix(suffix) for suffix in (".json", ".csv")]
+        assert out.splitlines() == [str(path) for path in paths]
+        assert not any("elapsed" in path.read_text() for path in paths)
+
     def test_check_pass_and_fail_exit_codes(self, tmp_path):
         ok_cfg = self.experiment_config(
             tmp_path,
@@ -776,7 +786,7 @@ class TestExperiment:
 
     def test_every_replication_failed_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch):
         def failing(data, family, **options):
-            raise NonConvergence(f"no {family} fit at n = {data[0].n}")
+            raise NonConvergence(f"no {family} fit at n = {data[0].shape[1]}")
 
         monkeypatch.setattr(montecarlo, "fit_stack", failing)
         cfg = self.experiment_config(tmp_path, suite="consistency", n_grid=[20], replications=3)
@@ -972,7 +982,8 @@ def test_fit_predict_and_coverage_build_the_same_regions(tmp_path, capsys, monke
 
     def recording_fit(data, family, **options):
         stack = estimators.fit_stack(data, family, **options)
-        seen.append((data[0], stack[0]))
+        y, z, x = data
+        seen.append((models.Dataset(y=y[0], z=z[0], x=x[0], seed=0), stack[0]))
         return stack
 
     def recording_region(kind, stack, preds, alpha, **options):

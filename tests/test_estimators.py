@@ -13,6 +13,7 @@ from conftest import (
     make_poly_spec,
     make_quadratic_spec,
     make_trig_spec,
+    stacked,
 )
 
 
@@ -351,6 +352,13 @@ class TestNlsFit:
         with np.errstate(over="ignore"), pytest.raises(NonConvergence, match="all 2 least-squares starts failed"):
             fit_from(data, "exponential", [[1e300, 1e3], [-1e300, 2e3]])
 
+    def test_solve_keeps_the_callers_numpy_error_state(self):
+        """The solves run on a thread of their own, in the caller's context: an
+        overflow the caller asks numpy to raise reaches the caller as it is."""
+        data = models.sample(make_exponential_spec(), 200, seed=9, keep_hidden=False)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            fit_from(data, "exponential", [[1e300, 1e3]])
+
     def test_evaluation_budget_exhausted_is_not_converged(self, monkeypatch):
         """One evaluation per parameter, at least three: MINPACK stops on its
         budget, and the fit says so."""
@@ -452,7 +460,7 @@ class TestFitStack:
         sampler = models.Sampler(spec)
         data = [sampler.sample(60, seed, keep_hidden=False) for seed in range(7)]
         subjects = [sampler.new_subject(100 + seed) for seed in range(7)]
-        stack = estimators.fit_stack(data, family, **options)
+        stack = estimators.fit_stack(stacked(data), family, **options)
         z0 = np.array([s.z0 for s in subjects]) if spec.z_dim else None
         points = predictors.predict_individual(stack, z0, np.array([s.x0 for s in subjects])).point
         shapes, _ = stack.region_shape
@@ -474,7 +482,7 @@ class TestFitStack:
     def test_nls_families_fit_one_dataset_at_a_time(self):
         spec = make_exponential_spec()
         data = [models.sample(spec, 80, seed, keep_hidden=False) for seed in range(3)]
-        stack = estimators.fit_stack(data, "exponential")
+        stack = estimators.fit_stack(stacked(data), "exponential")
         assert stack.params.scale.shape == stack.params.rate.shape == (3,)
         assert stack.converged.dtype == bool and stack.objective.shape == (3,)
         for i, one_data in enumerate(data):
@@ -486,7 +494,7 @@ class TestFitStack:
         x = np.linspace(0.0, 1.0, 12)
         collinear = handmade_dataset(2 * x + 1, x, x)
         plain = handmade_dataset(2 * x + 1, np.cos(7 * x), x)
-        stack = estimators.fit_stack([plain, collinear, plain], "linear")
+        stack = estimators.fit_stack(stacked([plain, collinear, plain]), "linear")
         assert not recwarn.list
         stack.warn_ill_conditioned()
         assert [str(w.message) for w in recwarn.list] == ["regressor covariance condition number inf"]

@@ -433,11 +433,11 @@ class TestSampler:
             _digest(sub.z0, sub.x0, sub.xi0),
         ) == PINNED_DIGESTS[name]
         # the draw behind new_subject, for the subject's errors
-        z0, x0, h0 = models.Sampler(spec).draw(make_rng(77, 0x5EED), 1)[1:]
-        assert np.array_equal(x0[0], sub.x0) and np.array_equal(h0.xi[0], sub.xi0)
-        eta0 = spec.regression(z0, h0.xi)[0]
+        z0, x0, h0 = models.Sampler(spec).draw([make_rng(77, 0x5EED)], 1)[1:4]
+        assert np.array_equal(x0[0, 0], sub.x0) and np.array_equal(h0.xi[0, 0], sub.xi0)
+        eta0 = spec.regression(z0[0], h0.xi[0])[0]
         np.testing.assert_array_max_ulp(sub.eta0, eta0, maxulp=4)
-        np.testing.assert_array_max_ulp(sub.y0, eta0 + h0.e[0] + h0.eps[0], maxulp=4)
+        np.testing.assert_array_max_ulp(sub.y0, eta0 + h0.e[0, 0] + h0.eps[0, 0], maxulp=4)
         np.testing.assert_array_max_ulp(data.y, spec.regression(data.z, h.xi) + h.e + h.eps, maxulp=4)
 
     def test_compiled_sampler_matches_module_functions(self):
@@ -454,6 +454,76 @@ class TestSampler:
 
     def test_single_draw_path(self):
         assert not hasattr(models, "_draw")
+
+
+def _same(a, b) -> bool:
+    """Whether two arrays have one shape and the same bits."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+_HIDDEN = ("xi", "delta", "e", "eps")
+_SUBJECT = ("z0", "x0", "y0", "eta0", "xi0")
+
+
+class TestStackedDraw:
+    @pytest.mark.parametrize("reps", [1, 3, 20])
+    @pytest.mark.parametrize("n", [1, 50])
+    @pytest.mark.parametrize("name", sorted(PINNED_SPECS))
+    def test_stacked_draw_equals_per_replication_draws(self, name, n, reps):
+        """Every row of a draw from R generators, hidden arrays and the surface
+        included, equals the draw from its generator alone; so do the rows of
+        the seed-keyed stacks and the datasets and subjects drawn one at a time."""
+        sampler = models.Sampler(PINNED_SPECS[name]())
+        seeds = [1000 + 7 * r for r in range(reps)]
+        y, z, x, hidden, eta = sampler.draw([make_rng(seed) for seed in seeds], n)
+        assert y.shape[:2] == z.shape[:2] == x.shape[:2] == eta.shape[:2] == (reps, n)
+        observed = sampler.samples(n, seeds)
+        subjects = sampler.subjects(seeds)
+        for r, seed in enumerate(seeds):
+            alone = sampler.draw([make_rng(seed)], n)
+            for got, want in zip((y, z, x, eta), alone[:3] + alone[4:]):
+                assert _same(got[r], want[0])
+            for field in _HIDDEN:
+                assert _same(getattr(hidden, field)[r], getattr(alone[3], field)[0])
+            for keep_hidden in (True, False):
+                data = sampler.sample(n, seed, keep_hidden=keep_hidden)
+                for stack, single in zip(observed, (data.y, data.z, data.x)):
+                    assert _same(stack[r], single)
+                assert _same(data.y, y[r]) and _same(data.z, z[r]) and _same(data.x, x[r])
+                if keep_hidden:
+                    assert all(_same(getattr(data.hidden, f), getattr(hidden, f)[r]) for f in _HIDDEN)
+                else:
+                    assert data.hidden is None
+            subject = sampler.new_subject(seed)
+            assert all(_same(getattr(subjects, f)[r], getattr(subject, f)) for f in _SUBJECT)
+
+    def test_sample_and_new_subject_are_slices_of_the_one_draw(self, monkeypatch):
+        calls = []
+        draw = models.Sampler.draw
+
+        def counted(self, rngs, n):
+            calls.append((len(rngs), n))
+            return draw(self, rngs, n)
+
+        monkeypatch.setattr(models.Sampler, "draw", counted)
+        spec = PINNED_SPECS["linear_gaussian_z"]()
+        models.sample(spec, 30, seed=1)
+        models.new_subject(spec, seed=1)
+        models.Sampler(spec).samples(30, [1, 2, 3])
+        models.Sampler(spec).subjects([1, 2])
+        assert calls == [(1, 30), (1, 1), (3, 30), (2, 1)]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_SPECS))
+    def test_regression_takes_leading_axes(self, name):
+        """Each family's surface on (R, n, .) covariates equals its rows' surfaces."""
+        spec = PINNED_SPECS[name]()
+        r = np.random.default_rng(5)
+        z = r.standard_normal((4, 30, spec.z_dim))
+        xi = r.standard_normal((4, 30, spec.latent_dim))
+        stacked = spec.regression(z, xi)
+        assert stacked.shape == (4, 30, spec.response_dim)
+        assert all(_same(stacked[i], spec.regression(z[i], xi[i])) for i in range(4))
 
     @pytest.mark.parametrize("degree", range(1, 7))
     def test_polynomial_regression_is_the_power_basis(self, degree):

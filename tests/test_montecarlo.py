@@ -8,6 +8,7 @@ import pytest
 
 from eivpred import estimators, linalg, models, montecarlo, predictors, transform
 from eivpred.errors import ReplicationsFailed, SpecError
+from eivpred.rng import make_rng
 
 from conftest import (
     make_abs_spec,
@@ -119,11 +120,16 @@ class TestConsistency:
         poisoned = montecarlo.derive_seed(0, 1, 1, 1)
 
         class Damaging(models.Sampler):
-            def sample(self, n, seed, *, keep_hidden=True):
+            def sample(self, n, seed, *, keep_hidden=True):  # the abs_failure draw
                 data = super().sample(n, seed, keep_hidden=keep_hidden)
                 if seed == poisoned:
                     data.y[0, 0] = np.inf
                 return data
+
+            def samples(self, n, seeds):  # the stacked draw of the fitted suites
+                y, z, x = super().samples(n, seeds)
+                y[[seed == poisoned for seed in seeds], 0, 0] = np.inf
+                return y, z, x
 
         small = estimators.min_sample_size(spec.family, spec.z_dim, spec.latent_dim) - 1
         cfg = montecarlo.ExperimentConfig(
@@ -500,13 +506,13 @@ class TestChunking:
         collinear = montecarlo.derive_seed(cfg.master_seed, 1, 0, 2)
 
         class Damaging(models.Sampler):
-            def sample(self, n, seed, *, keep_hidden=True):
-                data = super().sample(n, seed, keep_hidden=keep_hidden)
-                if seed == poisoned:
-                    data.y[7, 0] = np.inf
-                if seed in (collinear, poisoned):
-                    data.z[:] = data.x
-                return data
+            def samples(self, n, seeds):
+                y, z, x = super().samples(n, seeds)
+                y[[seed == poisoned for seed in seeds], 7, 0] = np.inf
+                for i, seed in enumerate(seeds):
+                    if seed in (collinear, poisoned):
+                        z[i] = x[i]
+                return y, z, x
 
         monkeypatch.setattr(montecarlo, "Sampler", Damaging)
         monkeypatch.setattr(montecarlo, "_CHUNK_ROWS", rows)
@@ -517,3 +523,49 @@ class TestChunking:
         assert report.value("failure_rate", n=100) == 1.0 - 11 / 12
         conditioning = [str(w.message) for w in caught if w.category is UserWarning]
         assert conditioning == ["regressor covariance condition number inf"] * 2
+
+
+def _same(a, b) -> bool:
+    """Whether two arrays have one shape and the same bits."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("reps", [1, 3, 20])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        make_linear_spec(),
+        make_linear_spec(d=2, q=2, m=2),
+        make_poly_spec(),
+        make_quadratic_spec(),
+        make_exponential_spec(),
+        make_abs_spec(),
+    ],
+    ids=["linear", "linear-2d", "polynomial", "quadratic", "exponential", "absolute_value"],
+)
+def test_fixed_subject_chunk_equals_its_per_replication_draws(spec, reps):
+    """A chunk's conditional draws at the fixed subject, stacked, equal each
+    replication's draw alone and the one-replication formula: (g1, g2) =
+    L @ normals, then the equation error, from that replication's stream."""
+    fixed = models.Sampler(spec).new_subject(4)
+    draw = montecarlo._conditional_subject(spec, fixed)
+    streams = [(9, 3, 0, rep) for rep in range(reps)]
+    chunk = draw([make_rng(*stream) for stream in streams])
+    cg = transform.condition_gaussian(spec)
+    mu, _, errors = spec.gaussian_blocks()
+    cond_factor, e_factor = linalg.cholesky_psd(cg.cond_cov), linalg.cholesky_psd(errors.sigma_e)
+    m = spec.latent_dim
+    for r, stream in enumerate(streams):
+        alone = draw([make_rng(*stream)])
+        for name in ("z0", "x0", "y0", "eta0", "xi0"):
+            assert _same(getattr(chunk, name)[r], getattr(alone, name)[0])
+        rng = make_rng(*stream)
+        g = cond_factor @ rng.standard_normal(cond_factor.shape[0])
+        e0 = e_factor @ rng.standard_normal(e_factor.shape[0])
+        xi0 = cg.xi_offset + cg.xi_coef @ fixed.x0 + g[:m]
+        eps0 = cg.eps_coef @ (fixed.x0 - mu) + g[m:]
+        eta0 = spec.regression(fixed.z0[None, :], xi0[None, :])[0]
+        assert _same(chunk.xi0[r], xi0) and _same(chunk.eta0[r], eta0)
+        assert _same(chunk.y0[r], eta0 + e0 + eps0)
+        assert _same(chunk.z0[r], fixed.z0) and _same(chunk.x0[r], fixed.x0)

@@ -8,7 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 from eivpred import estimators, models, predictors, transform
 from eivpred.errors import DimensionError, InvalidInput
 
-from conftest import make_exponential_spec, make_linear_spec, make_poly_spec, make_quadratic_spec
+from conftest import (
+    make_exponential_spec,
+    make_linear_spec,
+    make_poly_spec,
+    make_quadratic_spec,
+    stacked,
+)
 
 
 def fitted(spec, n=2000, seed=1, family=None, degree=None):
@@ -335,7 +341,7 @@ def test_regions_on_a_stack_equal_the_regions_of_each_fit(spec):
     data = [sampler.sample(40, seed, keep_hidden=False) for seed in range(6)]
     subjects = [sampler.new_subject(50 + seed) for seed in range(6)]
     fits = [estimators.ols_fit(dataset, spec.family, degree=degree) for dataset in data]
-    stack = estimators.fit_stack(data, spec.family, degree=degree)
+    stack = estimators.fit_stack(stacked(data), spec.family, degree=degree)
     z0 = np.array([s.z0 for s in subjects]) if spec.z_dim else None
     preds = predictors.predict_individual(stack, z0, np.array([s.x0 for s in subjects]))
     alone_preds = [
@@ -380,7 +386,7 @@ def test_quadratic_bound_on_a_stack_equals_the_rule_on_python_floats():
     spec = make_quadratic_spec()
     sampler = models.Sampler(spec)
     data = [sampler.sample(40, seed, keep_hidden=False) for seed in range(64)]
-    stack = estimators.fit_stack(data, "quadratic")
+    stack = estimators.fit_stack(stacked(data), "quadratic")
     draws = np.random.default_rng(7).uniform(1.5, 3.5, 200_000).tolist()
     x0 = np.array([v for v in draws if v**2 != v * v][:64])[:, None]
     assert x0.shape == (64, 1)
