@@ -14,10 +14,8 @@ are, and the nonlinear fits are stacked field by field.  A single fit is the
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
-import threading
 import warnings
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import NamedTuple, Optional
@@ -298,32 +296,7 @@ def _least_squares(make, evaluate, x: np.ndarray, y: np.ndarray, starts: list[np
 
     Returns ``(make(p), objective, converged)`` for the lowest-cost finite
     result ``p``: its summed squared residuals, and whether a tolerance was met.
-
-    The solves run on a thread started for the call and joined before it
-    returns: what scipy's ``lmder`` returns for an ill-conditioned fit depends
-    on the stack it runs on (it moved with the caller's C stack depth, and
-    between processes), and a new thread starts every fit at the same depth,
-    which removes most of that dependence.  The thread runs in a copy of the
-    caller's context, which holds numpy's error state.
     """
-    context, outcome = contextvars.copy_context(), []
-
-    def solve():
-        try:
-            outcome.append(context.run(_solve, make, evaluate, x, y, starts))
-        except BaseException as exc:  # raised again on the calling thread
-            outcome.append(exc)
-
-    solver = threading.Thread(target=solve, daemon=True)  # an interrupted caller does not wait
-    solver.start()
-    solver.join()
-    if isinstance(outcome[0], BaseException):
-        raise outcome[0]
-    return outcome[0]
-
-
-def _solve(make, evaluate, x: np.ndarray, y: np.ndarray, starts: list[np.ndarray]):
-    """The solves of :func:`_least_squares`, on the thread that calls this."""
     from scipy.optimize import leastsq
 
     @functools.lru_cache(maxsize=1)  # keyed by the point's bytes: reused only at the same point
@@ -335,6 +308,12 @@ def _solve(make, evaluate, x: np.ndarray, y: np.ndarray, starts: list[np.ndarray
     for p0 in starts:
         if not np.all(np.isfinite(evaluated(p0.tobytes())[0])):
             continue
+        # What scipy's lmder returns for an ill-conditioned fit depends on what
+        # freed heap blocks of its Jacobian's size hold, so on what ran before
+        # it (scipy 1.17.1).  Two zeroed blocks of that size, freed here, make
+        # every solve start from the same heap contents.
+        zeroed = [np.zeros((x.size, p0.size)) for _ in range(2)]
+        del zeroed
         p, _, info, _, ier = leastsq(
             lambda p: evaluated(p.tobytes())[0], p0, Dfun=lambda p: -evaluated(p.tobytes())[1],
             full_output=True, ftol=_REL_TOL, xtol=_REL_TOL, gtol=1e-8, maxfev=_MAX_ITER * max(3, p0.size),

@@ -564,12 +564,22 @@ def _first(value):
     return type(value)(**{name: array[0] for name, array in vars(value).items()})
 
 
-def _standard_normals(rngs, shape: tuple[int, ...]) -> np.ndarray:
-    """A (R, *shape) block of standard normals whose row r is drawn from
-    ``rngs[r]`` alone, as ``rngs[r].standard_normal(shape)`` draws it."""
-    out = np.empty((len(rngs), *shape))
+# How a generator fills one replication's block of raw draws, by kind (those of
+# ZDistribution.KINDS): standard normals, uniforms on [0, 1), or fair {0, 1} draws.
+_FILLS = {
+    "gaussian": lambda rng, block: rng.standard_normal(out=block),
+    "uniform": lambda rng, block: rng.random(out=block),
+    "two_point": lambda rng, block: np.copyto(block, rng.integers(0, 2, size=block.shape)),
+}
+
+
+def raw_draws(rngs, shape: tuple[int, ...], kind: str = "gaussian") -> np.ndarray:
+    """A (R, *shape) block of raw draws of ``kind`` (a key of ``_FILLS``)
+    whose row r is drawn from ``rngs[r]`` alone, as ``rngs[r]`` draws one
+    ``shape`` block: every stacked draw fills its blocks here."""
+    out, fill = np.empty((len(rngs), *shape)), _FILLS[kind]
     for rng, block in zip(rngs, out):
-        rng.standard_normal(out=block)
+        fill(rng, block)
     return out
 
 
@@ -614,15 +624,9 @@ class Sampler:
         if z_dist is None:
             return np.zeros((len(rngs), *shape))
         if z_dist.kind == "gaussian":
-            return z_dist.mean + _standard_normals(rngs, shape) @ self._z_factor
+            return z_dist.mean + raw_draws(rngs, shape) @ self._z_factor
         # u in [0, 1) or {0, 1}: 2u - 1 is the uniform(-1, 1) draw to the bit, or the sign
-        raw = np.empty((len(rngs), *shape))
-        for rng, block in zip(rngs, raw):
-            if z_dist.kind == "uniform":
-                rng.random(out=block)
-            else:
-                block[...] = rng.integers(0, 2, size=shape)
-        return z_dist.mean + (2.0 * raw - 1.0) * self._z_factor
+        return z_dist.mean + (2.0 * raw_draws(rngs, shape, z_dist.kind) - 1.0) * self._z_factor
 
     def draw(self, rngs, n: int):
         """Draw n i.i.d. observations from each generator of ``rngs``; returns
@@ -639,10 +643,10 @@ class Sampler:
             raise SpecError(["sample size must be >= 1"])
         d, m = self._d, self._m
         z = self._draw_z(rngs, n)
-        xi = self._mu + _standard_normals(rngs, (n, m)) @ self._latent_factor
-        meas = _standard_normals(rngs, (n, d + m)) @ self._meas_factor
+        xi = self._mu + raw_draws(rngs, (n, m)) @ self._latent_factor
+        meas = raw_draws(rngs, (n, d + m)) @ self._meas_factor
         eps, delta = meas[..., :d], meas[..., d:]
-        e = _standard_normals(rngs, (n, d)) @ self._e_factor
+        e = raw_draws(rngs, (n, d)) @ self._e_factor
         x = xi + delta
         eta = self.spec.regression(z, xi)
         y = eta + e + eps

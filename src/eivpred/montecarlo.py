@@ -50,8 +50,7 @@ from . import __version__
 from .errors import EivError, ReplicationsFailed, SpecError
 from .estimators import fit_stack, min_sample_size, naive_ols_abs, nls_fit
 from .linalg import cholesky_psd
-from .models import AbsSpec, LinearSpec, ModelSpec, NewSubject, QuadraticSpec, Sampler, spec_to_dict
-from .models import _standard_normals
+from .models import AbsSpec, LinearSpec, ModelSpec, NewSubject, QuadraticSpec, Sampler, raw_draws, spec_to_dict
 from .predictors import (
     REGION_KINDS,
     build_region,
@@ -227,8 +226,8 @@ def _conditional_subject(spec: ModelSpec, fixed: NewSubject):
     e_factor = cholesky_psd(errors.sigma_e)
 
     def draw(rngs) -> NewSubject:
-        g = (cond_factor @ _standard_normals(rngs, (cond_factor.shape[0], 1)))[..., 0]
-        e0 = (e_factor @ _standard_normals(rngs, (e_factor.shape[0], 1)))[..., 0]
+        g = (cond_factor @ raw_draws(rngs, (cond_factor.shape[0], 1)))[..., 0]
+        e0 = (e_factor @ raw_draws(rngs, (e_factor.shape[0], 1)))[..., 0]
         xi0 = mean_xi + g[:, :m]
         eps0 = mean_eps + g[:, m:]
         eta0 = spec.regression(fixed.z0[None, None, :], xi0[:, None, :])[:, 0]

@@ -6,6 +6,12 @@ import pytest
 from eivpred import models
 
 
+def same_bits(a, b) -> bool:
+    """Whether two arrays have one shape, one dtype and the same bits."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def stacked(datasets):
     """The observed arrays ``(y, z, x)`` of datasets of one size, stacked as
     (R, n, .) arrays, the form ``estimators.fit_stack`` takes."""

@@ -26,6 +26,7 @@ from conftest import (
     make_poly_spec,
     make_quadratic_spec,
     make_trig_spec,
+    same_bits,
 )
 
 
@@ -456,12 +457,6 @@ class TestSampler:
         assert not hasattr(models, "_draw")
 
 
-def _same(a, b) -> bool:
-    """Whether two arrays have one shape and the same bits."""
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 _HIDDEN = ("xi", "delta", "e", "eps")
 _SUBJECT = ("z0", "x0", "y0", "eta0", "xi0")
 
@@ -483,20 +478,20 @@ class TestStackedDraw:
         for r, seed in enumerate(seeds):
             alone = sampler.draw([make_rng(seed)], n)
             for got, want in zip((y, z, x, eta), alone[:3] + alone[4:]):
-                assert _same(got[r], want[0])
+                assert same_bits(got[r], want[0])
             for field in _HIDDEN:
-                assert _same(getattr(hidden, field)[r], getattr(alone[3], field)[0])
+                assert same_bits(getattr(hidden, field)[r], getattr(alone[3], field)[0])
             for keep_hidden in (True, False):
                 data = sampler.sample(n, seed, keep_hidden=keep_hidden)
                 for stack, single in zip(observed, (data.y, data.z, data.x)):
-                    assert _same(stack[r], single)
-                assert _same(data.y, y[r]) and _same(data.z, z[r]) and _same(data.x, x[r])
+                    assert same_bits(stack[r], single)
+                assert same_bits(data.y, y[r]) and same_bits(data.z, z[r]) and same_bits(data.x, x[r])
                 if keep_hidden:
-                    assert all(_same(getattr(data.hidden, f), getattr(hidden, f)[r]) for f in _HIDDEN)
+                    assert all(same_bits(getattr(data.hidden, f), getattr(hidden, f)[r]) for f in _HIDDEN)
                 else:
                     assert data.hidden is None
             subject = sampler.new_subject(seed)
-            assert all(_same(getattr(subjects, f)[r], getattr(subject, f)) for f in _SUBJECT)
+            assert all(same_bits(getattr(subjects, f)[r], getattr(subject, f)) for f in _SUBJECT)
 
     def test_sample_and_new_subject_are_slices_of_the_one_draw(self, monkeypatch):
         calls = []
@@ -523,7 +518,7 @@ class TestStackedDraw:
         xi = r.standard_normal((4, 30, spec.latent_dim))
         stacked = spec.regression(z, xi)
         assert stacked.shape == (4, 30, spec.response_dim)
-        assert all(_same(stacked[i], spec.regression(z[i], xi[i])) for i in range(4))
+        assert all(same_bits(stacked[i], spec.regression(z[i], xi[i])) for i in range(4))
 
     @pytest.mark.parametrize("degree", range(1, 7))
     def test_polynomial_regression_is_the_power_basis(self, degree):

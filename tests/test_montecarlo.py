@@ -16,6 +16,7 @@ from conftest import (
     make_linear_spec,
     make_poly_spec,
     make_quadratic_spec,
+    same_bits,
 )
 
 
@@ -525,12 +526,6 @@ class TestChunking:
         assert conditioning == ["regressor covariance condition number inf"] * 2
 
 
-def _same(a, b) -> bool:
-    """Whether two arrays have one shape and the same bits."""
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 @pytest.mark.parametrize("reps", [1, 3, 20])
 @pytest.mark.parametrize(
     "spec",
@@ -559,13 +554,13 @@ def test_fixed_subject_chunk_equals_its_per_replication_draws(spec, reps):
     for r, stream in enumerate(streams):
         alone = draw([make_rng(*stream)])
         for name in ("z0", "x0", "y0", "eta0", "xi0"):
-            assert _same(getattr(chunk, name)[r], getattr(alone, name)[0])
+            assert same_bits(getattr(chunk, name)[r], getattr(alone, name)[0])
         rng = make_rng(*stream)
         g = cond_factor @ rng.standard_normal(cond_factor.shape[0])
         e0 = e_factor @ rng.standard_normal(e_factor.shape[0])
         xi0 = cg.xi_offset + cg.xi_coef @ fixed.x0 + g[:m]
         eps0 = cg.eps_coef @ (fixed.x0 - mu) + g[m:]
         eta0 = spec.regression(fixed.z0[None, :], xi0[None, :])[0]
-        assert _same(chunk.xi0[r], xi0) and _same(chunk.eta0[r], eta0)
-        assert _same(chunk.y0[r], eta0 + e0 + eps0)
-        assert _same(chunk.z0[r], fixed.z0) and _same(chunk.x0[r], fixed.x0)
+        assert same_bits(chunk.xi0[r], xi0) and same_bits(chunk.eta0[r], eta0)
+        assert same_bits(chunk.y0[r], eta0 + e0 + eps0)
+        assert same_bits(chunk.z0[r], fixed.z0) and same_bits(chunk.x0[r], fixed.x0)
