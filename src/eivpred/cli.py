@@ -371,18 +371,15 @@ _COMMANDS = {
 def _scipy_modules(command: str, config: dict) -> list[str]:
     """The scipy modules a run of ``command`` on a validated ``config`` calls:
     scipy.optimize and scipy.special for an NLS fit (the abs_failure suite
-    fits the absolute-value family), scipy.special for a chi-square region."""
+    fits the absolute-value family), none otherwise (the chi-square region's
+    threshold comes from the standard library)."""
     if command == "experiment":
-        nls = config["spec"]["family"] in NLS_FAMILIES
-        kinds = config.get("region_kinds", ())
+        family = config["spec"]["family"]
     elif command == "fit-predict":
-        nls = config["family"] in NLS_FAMILIES
-        kinds = [region["kind"] for region in config.get("regions", ())]
+        family = config["family"]
     else:
         return []
-    if nls:
-        return ["scipy.optimize", "scipy.special"]
-    return ["scipy.special"] if "chi_square" in kinds else []
+    return ["scipy.optimize", "scipy.special"] if family in NLS_FAMILIES else []
 
 
 def main(argv=None) -> int:
@@ -404,8 +401,12 @@ def main(argv=None) -> int:
         sys.stderr.write(f"config schema error: {exc.message}\n")
         return EXIT_CONFIG
     # scipy takes most of a second to import, so it is loaded only for the
-    # runs that call it, and before the command starts its work
-    for module in _scipy_modules(args.command, config):
+    # runs that call it, and before the command starts its work; so is the
+    # worker pool (and with it multiprocessing), for a run on several workers
+    modules = _scipy_modules(args.command, config)
+    if args.command == "experiment" and args.threads > 1:
+        modules.append("concurrent.futures.process")
+    for module in modules:
         importlib.import_module(module)
     gc.freeze()  # the loaded heap lives to exit: no later full collection, in any process, walks it
     try:

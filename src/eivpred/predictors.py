@@ -19,6 +19,9 @@ each slice equals the one-fit result to the bit.
 
 from __future__ import annotations
 
+import functools
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -137,16 +140,94 @@ def predict_mean(fit: FittedModel, z0, x0, sigma_eps_delta) -> Prediction:
     return Prediction(point=base.point - correction, kind="mean", z0=base.z0, x0=base.x0)
 
 
+# Up to x = 1400 the factor exp(-x/2) of the chi-square forms below is a
+# normal double (at least e^-700), so every term keeps its relative accuracy.
+_CHI2_X_MAX = 1400.0
+_SQRT_2_OVER_PI = math.sqrt(2 / math.pi)
+
+
 def chi2_upper_quantile(dim: int, alpha: float) -> float:
     """Upper alpha-quantile of the chi-square law with ``dim`` degrees of
-    freedom."""
+    freedom, within a few ulps of the exact root (:func:`_chi2_quantile`),
+    computed once per (dim, alpha) in a process."""
     if not 0 < alpha < 1:
         raise InvalidInput("alpha must lie in (0, 1)")
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+        raise InvalidInput("dimension must be an integer")
     if dim < 1:
         raise InvalidInput("dimension must be >= 1")
-    from scipy.special import chdtri  # deferred: about 0.3 s to import
+    x = _chi2_quantile(int(dim), float(alpha))
+    if x == _CHI2_X_MAX:
+        raise InvalidInput(f"the chi-square quantile exceeds {_CHI2_X_MAX:g}")
+    return x
 
-    return float(chdtri(dim, alpha))
+
+def _chi2_tails(dim: int, x: float) -> tuple[float, float]:
+    """The chi-square survival function Q(x) for ``dim`` degrees of freedom
+    and the factor (x/2)^a e^(-x/2) / Gamma(a + 1), a = dim/2, of its lower
+    tail.
+
+    Q(x) is Abramowitz & Stegun 26.4.4 (odd ``dim``) and 26.4.5 (even): the
+    same factor for a = 1/2, 3/2, ... (odd) or 0, 1, ... (even) below dim/2,
+    summed onto erfc(sqrt(x/2)) or 0, each the last times (x/2)/a.
+    """
+    h = x / 2
+    if dim % 2:
+        terms, a = [math.erfc(math.sqrt(h))], 0.5
+        factor = _SQRT_2_OVER_PI * math.sqrt(x) * math.exp(-h)
+    else:
+        terms, a, factor = [], 0.0, math.exp(-h)
+    while a < dim / 2:
+        terms.append(factor)
+        a += 1
+        factor *= h / a
+    return math.fsum(terms), factor
+
+
+def _chi2_lower(dim: int, x: float) -> float:
+    """The chi-square distribution function P(x) for ``dim`` degrees of
+    freedom, by the series of the regularized lower incomplete gamma function
+    (Abramowitz & Stegun 6.5.29): the factor of :func:`_chi2_tails` times
+    sum_n (x/2)^n / ((a+1) ... (a+n)), a = dim/2, which converges fast for x
+    below dim."""
+    h, a = x / 2, dim / 2
+    terms, term = [], 1.0
+    while term > 2.0**-60:  # the sum is at least 1
+        terms.append(term)
+        a += 1
+        term *= h / a
+    return _chi2_tails(dim, x)[1] * math.fsum(terms)
+
+
+@functools.lru_cache(maxsize=128)
+def _chi2_quantile(dim: int, alpha: float) -> float:
+    """The root x of Q(x) = alpha, by bisection down to adjacent doubles.
+
+    For alpha <= 1/2 it solves the closed form Q(x) = alpha on (0, 1400];
+    above, P(x) = 1 - alpha (exact there) with the lower series, since the
+    closed form loses accuracy as x -> 0, on (0, dim], as the root is below
+    the median and so below the mean.  A root past 1400 returns 1400.
+    """
+    if alpha <= 0.5:
+        hi = _CHI2_X_MAX
+
+        def below(x):
+            return _chi2_tails(dim, x)[0] > alpha
+    else:
+        hi = min(float(dim), _CHI2_X_MAX)
+
+        def below(x):
+            return _chi2_lower(dim, x) < 1 - alpha
+
+    lo = 0.0
+    mid = hi / 2
+    while lo < mid < hi:
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+        mid = (lo + hi) / 2
+    return hi
 
 
 def _ellipsoid(kind: str, fit: FittedModel, pred: Prediction, alpha: float, threshold, note=()):

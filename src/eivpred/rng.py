@@ -8,6 +8,7 @@ identifiers and never on scheduling or shared state.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 
 _MASK64 = (1 << 64) - 1
 _POOL_SIZE = 4  # SeedSequence's default pool, in 32-bit words
@@ -19,7 +20,7 @@ def _words(value: int) -> list[int]:
     return [value & 0xFFFFFFFF, value >> 32] if value >> 32 else [value]
 
 
-def _seed_sequence(seed: int, stream) -> np.random.SeedSequence:
+def _seed_sequence(seed: int, stream) -> SeedSequence:
     """``SeedSequence(entropy=seed, spawn_key=stream)``, both masked to 64 bits,
     from the entropy words numpy assembles for that form (the seed's words,
     zero-padded to the pool size when there is a stream, then each stream
@@ -29,12 +30,12 @@ def _seed_sequence(seed: int, stream) -> np.random.SeedSequence:
         words += [0] * (_POOL_SIZE - len(words))
         for s in stream:
             words += _words(s)
-    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return SeedSequence(np.array(words, dtype=np.uint32))
 
 
-def make_rng(seed: int, *stream: int) -> np.random.Generator:
+def make_rng(seed: int, *stream: int) -> Generator:
     """Generator for the stream identified by ``(seed, *stream)``."""
-    return np.random.Generator(np.random.Philox(_seed_sequence(seed, stream)))
+    return Generator(Philox(_seed_sequence(seed, stream)))
 
 
 def derive_seed(seed: int, *stream: int) -> int:

@@ -115,6 +115,8 @@ class TestConsistency:
             (montecarlo.run_abs_failure, make_abs_spec()),
         ],
     )
+    # the non-finite response is on purpose, and so are numpy's warnings on it
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_every_sample_size_ends_with_one_failure_rate_row(self, driver, spec, monkeypatch):
         """The first n is below the fit's smallest sample, so every replication
         fails there; at n = 50 replication 1 gets a non-finite response."""

@@ -1,5 +1,7 @@
 """Point predictors and confidence regions."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -140,6 +142,50 @@ class TestPredictMean:
         assert np.linalg.norm(got.point - eta_true) <= 0.05 * max(np.linalg.norm(eta_true), 1.0)
 
 
+# Upper chi-square quantiles to 25 digits, one row per dim = 1..12, one column
+# per _REF_ALPHAS entry, computed with mpmath 1.3 (chi2 from scipy.stats):
+#   mp.dps = 40; [[mp.nstr(mp.findroot(lambda x: mp.gammainc(d / mp.mpf(2), x / 2, regularized=True) - a, chi2.isf(a, d)), 25) for a in _REF_ALPHAS] for d in range(1, 13)]
+_REF_ALPHAS = (0.001, 0.01, 0.05, 0.1, 0.5, 0.9, 0.999)
+_REF_QUANTILES = (
+    (10.82756617066273225457015, 6.634896601021215101354111, 3.841458820694125865282646,
+     2.705543454095414478541349, 0.4549364231195727519425166, 0.01579077409343121781861501,
+     0.000001570797149262492669618631),
+    (13.81551055796427406247459, 9.210340371976182694438602, 5.991464547107981875848145,
+     4.60517018598809125701368, 1.386294361119890618834464, 0.2107210313156525531117564,
+     0.002001000667167068778420939),
+    (16.26623619623813086832848, 11.3448667301443718862737, 7.814727903251179831409346,
+     6.25138863117032306964964, 2.365973884375338266139163, 0.5843743741551831586421131,
+     0.02429758581569274764871788),
+    (18.46682695290317141472032, 13.27670413598762449083747, 9.487729036781156617274899,
+     7.779440339734857976243167, 3.356693980033321306825769, 1.063623216779223898164697,
+     0.090804035538979154583802),
+    (20.51500565243287838453087, 15.08627246938899006221477, 11.07049769351635403453239,
+     9.236356899781118300778769, 4.351460191095527317158108, 1.610307986962322813942012,
+     0.2102126026292192408432602),
+    (22.45774448482532521120334, 16.81189382977093100194271, 12.59158724374397933167646,
+     10.64464067566841964813224, 5.348120627447120635826915, 2.204130656498641928039438,
+     0.3810667551368064996138593),
+    (24.32188634785685530071723, 18.4753069065823636805118, 14.06714044934016858316483,
+     12.01703662378052894817268, 6.345811195521517535725073, 2.833106917815343772010301,
+     0.5984937523753761084357364),
+    (26.12448155837614142060607, 20.09023502966323311673986, 15.50731305586545365568635,
+     13.36156613651172709745419, 7.344121497701792207894692, 3.489539125649822480225,
+     0.8571048272568461526197207),
+    (27.87716487125657341459451, 21.66599433346192575871881, 16.91897760462044965488823,
+     14.68365657325983751516601, 8.342832692252953794999776, 4.168159008146106542759015,
+     1.151949546223564407024755),
+    (29.58829844507441873819071, 23.20925115895435961788398, 18.30703805327514669251061,
+     15.9871791721052606817738, 9.34181776559196744062535, 4.865182051925328656145158,
+     1.478743463835665332462199),
+    (31.2641336202399934866192, 24.72497031131828263131506, 19.67513757268249532792071,
+     17.27500851750007181458779, 10.34099807439182402591929, 5.577784789799850794007513,
+     1.83385266465369056837351),
+    (32.90949040736021315687222, 26.21696730553585005146054, 21.02606981748306520568046,
+     18.54934778670324396799283, 11.34032237742414046624915, 6.303796059584322896724315,
+     2.214209320511279085796547),
+)
+
+
 class TestChiSquareQuantile:
     def test_reference_values(self):
         assert predictors.chi2_upper_quantile(1, 0.05) == pytest.approx(3.841458820694124, abs=1e-9)
@@ -160,6 +206,34 @@ class TestChiSquareQuantile:
             predictors.chi2_upper_quantile(1, 0.0)
         with pytest.raises(InvalidInput):
             predictors.chi2_upper_quantile(1, 1.0)
+
+
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_pinned_reference_values(self, dim):
+        for alpha, ref in zip(_REF_ALPHAS, _REF_QUANTILES[dim - 1]):
+            got = predictors.chi2_upper_quantile(dim, alpha)
+            assert abs(got - ref) <= 8 * math.ulp(ref), (alpha, got, ref)
+
+    # For dim = 2 the survival function is exp(-x/2), so the quantile is
+    # -2 log(alpha): solved in closed form up to alpha = 1/2, and above it from
+    # the lower series, whose exp, sum and two products cost up to 3 ulps.
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=st.floats(min_value=1e-300, max_value=1.0, exclude_max=True))
+    def test_two_degrees_of_freedom_give_minus_twice_log_alpha(self, alpha):
+        ref = -2 * math.log(alpha)
+        ulps = 2 if alpha <= 0.5 else 4
+        assert abs(predictors.chi2_upper_quantile(2, alpha) - ref) <= ulps * math.ulp(ref)
+
+    @pytest.mark.parametrize("dim", [2.0, 2.5, True, "2"])
+    def test_dim_must_be_an_integer(self, dim):
+        # the closed forms need an integer number of degrees of freedom
+        with pytest.raises(InvalidInput):
+            predictors.chi2_upper_quantile(dim, 0.05)
+
+    def test_quantile_past_the_closed_forms_range_raises(self):
+        assert predictors.chi2_upper_quantile(1000, 0.05) == pytest.approx(1074.679448803441, rel=1e-14)
+        with pytest.raises(InvalidInput):
+            predictors.chi2_upper_quantile(1500, 0.05)
 
 
 class TestRegions:

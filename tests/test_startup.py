@@ -1,19 +1,18 @@
 """Which scipy modules, and whether multiprocessing, a CLI run loads, each checked in a fresh interpreter.
 
 scipy.optimize and scipy.special take most of a second to import, so they
-are loaded only for the runs that call them, and then before the suite
-driver or the command body starts.  multiprocessing is loaded only by an
-experiment that runs on more than one worker, and only once its suite
-driver has started.  Once those modules are loaded, and before the command
-starts, the CLI freezes the heap (``gc.freeze``).
+are loaded only by the runs that fit a nonlinear (NLS) family, and then
+before the suite driver or the command body starts; a chi-square region's
+threshold needs no scipy.  multiprocessing is loaded only by an experiment
+that runs on more than one worker, with the worker pool's modules, also
+before its suite driver starts.  Once those modules are loaded, and before
+the command starts, the CLI freezes the heap (``gc.freeze``).
 """
 
 import json
 import os
 import subprocess
 import sys
-
-import pytest
 
 from eivpred import models
 
@@ -65,28 +64,37 @@ def test_importing_the_cli_loads_no_scipy():
     assert loaded == "[]"
 
 
-def test_linear_simulate_and_polynomial_consistency_load_no_scipy(tmp_path):
+def test_runs_without_an_nls_fit_load_no_scipy(tmp_path):
     sim = write_config(
         tmp_path, "sim.json", {"spec": linear_spec_dict(), "n": 50, "seed": 1, "out": str(tmp_path / "ds")}
     )
     result = run_cli("simulate", "--config", sim)
     assert result.pop("frozen")[-1] > 0  # the heap stays frozen after main returns
     assert result == {"code": 0, "loaded": [], "entered": []}
-    exp = write_config(
+    fp = write_config(
         tmp_path,
-        "exp.json",
+        "fp.json",
         {
-            "suite": "consistency",
-            "spec": models.spec_to_dict(make_poly_spec()),
-            "n_grid": [100, 200],
-            "replications": 2,
-            "master_seed": 3,
-            "out": str(tmp_path / "report"),
+            "data": str(tmp_path / "ds"),
+            "family": "linear",
+            "predict": [{"z0": [0.2], "x0": [1.5]}],
+            "regions": [{"kind": "chi_square", "alpha": 0.05, "purely_normal": True}],
         },
     )
-    result = run_cli("experiment", "--config", exp)
-    assert result.pop("frozen")[0] > 0
-    assert result == {"code": 0, "loaded": [], "entered": [[]]}
+    result = run_cli("fit-predict", "--config", fp, "--out", str(tmp_path / "fit.json"))
+    assert result.pop("frozen")[-1] > 0
+    assert result == {"code": 0, "loaded": [], "entered": []}
+    report = json.loads((tmp_path / "fit.json").read_text())
+    assert report["predictions"][0]["regions"][0]["threshold"] == 3.841458820694126
+    config = {"n_grid": [100, 200], "replications": 2, "master_seed": 3, "out": str(tmp_path / "report")}
+    for extra in (
+        {"suite": "consistency", "spec": models.spec_to_dict(make_poly_spec())},
+        {"suite": "coverage", "spec": linear_spec_dict(), "region_kinds": ["chi_square"]},
+    ):
+        exp = write_config(tmp_path, "exp.json", dict(config, **extra))
+        result = run_cli("experiment", "--config", exp)
+        assert result.pop("frozen")[0] > 0
+        assert result == {"code": 0, "loaded": [], "entered": [[]]}
 
 
 def test_multiprocessing_is_loaded_only_by_a_pooled_run(tmp_path):
@@ -104,29 +112,24 @@ def test_multiprocessing_is_loaded_only_by_a_pooled_run(tmp_path):
     for threads, loaded in (("1", []), ("2", ["multiprocessing"])):
         result = run_cli("experiment", "--config", exp, "--threads", threads)
         assert result.pop("frozen")[0] > 0  # before the workers fork
-        assert result == {"code": 0, "loaded": loaded, "entered": [[]]}
+        # a pooled run loads the pool before the driver, so it is frozen too
+        assert result == {"code": 0, "loaded": loaded, "entered": [loaded]}
 
 
-@pytest.mark.parametrize(
-    "extra, needed",
-    [
-        (
-            {"suite": "abs_failure", "spec": models.spec_to_dict(make_abs_spec()), "test_subjects": 20},
-            ["scipy.optimize", "scipy.special"],
-        ),
-        (
-            {"suite": "coverage", "spec": linear_spec_dict(), "region_kinds": ["chi_square"]},
-            ["scipy.special"],
-        ),
-    ],
-    ids=["abs_failure", "chi_square_coverage"],
-)
-def test_needed_scipy_is_loaded_before_the_driver(tmp_path, extra, needed):
-    config = {"n_grid": [200], "replications": 2, "master_seed": 5, "out": str(tmp_path / "report")}
-    exp = write_config(tmp_path, "exp.json", dict(config, **extra))
+def test_needed_scipy_is_loaded_before_the_driver(tmp_path):
+    config = {
+        "suite": "abs_failure",
+        "spec": models.spec_to_dict(make_abs_spec()),
+        "test_subjects": 20,
+        "n_grid": [200],
+        "replications": 2,
+        "master_seed": 5,
+        "out": str(tmp_path / "report"),
+    }
+    exp = write_config(tmp_path, "exp.json", config)
     result = run_cli("experiment", "--config", exp)
     assert result["code"] == 0
-    assert result["entered"] == [needed]
+    assert result["entered"] == [["scipy.optimize", "scipy.special"]]
     assert result["frozen"][0] > 0  # frozen by the time the driver starts, scipy loaded
 
 
