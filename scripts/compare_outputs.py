@@ -16,9 +16,10 @@ all three region kinds, and the polynomial family with mean predictions, at
 six points each), and every experiment config in ``scripts/configs`` and
 ``perfbench/configs`` at ``--threads 1`` and ``--threads 2``.  Those configs
 use n >= 1e4 except ``coverage_small_n``, so each of their chunks holds one
-replication; eight small-n experiments written into the temporary directory
-(``SMALL_N_EXPERIMENTS``), two of them on nonlinear families and two on
-linear specs with ``uniform`` and ``two_point`` z, run chunks of many
+replication; nine small-n experiments written into the temporary directory
+(``SMALL_N_EXPERIMENTS``), two of them on nonlinear families, two on linear
+specs with ``uniform`` and ``two_point`` z and one with a master seed of two
+32-bit words (every other config's seed is one word), run chunks of many
 replications next to chunks of one, at ``--threads 1``, ``2`` and ``3``
 (three workers split the chunks unevenly: the CLI process and two forked ones).
 Every output goes to the temporary directory, which is removed at the end.
@@ -81,6 +82,10 @@ SMALL_N_EXPERIMENTS = {
         _SMALL_N, suite="coverage", master_seed=seed, alphas=[0.05, 0.5],
         spec=dict(TRANSFORM_SPECS[0], z_dist={"kind": kind, "mean": [0.5], "cov": [[2.0]]}),
         region_kinds=["chebyshev", "chi_square"]) for kind, seed in (("uniform", 27), ("two_point", 28))},
+    # a master seed above 2**32 enters every stream's entropy as two words
+    "small_n_coverage_linear_two_word_seed": dict(
+        _SMALL_N, suite="coverage", spec=TRANSFORM_SPECS[0], master_seed=2**40 + 21, alphas=[0.05, 0.5],
+        region_kinds=["chebyshev", "chi_square"]),
     "small_n_coverage_exponential": dict(
         _SMALL_N, suite="coverage", spec=TRANSFORM_SPECS[3], master_seed=25, alphas=[0.05, 0.5],
         region_kinds=["chebyshev", "chi_square"]),

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DatasetError, SpecError
 from .linalg import cholesky_psd, min_eigenvalue
-from .rng import make_rng
+from .rng import make_rng, make_rngs
 
 __all__ = [
     "ZDistribution",
@@ -655,7 +655,7 @@ class Sampler:
     def samples(self, n: int, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The observed arrays ``(y, z, x)`` of one sample of ``n`` per seed,
         stacked as (R, n, .): row r is ``sample(n, seeds[r])``."""
-        return self.draw([make_rng(seed) for seed in seeds], n)[:3]
+        return self.draw(make_rngs(seeds), n)[:3]
 
     def sample(self, n: int, seed: int, *, keep_hidden: bool = True) -> Dataset:
         """Draw ``n`` i.i.d. observations; deterministic given ``seed``."""
@@ -666,7 +666,7 @@ class Sampler:
     def subjects(self, seeds) -> NewSubject:
         """One fresh subject per seed, stacked: every field (R, .), row r is
         ``new_subject(seeds[r])``."""
-        y, z, x, hidden, eta = self.draw([make_rng(seed, 0x5EED) for seed in seeds], 1)
+        y, z, x, hidden, eta = self.draw(make_rngs(seeds, 0x5EED), 1)
         return NewSubject(z0=z[:, 0], x0=x[:, 0], y0=y[:, 0], eta0=eta[:, 0], xi0=hidden.xi[:, 0])
 
     def new_subject(self, seed: int) -> NewSubject:

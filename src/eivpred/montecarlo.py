@@ -58,7 +58,7 @@ from .predictors import (
     predict_mean,
     region_contains,
 )
-from .rng import derive_seed, make_rng
+from .rng import derive_seed, derive_seeds, make_rngs
 from .transform import condition_gaussian, predict_rows, transform
 
 __all__ = [
@@ -239,16 +239,31 @@ def _conditional_subject(spec: ModelSpec, fixed: NewSubject):
     return draw
 
 
+def _seed_table(cfg: ExperimentConfig, tag: int):
+    """``(n_idx, reps) -> seeds``: the child seeds of the streams
+    ``(master_seed, tag, n_idx, rep)`` of the replications ``reps``.  A
+    process derives the seeds of every replication of a sample size in one
+    pass, the first time it needs one of them: a pass costs about as much
+    for one stream as for hundreds, and chunks can hold one replication."""
+    table = {}
+
+    def seeds(n_idx: int, reps) -> list[int]:
+        if n_idx not in table:
+            table[n_idx] = derive_seeds(cfg.master_seed, tag, n_idx, range(cfg.replications))
+        return [table[n_idx][rep] for rep in reps]
+
+    return seeds
+
+
 def _subject_drawer(cfg: ExperimentConfig, sampler: Sampler):
     """``(n_idx, reps) -> NewSubject``, the prediction targets of the
     replications ``reps`` stacked: fresh subjects, or fresh responses at one
     fixed subject."""
     if not cfg.fixed_subject:
-        return lambda n_idx, reps: sampler.subjects(
-            [derive_seed(cfg.master_seed, 2, n_idx, rep) for rep in reps]
-        )
+        seeds = _seed_table(cfg, 2)
+        return lambda n_idx, reps: sampler.subjects(seeds(n_idx, reps))
     conditional = _conditional_subject(cfg.spec, sampler.new_subject(derive_seed(cfg.master_seed, 4)))
-    return lambda n_idx, reps: conditional([make_rng(cfg.master_seed, 3, n_idx, rep) for rep in reps])
+    return lambda n_idx, reps: conditional(make_rngs(cfg.master_seed, 3, n_idx, reps))
 
 
 def check_sample_sizes(cfg: ExperimentConfig) -> None:
@@ -281,12 +296,11 @@ def _fitted_prediction(cfg: ExperimentConfig, score):
     chunk that fails runs again in chunks of one), so each fit warns once."""
     spec = cfg.spec
     sampler = Sampler(spec)
-    draw_subjects = _subject_drawer(cfg, sampler)
+    seeds, draw_subjects = _seed_table(cfg, 1), _subject_drawer(cfg, sampler)
     degree, harmonics = getattr(spec, "degree", None), getattr(spec, "harmonics", 1)
 
     def one(n_idx: int, reps: tuple[int, ...]):
-        seeds = [derive_seed(cfg.master_seed, 1, n_idx, rep) for rep in reps]
-        data = sampler.samples(cfg.n_grid[n_idx], seeds)
+        data = sampler.samples(cfg.n_grid[n_idx], seeds(n_idx, reps))
         stack = fit_stack(data, spec.family, degree=degree, harmonics=harmonics)
         if len(reps) == 1:
             stack.warn_ill_conditioned()

@@ -642,6 +642,20 @@ class TestExperiment:
         main(["experiment", "--config", cfg, "--seed", "100"])
         assert (tmp_path / "report.json").read_bytes() != first
 
+    @pytest.mark.parametrize("seed, alias", [("-1", str(2**64 - 1)), ("5", str(2**70 + 5))])
+    def test_seeds_equal_modulo_2_to_the_64_give_the_same_report_rows(self, tmp_path, seed, alias):
+        """The streams mask the master seed to 64 bits, so two seeds that agree
+        there give the same rows and failures through the batched chunks (40
+        and 13 replications at n = 100 and 300) on two workers."""
+        cfg = self.experiment_config(tmp_path, n_grid=[100, 300], replications=60)
+        reports = []
+        for value in (seed, alias):
+            assert main(["experiment", "--config", cfg, "--seed", value, "--threads", "2"]) == EXIT_OK
+            reports.append(json.loads((tmp_path / "report.json").read_text()))
+        assert reports[0]["rows"] == reports[1]["rows"]
+        assert reports[0]["failures"] == reports[1]["failures"]
+        assert [r["provenance"]["master_seed"] for r in reports] == [int(seed), int(alias)]
+
     def test_threads_do_not_change_output(self, tmp_path):
         cfg = self.experiment_config(tmp_path)
         main(["experiment", "--config", cfg, "--threads", "1"])

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eivpred import models
+from eivpred import models, montecarlo
 from eivpred.errors import DatasetError, SpecError
 from eivpred.rng import make_rng
 from eivpred.transform import params_to_dict, transform
@@ -461,6 +461,13 @@ _HIDDEN = ("xi", "delta", "e", "eps")
 _SUBJECT = ("z0", "x0", "y0", "eta0", "xi0")
 
 
+def _public_rng(seed: int, *stream: int) -> np.random.Generator:
+    """The stream's generator from numpy's public SeedSequence form."""
+    mask = (1 << 64) - 1
+    seed_seq = np.random.SeedSequence(entropy=seed & mask, spawn_key=tuple(s & mask for s in stream))
+    return np.random.Generator(np.random.Philox(seed_seq))
+
+
 class TestStackedDraw:
     @pytest.mark.parametrize("reps", [1, 3, 20])
     @pytest.mark.parametrize("n", [1, 50])
@@ -492,6 +499,36 @@ class TestStackedDraw:
                     assert data.hidden is None
             subject = sampler.new_subject(seed)
             assert all(same_bits(getattr(subjects, f)[r], getattr(subject, f)) for f in _SUBJECT)
+
+    @pytest.mark.parametrize("name", ["linear_gaussian_z", "quadratic"])
+    def test_stacked_draws_at_the_seed_edges(self, name):
+        """Seeds at the 32-bit word split and the 64-bit mask, in one batch
+        with derived seeds (two words each, unless one falls below 2**32),
+        and master seeds at the same edges for the fixed-subject conditional
+        draw, with a replication id of two words in the chunk: every row of a
+        stack equals the draw from numpy's own SeedSequence of its stream."""
+        spec = PINNED_SPECS[name]()
+        sampler = models.Sampler(spec)
+        derived = [montecarlo.derive_seed(2**40 + 21, 1, 0, r) for r in range(4)]
+        seeds = [0, 2**32 - 1, 2**32, 2**64 - 1] + derived
+        observed, subjects = sampler.samples(30, seeds), sampler.subjects(seeds)
+        for r, seed in enumerate(seeds):
+            alone = sampler.draw([_public_rng(seed)], 30)
+            assert all(same_bits(got[r], want[0]) for got, want in zip(observed, alone))
+            y, z, x, hidden, eta = sampler.draw([_public_rng(seed, 0x5EED)], 1)
+            alone = dict(z0=z[0, 0], x0=x[0, 0], y0=y[0, 0], eta0=eta[0, 0], xi0=hidden.xi[0, 0])
+            assert all(same_bits(getattr(subjects, f)[r], alone[f]) for f in _SUBJECT)
+        reps = (0, 1, 2**32 + 5)
+        for master in (0, 2**32 - 1, 2**32, 2**64 - 1):
+            cfg = montecarlo.ExperimentConfig(
+                spec=spec, n_grid=(30,), replications=3, master_seed=master, fixed_subject=True
+            )
+            chunk = montecarlo._subject_drawer(cfg, sampler)(0, reps)
+            fixed = sampler.new_subject(montecarlo.derive_seed(master, 4))
+            draw = montecarlo._conditional_subject(spec, fixed)
+            for r, rep in enumerate(reps):
+                alone = draw([_public_rng(master, 3, 0, rep)])
+                assert all(same_bits(getattr(chunk, f)[r], getattr(alone, f)[0]) for f in _SUBJECT)
 
     def test_sample_and_new_subject_are_slices_of_the_one_draw(self, monkeypatch):
         calls = []
