@@ -16,10 +16,11 @@ all three region kinds, and the polynomial family with mean predictions, at
 six points each), and every experiment config in ``scripts/configs`` and
 ``perfbench/configs`` at ``--threads 1`` and ``--threads 2``.  Those configs
 use n >= 1e4 except ``coverage_small_n``, so each of their chunks holds one
-replication; nine small-n experiments written into the temporary directory
+replication; ten small-n experiments written into the temporary directory
 (``SMALL_N_EXPERIMENTS``), two of them on nonlinear families, two on linear
-specs with ``uniform`` and ``two_point`` z and one with a master seed of two
-32-bit words (every other config's seed is one word), run chunks of many
+specs with ``uniform`` and ``two_point`` z, one on a polynomial spec with a
+gaussian z and one with a master seed of two 32-bit words (every other
+config's seed is one word), run chunks of many
 replications next to chunks of one, at ``--threads 1``, ``2`` and ``3``
 (three workers split the chunks unevenly: the CLI process and two forked ones).
 Every output goes to the temporary directory, which is removed at the end.
@@ -77,6 +78,11 @@ SMALL_N_EXPERIMENTS = {
         _SMALL_N, suite="consistency", spec=TRANSFORM_SPECS[0], master_seed=23, mean_prediction=True),
     "small_n_consistency_polynomial_mean": dict(
         _SMALL_N, suite="consistency", spec=TRANSFORM_SPECS[1], master_seed=24, mean_prediction=True),
+    # the polynomial fit puts z columns before the powers; no other spec has both
+    "small_n_consistency_polynomial_z_mean": dict(
+        _SMALL_N, suite="consistency", master_seed=29, mean_prediction=True,
+        spec=dict(TRANSFORM_SPECS[1], z_slopes=[0.4],
+                  z_dist={"kind": "gaussian", "mean": [0.5], "cov": [[2.0]]})),
     # the stacked draw fills a chunk's z per kind; gaussian z is covered above
     **{f"small_n_coverage_linear_{kind}_z": dict(
         _SMALL_N, suite="coverage", master_seed=seed, alphas=[0.05, 0.5],

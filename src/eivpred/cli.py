@@ -14,6 +14,7 @@ Configs are schema-validated and unknown keys are rejected.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import gc
 import importlib
 import json
@@ -42,6 +43,14 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+# glibc's malloc raises its mmap threshold to the size of each freed mapped
+# block, and trims the heap top above twice that, up to these ceilings.  Set
+# at the ceilings, a replication's freed arrays stay in the heap for the next
+# one, rather than going back to the kernel and faulting in again, zeroed.
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 64 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
 
 _SUITES = {"consistency": run_consistency, "coverage": run_coverage, "abs_failure": run_abs_failure}
 # the experiment config keys that only some suites read, by the suites that read them
@@ -382,12 +391,24 @@ def _scipy_modules(command: str, config: dict) -> list[str]:
     return ["scipy.optimize", "scipy.special"] if family in NLS_FAMILIES else []
 
 
+def _keep_freed_heap() -> None:
+    """Set glibc's mmap and trim thresholds at their ceilings, for the rest
+    of the process; a no-op where the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
     """Run one CLI command on ``argv`` (default ``sys.argv[1:]``); return its exit code.
 
     This is a process entry point: before the command runs it freezes
-    (``gc.freeze``) every object the process has loaded, so an in-process
-    caller, such as a test, keeps a frozen heap afterwards.
+    (``gc.freeze``) every object the process has loaded, and keeps freed
+    heap memory in the process (:func:`_keep_freed_heap`), so an in-process
+    caller, such as a test, keeps a frozen heap and those settings afterwards.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -409,6 +430,7 @@ def main(argv=None) -> int:
     for module in modules:
         importlib.import_module(module)
     gc.freeze()  # the loaded heap lives to exit: no later full collection, in any process, walks it
+    _keep_freed_heap()  # forked workers inherit it
     try:
         return _COMMANDS[args.command](config, args)
     except SpecError as exc:

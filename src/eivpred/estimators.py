@@ -176,15 +176,17 @@ class _Stacked(NamedTuple):
 def _regressors(
     data: Dataset | _Stacked, family: str, degree: Optional[int]
 ) -> tuple[np.ndarray, int]:
-    """Regressor rows per family, (..., n, p); returns (r, degree_used)."""
-    z, x = data.z, data.x
+    """Regressor columns per family, the z columns first, in a C-contiguous
+    (..., p, n) array; returns (r, degree_used).  Sums along a contiguous
+    column are numpy's pairwise sums, and read memory in order."""
+    z, x = data.z.swapaxes(-1, -2), data.x.swapaxes(-1, -2)
     if family == "linear":
-        return np.concatenate([z, x], axis=-1), 0
-    if x.shape[-1] != 1:
+        return _columns([z, x]), 0
+    if x.shape[-2] != 1:
         raise DimensionError("polynomial-type families need a scalar surrogate")
     if family == "quadratic":
         degree = 2
-        z = z[..., :0]
+        z = z[..., :0, :]
     elif family == "polynomial":
         if degree is None:
             raise InvalidInput("polynomial fitting needs an explicit degree")
@@ -194,7 +196,17 @@ def _regressors(
         raise InvalidInput(
             f"degree {degree} above cap {MAX_POLY_DEGREE}; raw powers become too ill-conditioned"
         )
-    return np.concatenate([z, power_basis(x[..., 0], degree)], axis=-1), degree
+    basis = power_basis(x[..., 0, :], degree, axis=-2)
+    return (_columns([z, basis]) if z.shape[-2] else basis), degree
+
+
+def _columns(blocks: list[np.ndarray]) -> np.ndarray:
+    """The (..., k, n) ``blocks`` one after another in a new C-contiguous
+    (..., p, n) array; ``np.concatenate`` alone would keep the row layout of
+    transposed views."""
+    *lead, _, n = blocks[0].shape
+    out = np.empty((*lead, sum(block.shape[-2] for block in blocks), n))
+    return np.concatenate(blocks, axis=-2, out=out)
 
 
 def sample_moments(data: Dataset, family: str = "linear", degree: Optional[int] = None) -> SampleMoments:
@@ -205,15 +217,15 @@ def sample_moments(data: Dataset, family: str = "linear", degree: Optional[int] 
 
 
 def _moments(y: np.ndarray, x: np.ndarray, r: np.ndarray) -> SampleMoments:
-    """Moments of the response ``y`` (..., n, d) against the regressor rows
-    ``r`` (..., n, p), and of the surrogate ``x`` (..., n, m); n >= 2."""
+    """Moments of the response ``y`` (..., n, d) against the regressor
+    columns ``r`` (..., p, n), and of the surrogate ``x`` (..., n, m); n >= 2."""
     n = y.shape[-2]
     y_mean = y.mean(axis=-2)
-    r_mean = r.mean(axis=-2)
-    rc = r - r_mean[..., None, :]
+    r_mean = r.mean(axis=-1)
+    rc = r - r_mean[..., None]
     yc = y - y_mean[..., None, :]
-    s_rr = rc.swapaxes(-1, -2) @ rc / n
-    s_ry = rc.swapaxes(-1, -2) @ yc / n
+    s_rr = rc @ rc.swapaxes(-1, -2) / n
+    s_ry = rc @ yc / n
     x_mean = x.mean(axis=-2)
     xc = x - x_mean[..., None, :]
     x_cov = xc.swapaxes(-1, -2) @ xc / (n - 1)
@@ -253,7 +265,7 @@ def _ols_stack(data: _Stacked, family: str, degree: Optional[int]) -> FittedMode
     moments = _moments(y, x, r)
     coefs = pinv(moments.s_rr) @ moments.s_ry  # (R, p, d)
     intercept = moments.y_mean - (moments.r_mean[:, None, :] @ coefs)[:, 0, :]
-    resid = y - intercept[:, None, :] - r @ coefs
+    resid = y - intercept[:, None, :] - r.swapaxes(-1, -2) @ coefs
     eigvals = np.abs(np.linalg.eigvalsh(moments.s_rr))
     low, high = eigvals.min(axis=-1), eigvals.max(axis=-1)
     return FittedModel(
@@ -445,7 +457,7 @@ def nls_fit(data: Dataset, family: str, harmonics: int = 1) -> FittedModel:
         family=family,
         params=params,
         residual_moment=np.array([[objective / n]]),
-        moments=_moments(data.y, data.x, data.x),  # the raw surrogate as the only regressor
+        moments=_moments(data.y, data.x, data.x.T),  # the raw surrogate as the only regressor
         n=n,
         objective=objective,
         converged=ok,

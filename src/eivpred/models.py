@@ -285,20 +285,23 @@ class _ScalarLatentSpec:
         return np.array([self.latent_mean]), np.array([[self.latent_var]]), errors
 
 
-def power_basis(x: np.ndarray, k: int) -> np.ndarray:
-    """Columns x, x^2, ..., x^k of ``x``, shape (*x.shape, k), C-contiguous, k >= 1.
+def power_basis(x: np.ndarray, k: int, axis: int = -1) -> np.ndarray:
+    """The powers x, x^2, ..., x^k of ``x``, k >= 1, stacked along a new
+    ``axis`` of length k of a C-contiguous array: shape (*x.shape, k) for the
+    default last axis, and (..., k, n) for ``axis=-2`` on an (..., n) ``x``,
+    whose powers are then contiguous columns of length n.
 
     Built from exact repeated products x, x*x, (x*x)*x, ..., which are basic
     IEEE operations: the bytes do not depend on numpy's CPU dispatch, as those
     of ``x[..., None] ** np.arange(1, k + 1)`` do, and the products are several
-    times faster.  Each column is within k ulps of the correctly rounded power.
+    times faster.  Each power is within k ulps of the correctly rounded one.
     The sampler, the fit and the prediction all build their powers here.
     """
     x = np.asarray(x, dtype=float)
     cols = [x]
     for _ in range(k - 1):
         cols.append(cols[-1] * x)
-    return np.stack(cols, axis=-1)
+    return np.stack(cols, axis=axis)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,7 @@
 """Sample moments, OLS, and nonlinear least squares."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,23 @@ class TestSampleMoments:
         data = handmade_dataset([1.0], None, [1.0])
         with pytest.raises(InsufficientData):
             estimators.sample_moments(data, "linear")
+
+    def test_means_and_covariance_of_far_off_columns_are_accurate(self):
+        """Columns far from zero, against exactly rounded sums: the means are
+        pairwise sums along each regressor column, not running sums over its
+        rows, which drift by tens of ulps at this size."""
+        n = 200_000
+        rng = np.random.default_rng(5)
+        x = 1e4 + rng.standard_normal((n, 1))
+        z = -3e3 + rng.standard_normal((n, 1))
+        data = handmade_dataset(2.0 + 0.5 * z + x + rng.standard_normal((n, 1)), z, x)
+        mom = estimators.sample_moments(data, "linear")
+        cols = [z[:, 0], x[:, 0]]
+        means = np.array([math.fsum(col) / n for col in cols])
+        assert np.all(np.abs(mom.r_mean - means) <= 4 * np.abs(np.spacing(means)))
+        centred = [col - mean for col, mean in zip(cols, means)]
+        s_rr = np.array([[math.fsum(a * b) / n for b in centred] for a in centred])
+        assert np.abs(mom.s_rr - s_rr).max() <= 1e-15 * np.abs(s_rr).max()
 
 
 class TestOlsFit:
@@ -148,7 +167,8 @@ class TestOlsFit:
         cap = estimators.MAX_POLY_DEGREE
         r, used = estimators._regressors(data, "polynomial", cap)
         assert used == cap
-        np.testing.assert_array_equal(r, transform.power_basis(data.x[:, 0], cap))
+        assert r.flags.c_contiguous  # one contiguous column per power
+        np.testing.assert_array_equal(r, transform.power_basis(data.x[:, 0], cap).T)
         with pytest.raises(InvalidInput, match=f"degree {cap + 1} above cap {cap}"):
             estimators._regressors(data, "polynomial", cap + 1)
 

@@ -6,7 +6,8 @@ before the suite driver or the command body starts; a chi-square region's
 threshold needs no scipy.  multiprocessing is loaded only by an experiment
 that runs on more than one worker, with the worker pool's modules, also
 before its suite driver starts.  Once those modules are loaded, and before
-the command starts, the CLI freezes the heap (``gc.freeze``).
+the command starts, the CLI freezes the heap (``gc.freeze``) and keeps freed
+memory in the process (glibc's ``mallopt``), which changes no output.
 """
 
 import json
@@ -55,6 +56,62 @@ def run_fresh(code: str, *args: str) -> str:
 
 def run_cli(*args: str) -> dict:
     return json.loads(run_fresh(_RUN_CLI, *args))
+
+
+# Runs the CLI on sys.argv[2:] and prints its exit code, with the heap setting
+# as sys.argv[1] says: "kept" as it is, "noop" replaced by a no-op, or its
+# mallopt lookup raising "AttributeError" (a C library without mallopt) or
+# "OSError" (no C library to load).
+_RUN_HEAP = """
+import sys, types
+from eivpred import cli
+
+class NoMallopt:
+    def __init__(self, name):
+        pass
+
+def unloadable(name):
+    raise OSError("no C library")
+
+how = sys.argv[1]
+if how == "noop":
+    cli._keep_freed_heap = lambda: None
+elif how != "kept":
+    cli.ctypes = types.SimpleNamespace(CDLL={"AttributeError": NoMallopt, "OSError": unloadable}[how])
+print(cli.main(sys.argv[2:]))
+"""
+
+
+def test_the_heap_setting_changes_no_report_byte(tmp_path):
+    config = {
+        "suite": "consistency",
+        "spec": models.spec_to_dict(make_poly_spec()),
+        "n_grid": [200, 2000, 20_000],
+        "replications": 3,
+        "master_seed": 11,
+        "mean_prediction": True,
+    }
+    exp = write_config(tmp_path, "exp.json", config)
+    reports = []
+    for how in ("kept", "noop"):
+        out = tmp_path / how
+        assert run_fresh(_RUN_HEAP, how, "experiment", "--config", exp, "--out", str(out)) == "0"
+        reports.append([out.with_suffix(suffix).read_bytes() for suffix in (".json", ".csv")])
+    assert reports[0] == reports[1]
+
+
+def test_a_c_library_without_mallopt_still_runs(tmp_path):
+    config = {
+        "suite": "consistency",
+        "spec": models.spec_to_dict(make_poly_spec()),
+        "n_grid": [100, 200],
+        "replications": 2,
+        "master_seed": 3,
+        "out": str(tmp_path / "report"),
+    }
+    exp = write_config(tmp_path, "exp.json", config)
+    for error in ("AttributeError", "OSError"):
+        assert run_fresh(_RUN_HEAP, error, "experiment", "--config", exp) == "0"
 
 
 def test_importing_the_cli_loads_no_scipy():

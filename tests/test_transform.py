@@ -539,15 +539,19 @@ def test_power_basis_matches_raw_powers(xs, k):
 )
 def test_power_basis_is_the_product_chain(xs, rows, k):
     """Column j + 1 is column j times x, exactly, for a vector and for a
-    stack of R rows of x (cut from ``xs``); the result is C-contiguous."""
+    stack of R rows of x (cut from ``xs``); the result is C-contiguous, with
+    the powers along the last axis or, for ``axis=-2``, the one before it."""
     x = np.array(xs)
     for points in (x, x[: len(xs) // rows * rows].reshape(rows, -1)):
         basis = transform.power_basis(points, k)
+        columns = transform.power_basis(points, k, axis=-2)
         assert basis.shape == (*points.shape, k)
-        assert basis.flags.c_contiguous
+        assert columns.shape == (*points.shape[:-1], k, points.shape[-1])
+        assert basis.flags.c_contiguous and columns.flags.c_contiguous
         column = points
         for j in range(k):
             assert np.array_equal(basis[..., j], column)
+            assert np.array_equal(columns[..., j, :], column)
             column = column * points
 
 
