@@ -9,6 +9,8 @@ spec of each of the six families, both simulate configs
 (``scripts/configs/simulate_linear.json`` and
 ``perfbench/configs/fit_predict_file.simulate.json``), ``fit-predict`` on the
 latter's dataset and on ``tests/data/golden_fit_predict_config.json``, a
+``simulate`` with hidden columns whose CSV holds every ``%g`` layout
+(``WIDE_RANGE_SIMULATE``: an exponential spec with rate 10, n = 2000), a
 ``simulate`` (n = 2000) and a ``fit-predict`` run for each entry of
 ``SIMULATE_FIT_RUNS`` (each nonlinear family with one point and one Chebyshev
 region, two harmonics for the trigonometric fit; the quadratic family with
@@ -128,6 +130,12 @@ SIMULATE_FIT_RUNS = {
 }
 SIMULATE_FIT_RUNS["nls_trigonometric"][1]["harmonics"] = len(TRANSFORM_SPECS[4]["cos_amps"])
 
+# a dataset whose CSV holds all three %g layouts: exponents above 16 (exp(10 xi)
+# for large xi), below -4 and from -4 to -1 (small xi and the deltas), and zeros
+# (the noiseless response's hidden e)
+WIDE_RANGE_SIMULATE = {"spec": dict(TRANSFORM_SPECS[3], rate=10.0, sigma2_e=0.0, sigma2_delta=0.25),
+                       "n": 2000, "seed": 31, "include_hidden": True}
+
 EXPERIMENTS = sorted(
     str(path.relative_to(ROOT))
     for pattern in ("scripts/configs/*.json", "perfbench/configs/*.json")
@@ -143,7 +151,7 @@ def run_all(tree: Path, out: Path, configs: Path) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
     fit = json.loads((tree / "perfbench/configs/fit_predict_file.fit.json").read_text())
     fit["data"] = str(out / "fit_predict_file")
-    temp_configs = {"fit_predict_file.fit": fit}
+    temp_configs = {"fit_predict_file.fit": fit, "simulate_wide_range": WIDE_RANGE_SIMULATE}
     runs = []
     for spec in TRANSFORM_SPECS:
         name = f"transform_{spec['family']}"
@@ -159,6 +167,8 @@ def run_all(tree: Path, out: Path, configs: Path) -> list[str]:
                                   "--out", str(out / "fit_predict_file.prediction.json")]),
         ("golden_fit_predict", ["fit-predict", "--config", "tests/data/golden_fit_predict_config.json",
                                 "--out", str(out / "golden_fit_predict.json")]),
+        ("simulate_wide_range", ["simulate", "--config", str(out / "simulate_wide_range.json"),
+                                 "--out", str(out / "simulate_wide_range")]),
     ]
     for name, (spec, options) in SIMULATE_FIT_RUNS.items():
         temp_configs[f"{name}.simulate"] = {"spec": spec, "n": 2000, "seed": 31}

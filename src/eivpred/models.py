@@ -19,9 +19,11 @@ absolute_value  y = scale * |xi + shift| + e
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache
 from pathlib import Path
-from typing import ClassVar, Optional, Union
+from typing import ClassVar, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -790,11 +792,193 @@ def _csv_header(d: int, q: int, m: int, hidden: bool) -> list[str]:
     return cols
 
 
+# The CSV writer's kernel prints |v| in [1e-250, 1e250] (and zero) as ``%.17g``
+# does, from float64 array operations.  The 17 digits are N = round(|v| * 10**(16 - E))
+# in [1e16, 1e17), for the decimal exponent E of |v|.  With 10**(16 - E) as the
+# double-double hi + lo, |v| * 10**(16 - E) equals p + r to within about 1e-13, where
+# p = fl(|v| * hi) and r adds Dekker's exact error of that product ("A floating-point
+# technique for extending the available precision", 1971) and |v| * lo.  p is then
+# an integer, so N = p + rint(r), unless r's fractional part is within 1e-9 of 1/2
+# (a tie, such as 2**-25), where Python's correctly rounded formatting writes the row.
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant: splits a float64 into two 26-bit halves
+# E over the kernel's range, one off for the estimate, plus a carry to 1e17
+_E_MIN, _E_MAX = -252, 252
+# Each value becomes a 32-byte field, four little-endian words, in which NUL bytes
+# stand for what %g does not print: byte 0 the sign; bytes 1-5 '0.' and up to three
+# '0's (E from -4 to -1); bytes 6-23 the digits, trailing zeros stripped, with the
+# '.' inserted where %g puts it; bytes 24-28 'e', the exponent's sign and two or
+# three digits (E below -4 or above 16); bytes 29-30 ',' or, at a row's end, CRLF.
+_FIELD_WORDS = 4
+_BLOCK = 4096
+
+
+def _halves(a):
+    """Veltkamp's split of float64 ``a`` into hi + lo, each of at most 26 significant bits."""
+    c = a * _SPLIT
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _le(text: bytes, at: int = 0) -> int:
+    """The little-endian integer whose bytes ``at`` onwards are ``text``."""
+    return int.from_bytes(text, "little") << 8 * at
+
+
+class _TextTables(NamedTuple):
+    """The writer's lookup tables, indexed by E - _E_MIN where not said otherwise."""
+
+    hi: np.ndarray  # 10**(16 - E) correctly rounded,
+    hi_h: np.ndarray  # its two halves,
+    hi_l: np.ndarray
+    lo: np.ndarray  # and the rest of 10**(16 - E), correctly rounded
+    group_text: np.ndarray  # by 4-digit group: its ASCII word,
+    group_zeros: np.ndarray  # and its count of trailing zeros
+    fraction: np.ndarray  # the fraction digits %g keeps at most
+    dot: np.ndarray  # the digits before the '.' (18: no '.' among the digits)
+    prefix: np.ndarray  # the word of bytes 0-7, the sign left out
+    suffix: np.ndarray  # the word of bytes 24-31, the separator left out
+    below: np.ndarray  # by word w and count c: the digit bytes below c,
+    dots: np.ndarray  # and a '.' at c (none at 18)
+
+
+@cache
+def _text_tables() -> _TextTables:
+    """Built on first use, since every CLI run imports this module."""
+    hi, lo = [], []
+    for k in range(16 - _E_MIN, 15 - _E_MAX, -1):
+        if k >= 0:
+            hi.append(float(10**k))
+            lo.append(float(10**k - int(hi[-1])))
+        else:
+            hi.append(1 / 10**-k)
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * 10**-k) / (den * 10**-k))
+    hi = np.array(hi)
+    g = np.arange(10_000, dtype=np.uint64)
+    e = range(_E_MIN, _E_MAX + 1)
+    low = [_le(b"\xff" * c) for c in range(19)]
+    dots = [_le(b".", c) for c in range(18)] + [0]
+    tables = _TextTables(
+        hi,
+        *_halves(hi),
+        np.array(lo),
+        sum((g // 10**i % 10 + 48) << np.uint64(8 * (3 - i)) for i in range(4)),
+        sum((g % 10**i == 0) for i in range(1, 5)).astype(np.intp),
+        np.array([17 if -4 <= x < 0 else 16 - x if 0 <= x <= 16 else 16 for x in e]),
+        np.array([18 if -4 <= x < 0 else x + 1 if 0 <= x <= 16 else 1 for x in e]),
+        np.array([_le(b"0." + b"0" * (-x - 1), 1) if -4 <= x < 0 else 0 for x in e], np.uint64),
+        np.array([0 if -4 <= x <= 16 else _le(b"e%+03d" % x) for x in e], np.uint64),
+        np.array([[c >> 64 * w & 2**64 - 1 for c in low] for w in range(3)], np.uint64),
+        np.array([[c >> 64 * w & 2**64 - 1 for c in dots] for w in range(3)], np.uint64),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _scaled(a, e, t: _TextTables):
+    """``a * 10**(16 - e)`` as ``p + r``: ``p`` the float64 product with hi, ``r``
+    Dekker's exact error of that product plus ``a * lo``."""
+    hi, hi_h, hi_l, lo = (np.take(x, e - _E_MIN) for x in (t.hi, t.hi_h, t.hi_l, t.lo))
+    p = a * hi
+    a_h, a_l = _halves(a)
+    return p, ((a_h * hi_h - p) + a_h * hi_l + a_l * hi_h) + a_l * hi_l + a * lo
+
+
+def _fields(v: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Fill ``words`` (``(len(v), 4)``) with the fields of ``v`` and return where they hold
+    ``v``'s ``%.17g`` text: zero and the 1e-250 <= |v| <= 1e250 that are not ties."""
+    t = _text_tables()
+    a = np.abs(v)
+    inside = (a >= 1e-250) & (a <= 1e250)  # nan fails both
+    zero = a == 0
+    ok = inside | zero
+    a = np.where(inside, a, 1.0)  # zero, and every value Python writes, as 1
+    # floor(log10(a)) can be one off near a power of ten; the exact p + r says which way
+    e = np.floor(np.log10(a)).astype(np.intp)
+    p, r = _scaled(a, e, t)
+    under = (p - 1e16) + r < 0
+    off = np.flatnonzero(under | ((p - 1e17) + r >= 0))
+    if off.size:
+        e[off] += np.where(under[off], -1, 1)
+        p[off], r[off] = _scaled(a[off], e[off], t)
+    near = np.rint(r)
+    ok &= np.abs(np.abs(r - near) - 0.5) > 1e-9
+    n = p.astype(np.int64) + near.astype(np.int64)
+    carry = n == 10**17
+    n[carry] = 10**16
+    e += carry
+    n[zero] = 0  # printed as "0": E = 0 and every digit but the first stripped
+    # the 17 digits: the lead digit, then four groups of four
+    upper = (n // 10**8).astype(np.uint32)
+    g1, g2 = np.divmod(upper % 10**8, 10_000)
+    g3, g4 = np.divmod((n % 10**8).astype(np.uint32), 10_000)
+    zeros = np.take(t.group_zeros, g4)
+    for g, z in ((g3, 4), (g2, 8), (g1, 12)):
+        zeros += (zeros == z) * np.take(t.group_zeros, g)
+    j = e - _E_MIN
+    fraction = np.take(t.fraction, j)
+    keep = 17 - np.minimum(zeros, fraction)
+    dot = np.where(zeros < fraction, np.take(t.dot, j), 18)
+    # the digits as three words, stripped, and the bytes from the '.' on shifted up
+    t1, t2, t3, t4 = (np.take(t.group_text, g) for g in (g1, g2, g3, g4))
+    text = [
+        (upper // 10**8 + 48).astype(np.uint64) | t1 << np.uint64(8) | t2 << np.uint64(40),
+        t2 >> np.uint64(24) | t3 << np.uint64(8) | t4 << np.uint64(40),
+        t4 >> np.uint64(24),
+    ]
+    carried = np.uint64(0)
+    for w in range(3):
+        text[w] &= np.take(t.below[w], keep)
+        head = text[w] & np.take(t.below[w], dot)
+        tail = text[w] ^ head
+        text[w] = head | tail << np.uint64(8) | carried | np.take(t.dots[w], dot)
+        carried = tail >> np.uint64(56)
+    words[:, 0] = np.signbit(v) * np.uint64(ord("-")) | np.take(t.prefix, j) | text[0] << np.uint64(48)
+    words[:, 1] = text[0] >> np.uint64(16) | text[1] << np.uint64(48)
+    words[:, 2] = text[1] >> np.uint64(16) | text[2] << np.uint64(48)
+    words[:, 3] = np.take(t.suffix, j)
+    return ok
+
+
+def _csv_rows(chunk: np.ndarray) -> bytearray:
+    """The CSV rows of ``chunk``, each value as ``%.17g`` writes it, with CRLF line ends.
+
+    :func:`_fields` writes every row whose values it can prove, in blocks of
+    ``_BLOCK`` values; Python's ``%`` writes the others: rows with a value that
+    is not finite, lies outside the kernel's range, or is a tie (or within
+    1e-9 of one) at 17 digits.
+    """
+    rows, cols = chunk.shape
+    v = chunk.ravel()
+    buf = bytearray(8 * _FIELD_WORDS * v.size)
+    fields = np.frombuffer(buf, "<u8").reshape(rows, cols, _FIELD_WORDS)
+    words = fields.reshape(-1, _FIELD_WORDS)
+    ok = np.empty(v.size, bool)
+    for start in range(0, v.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        ok[block] = _fields(v[block], words[block])
+    fields[:, :-1, 3] |= np.uint64(_le(b",", 5))
+    fields[:, -1, 3] |= np.uint64(_le(b"\r\n", 5))
+    if not ok.all():
+        row = ",".join(["%.17g"] * cols) + "\r\n"
+        width = 8 * _FIELD_WORDS * cols
+        pieces, start = [], 0
+        for i in np.flatnonzero(~ok.reshape(rows, cols).all(axis=1)).tolist():
+            pieces += [buf[start * width : i * width], (row % tuple(chunk[i].tolist())).encode()]
+            start = i + 1
+        buf = bytearray().join([*pieces, buf[start * width :]])
+    return buf.translate(None, b"\0")
+
+
 def save_dataset(data: Dataset, spec: ModelSpec, prefix) -> tuple[Path, Path]:
     """Write ``<prefix>.csv`` and ``<prefix>.spec.json``; returns both paths.
 
     The CSV has an unquoted header row, then one row per observation of
-    ``%.17g`` floats (which round-trip float64 exactly), with CRLF line ends.
+    ``%.17g`` floats (which round-trip float64 exactly), with CRLF line ends,
+    ``_CHUNK_ROWS`` rows per write.  A vectorized kernel writes the rows,
+    byte-identical to ``%.17g``; Python's ``%`` writes those it cannot prove
+    (see :func:`_csv_rows`).
     """
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -805,13 +989,11 @@ def save_dataset(data: Dataset, spec: ModelSpec, prefix) -> tuple[Path, Path]:
     blocks = [data.y, data.z, data.x]
     if data.hidden is not None:
         blocks += [data.hidden.xi, data.hidden.delta, data.hidden.e, data.hidden.eps]
-    table = np.hstack(blocks)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(",".join(_csv_header(d, q, m, data.hidden is not None)) + "\r\n")
+    table = np.hstack(blocks, dtype=float)  # the kernel computes in float64
+    with open(csv_path, "wb") as fh:
+        fh.write((",".join(_csv_header(d, q, m, data.hidden is not None)) + "\r\n").encode())
         for start in range(0, len(table), _CHUNK_ROWS):
-            chunk = table[start : start + _CHUNK_ROWS]
-            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+            fh.write(_csv_rows(table[start : start + _CHUNK_ROWS]))
 
     sidecar = {
         "schema_version": 1,
@@ -830,9 +1012,10 @@ def load_dataset(prefix) -> tuple[Dataset, ModelSpec]:
     """Read back a dataset written by :func:`save_dataset`.
 
     Raises :class:`DatasetError` when the sidecar is not a UTF-8 JSON object,
-    lacks its ``spec``, ``seed`` or ``n``, or gives a ``seed`` or ``n`` that is not
-    an integer, when the CSV is not UTF-8 or does not parse, when its
-    header or row count disagrees with what the sidecar's spec implies, or
+    lacks its ``spec``, ``seed`` or ``n``, gives a ``seed`` or ``n`` that is not
+    an integer, an ``n`` below 1 or a ``has_hidden`` that is not a boolean, when
+    the CSV is not UTF-8 or does not parse, when its header or row count
+    (none for a header-only CSV) disagrees with what the sidecar implies, or
     when it holds a value that is not finite (``nan``, ``inf``).
     """
     prefix = Path(prefix)
@@ -852,18 +1035,26 @@ def load_dataset(prefix) -> tuple[Dataset, ModelSpec]:
     for key, value in (("seed", seed), ("n", n)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise DatasetError(f"{json_path}: {key!r} must be an integer, got {value!r}")
+    if n < 1:
+        raise DatasetError(f"{json_path}: 'n' must be at least 1, got {n}")
+    has_hidden = sidecar.get("has_hidden", False)
+    if not isinstance(has_hidden, bool):
+        raise DatasetError(f"{json_path}: 'has_hidden' must be true or false, got {has_hidden!r}")
     spec = spec_from_dict(spec_dict)
     d, q, m = spec.response_dim, spec.z_dim, spec.latent_dim
-    has_hidden = bool(sidecar.get("has_hidden"))
     columns = _csv_header(d, q, m, has_hidden)
     with open(csv_path, encoding="utf-8") as fh:
         try:  # a ValueError: not UTF-8, or a value or row that does not parse
             header = fh.readline().rstrip("\n").split(",")
             if header != columns:
                 raise DatasetError(f"{csv_path}: header {header}, but {json_path} implies {columns}")
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=float, comments=None)
+            with warnings.catch_warnings():  # no rows: the shape check below reports it
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=float, comments=None)
         except ValueError as exc:
             raise DatasetError(f"{csv_path}: {exc}") from None
+    if rows.size == 0:  # loadtxt's (0, 1)
+        rows = rows.reshape(0, len(columns))
     if rows.shape != (n, len(columns)):
         raise DatasetError(
             f"{csv_path}: {rows.shape[0]} rows of {rows.shape[1]} values, "

@@ -325,6 +325,16 @@ class TestFitPredict:
             (lambda text: json.dumps(dict(json.loads(text), n="abc")), "'n' must be an integer, got 'abc'"),
             (lambda text: json.dumps(dict(json.loads(text), n=200.0)), "'n' must be an integer, got 200.0"),
             (lambda text: json.dumps(dict(json.loads(text), n=True)), "'n' must be an integer, got True"),
+            (lambda text: json.dumps(dict(json.loads(text), n=0)), "'n' must be at least 1, got 0"),
+            (lambda text: json.dumps(dict(json.loads(text), n=-200)), "'n' must be at least 1, got -200"),
+            (
+                lambda text: json.dumps(dict(json.loads(text), has_hidden="no")),
+                "'has_hidden' must be true or false, got 'no'",
+            ),
+            (
+                lambda text: json.dumps(dict(json.loads(text), has_hidden=0)),
+                "'has_hidden' must be true or false, got 0",
+            ),
             (lambda text: "[1, 2]", "must hold a JSON object, got list"),
         ],
         ids=[
@@ -336,6 +346,10 @@ class TestFitPredict:
             "n_str",
             "n_float",
             "n_bool",
+            "n_zero",
+            "n_negative",
+            "has_hidden_str",
+            "has_hidden_int",
             "not_an_object",
         ],
     )
@@ -351,6 +365,24 @@ class TestFitPredict:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith(f"i/o error: {sidecar}: ") and message in line
+
+    def test_header_only_dataset_exits_2_with_one_line(self, tmp_path):
+        """A dataset CSV with its header and no rows is reported by its row
+        count alone: no warning from the parser, and the sidecar's columns."""
+        sim = {"spec": linear_spec_dict(), "n": 200, "seed": 4, "out": str(tmp_path / "ds")}
+        assert main(["simulate", "--config", write_config(tmp_path, "sim.json", sim)]) == EXIT_OK
+        csv_path, sidecar = tmp_path / "ds.csv", tmp_path / "ds.spec.json"
+        csv_path.write_bytes(csv_path.read_bytes().split(b"\r\n")[0] + b"\r\n")
+        fp = write_config(tmp_path, "fp.json", {"data": str(tmp_path / "ds"), "family": "linear"})
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "eivpred.cli", "fit-predict", "--config", fp],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (EXIT_CONFIG, "")
+        assert done.stderr == (
+            f"i/o error: {csv_path}: 0 rows of 3 values, but {sidecar} gives n = 200 and 3 columns\n"
+        )
 
     @pytest.mark.parametrize("suffix", [".csv", ".spec.json"])
     def test_non_utf8_dataset_file_exits_2_with_one_line(self, tmp_path, capsys, suffix):

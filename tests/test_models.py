@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -607,7 +608,58 @@ _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.797693134
                 -1.7976931348623157e308, np.inf, -np.inf]
 
 
+def _writer_values(rng) -> dict[str, np.ndarray]:
+    """Float64 values that test the CSV writer's digits and layouts at scale, by kind.
+
+    The random bit patterns that the writer's kernel proves come first, shuffled,
+    so that most rows are the kernel's; then the other patterns, the doubles
+    nearest 10**k for k in [-300, 300] with their neighbours, ties at 17 digits
+    (an odd multiple of 2**-k with 18 significant digits, the last a 5), and the
+    special values; Python's formatting writes the rows of all but the powers.
+    """
+    # every biased exponent, zero and subnormal (0) to inf and nan (2047), 100 times
+    exponent = np.repeat(np.arange(2048, dtype=np.uint64), 100)
+    sign = rng.integers(0, 2, exponent.size, dtype=np.uint64) << np.uint64(63)
+    mantissa = rng.integers(0, 2**52, exponent.size, dtype=np.uint64)
+    patterns = (sign | exponent << np.uint64(52) | mantissa).view(np.float64)
+    proved = (np.abs(patterns) >= 1e-250) & (np.abs(patterns) <= 1e250)
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    ties = []
+    for k in range(2, 26):  # m * 2**-k = m * 5**k / 10**k, exact for odd m < 2**53
+        low, high = -(-10**17 // 5**k), min(10**18 // 5**k, 2**53)
+        ties += list((rng.integers(low // 2, high // 2, 40) * 2 + 1) * 2.0**-k)
+    for tie in ties:
+        digits = Decimal(tie).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    return {
+        "patterns": np.concatenate([rng.permutation(patterns[proved]), patterns[~proved]]),
+        "powers": np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), -powers]),
+        "ties": np.array(ties + [-t for t in ties]),
+        "specials": np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, np.inf, -np.inf, np.nan, 1e-12]),
+    }
+
+
 class TestDatasetFile:
+    def test_writer_matches_reference_at_scale(self, tmp_path, monkeypatch):
+        kinds = _writer_values(np.random.default_rng(27))
+        values = np.concatenate(list(kinds.values()))
+        assert values.size >= 2e5
+        # the kernel writes most values, and leaves every tie to Python's formatting
+        assert models._fields(values, np.empty((values.size, 4), np.uint64)).mean() > 0.75
+        assert not models._fields(kinds["ties"], np.empty((kinds["ties"].size, 4), np.uint64)).any()
+        d, q, m = 1, 1, 1
+        cols = 3 * d + q + 3 * m
+        table = np.append(values, np.ones(-values.size % cols)).reshape(-1, cols)
+        blocks = np.split(table, np.cumsum([d, q, m, m, m, d]), axis=1)
+        written = models.Dataset(*blocks[:3], seed=3, hidden=models.HiddenTruth(*blocks[3:]))
+        spec = make_linear_spec(d=d, q=q, m=m)
+        reference = _reference_csv(models._csv_header(d, q, m, True), table)
+        assert b"9.9999999999999998e-13" in reference  # the double 1e-12 lies below 10**-12
+        for chunk in (models._CHUNK_ROWS, 7):
+            monkeypatch.setattr(models, "_CHUNK_ROWS", chunk)
+            csv_path, _ = models.save_dataset(written, spec, tmp_path / f"ds_{chunk}")
+            assert csv_path.read_bytes() == reference
+
     @pytest.mark.parametrize("prefix", ["tests/data/golden_dataset", "results/linear_demo"])
     def test_committed_dataset_rewrites_byte_for_byte(self, tmp_path, prefix):
         data, spec = models.load_dataset(REPO / prefix)

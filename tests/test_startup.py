@@ -8,6 +8,7 @@ that runs on more than one worker, with the worker pool's modules, also
 before its suite driver starts.  Once those modules are loaded, and before
 the command starts, the CLI freezes the heap (``gc.freeze``) and keeps freed
 memory in the process (glibc's ``mallopt``), which changes no output.
+Importing the CLI builds none of the dataset writer's lookup tables.
 """
 
 import json
@@ -119,6 +120,12 @@ def test_importing_the_cli_loads_no_scipy():
         "import sys, eivpred.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
     assert loaded == "[]"
+
+
+def test_importing_the_cli_builds_no_writer_tables():
+    """Every CLI run imports the dataset writer; its tables wait for the first save."""
+    built = run_fresh("from eivpred import cli, models; print(models._text_tables.cache_info().currsize)")
+    assert built == "0"
 
 
 def test_runs_without_an_nls_fit_load_no_scipy(tmp_path):
