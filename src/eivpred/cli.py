@@ -27,8 +27,8 @@ import numpy as np
 from jsonschema.validators import validator_for
 
 from .errors import DatasetError, EivError, SpecError
-from .estimators import NLS_FAMILIES, fit_family
-from .models import FAMILIES, load_dataset, sample, save_dataset, spec_from_dict, to_jsonable, validate
+from .estimators import FAMILIES, MAX_POLY_DEGREE, NLS_FAMILIES, fit_family
+from .models import QuadraticSpec, load_dataset, sample, save_dataset, spec_from_dict, to_jsonable, validate
 from .montecarlo import (
     ExperimentConfig,
     check_sample_sizes,
@@ -59,6 +59,9 @@ _SUITE_KEYS = {
     "coverage": {"alphas", "region_kinds", "purely_normal", "fixed_subject"},
     "abs_failure": {"test_subjects"},
 }
+
+# the families whose fit-predict configs must give a degree
+_READS_DEGREE = [name for name, family in FAMILIES.items() if family.size == "degree"]
 
 _SPEC_SCHEMA = {"type": "object", "required": ["family"], "properties": {"family": {"type": "string"}}}
 _NUMBER_ARRAY = {"type": "array", "items": {"type": "number"}}
@@ -132,7 +135,7 @@ CONFIG_SCHEMAS = {
             "schema_version": {"type": "integer"},
             "data": {"type": "string"},
             "family": {"enum": list(FAMILIES)},
-            "degree": {"type": "integer", "minimum": 1},
+            "degree": {"type": "integer", "minimum": 1, "maximum": MAX_POLY_DEGREE},
             "harmonics": {"type": "integer", "minimum": 1},
             "predict": {
                 "type": "array",
@@ -157,7 +160,7 @@ CONFIG_SCHEMAS = {
             },
             "out": {"type": "string"},
         },
-        "if": {"required": ["family"], "properties": {"family": {"const": "polynomial"}}},
+        "if": {"required": ["family"], "properties": {"family": {"enum": _READS_DEGREE}}},
         "then": {"required": ["degree"]},
     },
     "experiment": {
@@ -202,6 +205,9 @@ def _load_config(path: str, command: str) -> dict:
         # the schema admits a list of rows but cannot require them to be of one length
         if isinstance(cross, list) and len({len(row) for row in cross if isinstance(row, list)}) > 1:
             raise ValueError("the rows of sigma_eps_delta must all have the same length")
+        unread = [k for k in ("degree", "harmonics") if k in config and k != FAMILIES[config["family"]].size]
+        if unread:
+            raise ValueError(f"a {config['family']} fit does not read {', '.join(unread)}")
     if command == "experiment":
         others = set().union(*_SUITE_KEYS.values()) - _SUITE_KEYS[config["suite"]]
         unread = [key for key in config if key in others]
@@ -262,7 +268,7 @@ def _fit_report(fit) -> dict:
 
 def cmd_fit_predict(config: dict, args) -> int:
     regions = config.get("regions", [])
-    if config["family"] != "quadratic" and any(r["kind"] == "quadratic_bound" for r in regions):
+    if config["family"] != QuadraticSpec.family and any(r["kind"] == "quadratic_bound" for r in regions):
         raise SpecError(["quadratic_bound regions apply to the quadratic family only"])
     data, _spec = load_dataset(config["data"])
     fit = fit_family(
@@ -382,12 +388,9 @@ def _scipy_modules(command: str, config: dict) -> list[str]:
     scipy.optimize and scipy.special for an NLS fit (the abs_failure suite
     fits the absolute-value family), none otherwise (the chi-square region's
     threshold comes from the standard library)."""
-    if command == "experiment":
-        family = config["spec"]["family"]
-    elif command == "fit-predict":
-        family = config["family"]
-    else:
+    if command not in ("experiment", "fit-predict"):
         return []
+    family = config["spec"]["family"] if command == "experiment" else config["family"]
     return ["scipy.optimize", "scipy.special"] if family in NLS_FAMILIES else []
 
 

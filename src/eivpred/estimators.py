@@ -18,7 +18,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -51,6 +51,8 @@ __all__ = [
     "min_sample_size",
     "naive_ols_abs",
     "NLS_FAMILIES",
+    "Family",
+    "FAMILIES",
 ]
 
 MAX_POLY_DEGREE = 6
@@ -173,31 +175,31 @@ class _Stacked(NamedTuple):
         return cls(data.y[None], data.z[None], data.x[None])
 
 
-def _regressors(
-    data: Dataset | _Stacked, family: str, degree: Optional[int]
-) -> tuple[np.ndarray, int]:
-    """Regressor columns per family, the z columns first, in a C-contiguous
-    (..., p, n) array; returns (r, degree_used).  Sums along a contiguous
-    column are numpy's pairwise sums, and read memory in order."""
+def _regressors(data: Dataset | _Stacked, family: str, degree: Optional[int]) -> tuple[np.ndarray, int]:
+    """The OLS regressor columns of ``family`` (see :class:`Family`), the z
+    columns first, in a C-contiguous (..., p, n) array, and the count of z
+    columns.  Sums along a contiguous column are numpy's pairwise sums, and
+    read memory in order."""
+    record = FAMILIES.get(family)
+    if record is None or record.ols is None:
+        raise InvalidInput(f"no least-squares regressors for family {family!r}")
     z, x = data.z.swapaxes(-1, -2), data.x.swapaxes(-1, -2)
-    if family == "linear":
-        return _columns([z, x]), 0
+    if "z_slopes" not in record.fields:
+        z = z[..., :0, :]
+    powers = record.ols[0]
+    if powers is None:  # the surrogate's own columns
+        return _columns([z, x]), z.shape[-2]
     if x.shape[-2] != 1:
         raise DimensionError("polynomial-type families need a scalar surrogate")
-    if family == "quadratic":
-        degree = 2
-        z = z[..., :0, :]
-    elif family == "polynomial":
-        if degree is None:
-            raise InvalidInput("polynomial fitting needs an explicit degree")
-    else:
-        raise InvalidInput(f"no least-squares regressors for family {family!r}")
+    degree = powers(degree)
+    if degree is None:
+        raise InvalidInput(f"{family} fitting needs an explicit degree")
     if degree > MAX_POLY_DEGREE:
         raise InvalidInput(
             f"degree {degree} above cap {MAX_POLY_DEGREE}; raw powers become too ill-conditioned"
         )
     basis = power_basis(x[..., 0, :], degree, axis=-2)
-    return (_columns([z, basis]) if z.shape[-2] else basis), degree
+    return (_columns([z, basis]) if z.shape[-2] else basis), z.shape[-2]
 
 
 def _columns(blocks: list[np.ndarray]) -> np.ndarray:
@@ -209,7 +211,9 @@ def _columns(blocks: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(blocks, axis=-2, out=out)
 
 
-def sample_moments(data: Dataset, family: str = "linear", degree: Optional[int] = None) -> SampleMoments:
+def sample_moments(
+    data: Dataset, family: str = LinearObservable.family, degree: Optional[int] = None
+) -> SampleMoments:
     """All bar-means and S-matrices for the family's regressor vector."""
     if data.n < 2:
         raise InsufficientData("need at least two observations")
@@ -234,21 +238,6 @@ def _moments(y: np.ndarray, x: np.ndarray, r: np.ndarray) -> SampleMoments:
     )
 
 
-def _coef_params(family: str, q: int, intercept: np.ndarray, coefs: np.ndarray):
-    """The family's parameter container for the stacked ``intercept`` (R, d)
-    and ``coefs`` (R, p, d), the z rows first: its fields carry the leading
-    axis."""
-    if family == "linear":
-        return LinearObservable(
-            intercept=intercept, z_slopes=coefs[:, :q, :], x_slopes=coefs[:, q:, :], residual_cov=None
-        )
-    if family == "polynomial":
-        return PolynomialObservable(
-            intercept=intercept[:, 0], coefs=coefs[:, q:, 0].copy(), z_slopes=coefs[:, :q, 0].copy()
-        )
-    return QuadraticObservable(intercept=intercept[:, 0], slope=coefs[:, 0, 0], curvature=coefs[:, 1, 0])
-
-
 def _ols_stack(data: _Stacked, family: str, degree: Optional[int]) -> FittedModel:
     """The OLS kernel: the fits of R datasets of one size, stacked.
 
@@ -256,10 +245,10 @@ def _ols_stack(data: _Stacked, family: str, degree: Optional[int]) -> FittedMode
     the bar-mean relation, which minimizes the summed squared residuals; a
     singular S_rr yields the minimum-norm coefficients without failure.
     """
-    y, z, x = data
-    r, _ = _regressors(data, family, degree)
+    y, _, x = data
+    r, q = _regressors(data, family, degree)
     n = y.shape[1]
-    need = min_sample_size(family, z.shape[2], x.shape[2], degree)
+    need = r.shape[1] + 1
     if n < need:
         raise InsufficientData(f"need n >= {need} for {need - 1} regressors")
     moments = _moments(y, x, r)
@@ -270,7 +259,7 @@ def _ols_stack(data: _Stacked, family: str, degree: Optional[int]) -> FittedMode
     low, high = eigvals.min(axis=-1), eigvals.max(axis=-1)
     return FittedModel(
         family=family,
-        params=_coef_params(family, z.shape[2] if family != "quadratic" else 0, intercept, coefs),
+        params=FAMILIES[family].ols[1](q, intercept, coefs),
         residual_moment=resid.swapaxes(-1, -2) @ resid / n,
         moments=moments,
         n=n,
@@ -279,7 +268,7 @@ def _ols_stack(data: _Stacked, family: str, degree: Optional[int]) -> FittedMode
     )
 
 
-def ols_fit(data: Dataset, family: str = "linear", degree: Optional[int] = None) -> FittedModel:
+def ols_fit(data: Dataset, family: str = LinearObservable.family, degree: Optional[int] = None) -> FittedModel:
     """Ordinary least squares on the observable regressors: the OLS kernel
     (see :func:`fit_stack`) on the one dataset ``data``."""
     stack = _ols_stack(_Stacked.of(data), family, degree)
@@ -425,16 +414,47 @@ def _abs_evaluate(p: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return p[0] * mean, np.column_stack([mean, slope * x, slope])
 
 
-# Each nonlinear family's starts(x, y, harmonics), make and evaluate for
-# _least_squares; evaluate calls the surface helper of predict_rows.  Every other
-# family is linear in its coefficients and fitted by ols_fit.  Only the NLS fits
-# (and naive_ols_abs) load scipy.
-_NLS_FITS = {
-    "exponential": (_exp_starts, _exp_make, _exp_evaluate),
-    "trigonometric": (_trig_starts, _trig_make, _trig_evaluate),
-    "absolute_value": (_abs_starts, _abs_make, _abs_evaluate),
+class Family(NamedTuple):
+    """One family's fit and report facts, and how it is fitted: ``ols =
+    (powers, params)`` runs the OLS kernel on the z columns (if ``fields``
+    holds ``z_slopes``), then the surrogate's own columns (``powers`` None)
+    or the powers 1, ..., ``powers(degree)`` of a scalar one, and
+    ``params(q, intercept, coefs)`` builds the container from the stacked
+    (R, d) intercept and (R, p, d) coefficients, q z rows first; ``nls =
+    (starts, make, evaluate)`` runs :func:`_least_squares` from
+    ``starts(x, y, harmonics)``.  Only NLS fits and :func:`naive_ols_abs` load scipy."""
+
+    observable: type  # the parameter container
+    fields: tuple[str, ...]  # its coefficient fields, in coefficient-vector order
+    size: Optional[str]  # the fit-size argument, and spec property, it reads: "degree", "harmonics" or None
+    n_params: Callable[[int, int, Optional[int]], int]  # (q, m, size) -> fitted coefficients but an intercept
+    ols: Optional[tuple] = None
+    nls: Optional[tuple] = None
+
+    def sizes(self, spec) -> dict:
+        """The fit-size keyword argument for ``spec``, none if the family reads none."""
+        return {self.size: getattr(spec, self.size)} if self.size else {}
+
+
+FAMILIES = {
+    family.observable.family: family
+    for family in (
+        Family(LinearObservable, ("intercept", "z_slopes", "x_slopes"), None, lambda q, m, _: q + m,
+            ols=(None, lambda q, b, c: LinearObservable(b, c[:, :q, :], c[:, q:, :]))),
+        Family(PolynomialObservable, ("intercept", "z_slopes", "coefs"), "degree", lambda q, m, k: q + (k or 0),
+            ols=(lambda k: k,
+                 lambda q, b, c: PolynomialObservable(b[:, 0], c[:, q:, 0].copy(), c[:, :q, 0].copy()))),
+        Family(QuadraticObservable, ("intercept", "slope", "curvature"), None, lambda q, m, _: 2,
+            ols=(lambda _: 2, lambda q, b, c: QuadraticObservable(b[:, 0], c[:, 0, 0], c[:, 1, 0]))),
+        Family(ExponentialObservable, ("scale", "rate"), None, lambda q, m, _: 2,
+            nls=(_exp_starts, _exp_make, _exp_evaluate)),
+        Family(TrigObservable, ("const", "cos_amps", "sin_amps", "freq"), "harmonics", lambda q, m, h: 2 * h + 2,
+            nls=(_trig_starts, _trig_make, _trig_evaluate)),
+        Family(AbsObservable, ("scale", "gain", "offset"), None, lambda q, m, _: 3,
+            nls=(_abs_starts, _abs_make, _abs_evaluate)),
+    )
 }
-NLS_FAMILIES = tuple(_NLS_FITS)
+NLS_FAMILIES = tuple(name for name, family in FAMILIES.items() if family.nls)
 
 
 def nls_fit(data: Dataset, family: str, harmonics: int = 1) -> FittedModel:
@@ -444,13 +464,13 @@ def nls_fit(data: Dataset, family: str, harmonics: int = 1) -> FittedModel:
     squared residuals of the returned parameters, and ``converged`` a bool."""
     if data.x.shape[1] != 1 or data.y.shape[1] != 1:
         raise DimensionError("nonlinear families are scalar in x and y")
-    if family not in _NLS_FITS:
+    if family not in NLS_FAMILIES:
         raise InvalidInput(f"nls_fit does not handle family {family!r}")
     n = data.n
     if n < min_sample_size(family, harmonics=harmonics):
         raise InsufficientData("too few observations for the parameter count")
 
-    starts, make, evaluate = _NLS_FITS[family]
+    starts, make, evaluate = FAMILIES[family].nls
     x, y = data.x[:, 0], data.y[:, 0]
     params, objective, ok = _least_squares(make, evaluate, x, y, starts(x, y, harmonics))
     return FittedModel(
@@ -472,15 +492,8 @@ def min_sample_size(
     the NLS parameters.  ``z_dim`` and ``x_dim`` count the exact and the
     surrogate covariates; ``degree`` and ``harmonics`` size the polynomial
     and trigonometric fits."""
-    n_params = {
-        "linear": z_dim + x_dim,
-        "polynomial": z_dim + (degree or 0),
-        "quadratic": 2,
-        "exponential": 2,
-        "trigonometric": 2 * harmonics + 2,
-        "absolute_value": 3,
-    }
-    return n_params[family] + 1
+    record = FAMILIES[family]
+    return record.n_params(z_dim, x_dim, {"degree": degree, "harmonics": harmonics}.get(record.size)) + 1
 
 
 def fit_family(

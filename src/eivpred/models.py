@@ -23,7 +23,7 @@ import warnings
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
 from pathlib import Path
-from typing import ClassVar, NamedTuple, Optional, Union
+from typing import ClassVar, NamedTuple, Optional, Union, get_args
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "Dataset",
     "NewSubject",
     "Sampler",
-    "FAMILIES",
     "validate",
     "sample",
     "new_subject",
@@ -431,8 +430,6 @@ class AbsSpec(_ScalarLatentSpec):
 
 ModelSpec = Union[LinearSpec, PolynomialSpec, QuadraticSpec, ExponentialSpec, TrigSpec, AbsSpec]
 
-_SCALAR_FAMILIES = (PolynomialSpec, QuadraticSpec, ExponentialSpec, TrigSpec, AbsSpec)
-
 
 # ---------------------------------------------------------------------------
 # validation
@@ -465,7 +462,7 @@ def _checks(spec: ModelSpec) -> list[tuple[str, bool]]:
         out += _z_violations(spec, q)
         return out
 
-    if not isinstance(spec, _SCALAR_FAMILIES):
+    if not isinstance(spec, _ScalarLatentSpec):
         return [(f"unknown spec type {type(spec).__name__}", True)]
 
     if spec.latent_var < 0:
@@ -699,11 +696,7 @@ def new_subject(spec: ModelSpec, seed: int) -> NewSubject:
 # serialization
 # ---------------------------------------------------------------------------
 
-_SPEC_CLASSES = {
-    cls.family: cls
-    for cls in (LinearSpec, PolynomialSpec, QuadraticSpec, ExponentialSpec, TrigSpec, AbsSpec)
-}
-FAMILIES = tuple(_SPEC_CLASSES)
+_SPEC_CLASSES = {cls.family: cls for cls in get_args(ModelSpec)}
 
 
 def to_jsonable(value):

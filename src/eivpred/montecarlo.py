@@ -48,7 +48,7 @@ import numpy as np
 
 from . import __version__
 from .errors import EivError, ReplicationsFailed, SpecError
-from .estimators import fit_stack, min_sample_size, naive_ols_abs, nls_fit
+from .estimators import FAMILIES, MAX_POLY_DEGREE, fit_stack, min_sample_size, naive_ols_abs, nls_fit
 from .linalg import cholesky_psd
 from .models import AbsSpec, LinearSpec, ModelSpec, NewSubject, QuadraticSpec, Sampler, raw_draws, spec_to_dict
 from .predictors import (
@@ -185,14 +185,7 @@ def _provenance(cfg: ExperimentConfig, experiment: str) -> dict:
 def _coef_vector(params, lead: tuple[int, ...] = ()) -> np.ndarray:
     """The coefficients of ``params`` as one vector, or one row per fit for
     the ``params`` of a stack of fits with leading shape ``lead``."""
-    fields = {
-        "linear": ("intercept", "z_slopes", "x_slopes"),
-        "polynomial": ("intercept", "z_slopes", "coefs"),
-        "quadratic": ("intercept", "slope", "curvature"),
-        "exponential": ("scale", "rate"),
-        "trigonometric": ("const", "cos_amps", "sin_amps", "freq"),
-        "absolute_value": ("scale", "gain", "offset"),
-    }[params.family]
+    fields = FAMILIES[params.family].fields
     return np.concatenate([np.reshape(getattr(params, f), lead + (-1,)) for f in fields], axis=-1)
 
 
@@ -267,14 +260,16 @@ def _subject_drawer(cfg: ExperimentConfig, sampler: Sampler):
 
 
 def check_sample_sizes(cfg: ExperimentConfig) -> None:
-    """Reject ``n_grid`` entries below the smallest sample the run's fit
-    accepts, each of which would fail every replication.
-
-    The drivers themselves accept such entries and report them as failed
-    replications; a front end calls this before the run instead."""
+    """Reject a fit degree above ``MAX_POLY_DEGREE`` and ``n_grid`` entries
+    below the smallest sample the run's fit accepts: each fails every
+    replication.  The drivers themselves accept such runs and report their
+    replications as failed; a front end calls this before the run instead."""
     spec = cfg.spec
-    degree, harmonics = getattr(spec, "degree", None), getattr(spec, "harmonics", 1)
-    need = min_sample_size(spec.family, spec.z_dim, spec.latent_dim, degree, harmonics)
+    sizes = FAMILIES[spec.family].sizes(spec)
+    degree = sizes.get("degree", 0)
+    if degree > MAX_POLY_DEGREE:
+        raise SpecError([f"degree {degree} above cap {MAX_POLY_DEGREE}; raw powers become too ill-conditioned"])
+    need = min_sample_size(spec.family, spec.z_dim, spec.latent_dim, **sizes)
     small = [n for n in cfg.n_grid if n < need]
     if small:
         raise SpecError(
@@ -297,11 +292,11 @@ def _fitted_prediction(cfg: ExperimentConfig, score):
     spec = cfg.spec
     sampler = Sampler(spec)
     seeds, draw_subjects = _seed_table(cfg, 1), _subject_drawer(cfg, sampler)
-    degree, harmonics = getattr(spec, "degree", None), getattr(spec, "harmonics", 1)
+    sizes = FAMILIES[spec.family].sizes(spec)
 
     def one(n_idx: int, reps: tuple[int, ...]):
         data = sampler.samples(cfg.n_grid[n_idx], seeds(n_idx, reps))
-        stack = fit_stack(data, spec.family, degree=degree, harmonics=harmonics)
+        stack = fit_stack(data, spec.family, **sizes)
         if len(reps) == 1:
             stack.warn_ill_conditioned()
         subjects = draw_subjects(n_idx, reps)
@@ -539,7 +534,7 @@ def _abs_failure(cfg: ExperimentConfig):
         data = sampler.sample(
             cfg.n_grid[n_idx], derive_seed(cfg.master_seed, 1, n_idx, rep), keep_hidden=False
         )
-        fit = nls_fit(data, "absolute_value")
+        fit = nls_fit(data, cfg.spec.family)
         naive_scale, naive_shift = naive_ols_abs(data)
         test = sampler.sample(
             cfg.test_subjects, derive_seed(cfg.master_seed, 5, n_idx, rep), keep_hidden=False

@@ -90,11 +90,10 @@ def _check_point(fit: FittedModel, z0, x0) -> tuple[Optional[np.ndarray], np.nda
     """``z0`` (None without z) and ``x0`` as arrays of the fit's point shape,
     with a leading axis of length R for a stack of R fits."""
     lead = fit.residual_moment.shape[:-2]
-    m = fit.params.x_slopes.shape[-2] if fit.family == "linear" else 1
     q = fit.params.z_slopes.shape[len(lead)] if hasattr(fit.params, "z_slopes") else 0
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != lead + (m,):
-        raise DimensionError(f"x0 must have shape {lead + (m,)}")
+    if x0.shape != fit.moments.x_mean.shape:
+        raise DimensionError(f"x0 must have shape {fit.moments.x_mean.shape}")
     if not q:
         return None, x0
     z0 = None if z0 is None else np.atleast_1d(np.asarray(z0, dtype=float))

@@ -143,7 +143,7 @@ class _Observable:
         scalar-response families, a (d,) vector for the linear family."""
         z = None if z0 is None else np.asarray(z0, dtype=float).reshape(1, -1)
         row = predict_rows(self, z, np.asarray(x0, dtype=float).reshape(1, -1))[0]
-        return row if self.family == "linear" else float(row[0])
+        return row if isinstance(self, LinearObservable) else float(row[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,18 +444,14 @@ def transform_abs(spec: AbsSpec) -> AbsObservable:
 
 
 _TRANSFORMS = {
-    "linear": transform_linear,
-    "polynomial": transform_polynomial,
-    "quadratic": transform_quadratic,
-    "exponential": transform_exponential,
-    "trigonometric": transform_trig,
-    "absolute_value": transform_abs,
+    LinearSpec: transform_linear, PolynomialSpec: transform_polynomial, QuadraticSpec: transform_quadratic,
+    ExponentialSpec: transform_exponential, TrigSpec: transform_trig, AbsSpec: transform_abs,
 }
 
 
 def transform(spec: ModelSpec) -> TransformedParams:
     """Dispatch to the family transform."""
-    return _TRANSFORMS[spec.family](spec)
+    return _TRANSFORMS[type(spec)](spec)
 
 
 def _col(value) -> np.ndarray:

@@ -592,6 +592,45 @@ class TestFitPredict:
         assert main(["fit-predict", "--config", fp]) == EXIT_CONFIG
         assert capsys.readouterr().err == "config schema error: 'degree' is a required property\n"
 
+    @pytest.mark.parametrize(
+        "family, sizes, unread",
+        [
+            ("linear", {"degree": 5, "harmonics": 3}, "degree, harmonics"),
+            ("quadratic", {"degree": 4}, "degree"),
+            ("polynomial", {"degree": 3, "harmonics": 2}, "harmonics"),
+            ("exponential", {"harmonics": 1}, "harmonics"),
+            ("trigonometric", {"degree": 2}, "degree"),
+            ("absolute_value", {"degree": 2, "harmonics": 2}, "degree, harmonics"),
+        ],
+    )
+    def test_size_key_the_family_does_not_read_exits_2_before_reading_data(
+        self, tmp_path, capsys, monkeypatch, family, sizes, unread
+    ):
+        """A fit reads only its family's own size key: a ``degree`` or
+        ``harmonics`` that it would ignore is rejected, not dropped."""
+
+        def unreachable(prefix):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(cli, "load_dataset", unreachable)
+        config = {"data": str(tmp_path / "ds"), "family": family, "predict": [{"x0": 0.5}], **sizes}
+        assert main(["fit-predict", "--config", write_config(tmp_path, "fp.json", config)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [f"config error: a {family} fit does not read {unread}"]
+
+    def test_degree_above_the_cap_exits_2_before_reading_data(self, tmp_path, capsys, monkeypatch):
+        def unreachable(prefix):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(cli, "load_dataset", unreachable)
+        cap = estimators.MAX_POLY_DEGREE
+        config = {"data": str(tmp_path / "ds"), "family": "polynomial", "degree": cap}
+        assert cli._load_config(write_config(tmp_path, "cap.json", config), "fit-predict")["degree"] == cap
+        config["degree"] = cap + 1
+        assert main(["fit-predict", "--config", write_config(tmp_path, "fp.json", config)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"config schema error: {cap + 1} is greater than the maximum of {cap}"
+        ]
+
 
 class TestExperiment:
     def experiment_config(self, tmp_path, **extra):
@@ -889,6 +928,25 @@ class TestExperiment:
         assert main(["experiment", "--config", cfg]) == EXIT_CONFIG
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("spec violation: n_grid entries ") and message in line
+
+    def test_degree_above_the_cap_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch):
+        """The cap limits the fit, not the spec: ``transform`` still takes the
+        spec, and an experiment that would fit it stops before its run."""
+
+        def unreachable(cfg):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setitem(cli._SUITES, "consistency", unreachable)
+        cap = estimators.MAX_POLY_DEGREE
+        spec = models.spec_to_dict(make_poly_spec(coefs=[0.5, -0.2, 0.1, 0.05, 0.02, 0.01, 0.005][: cap + 1]))
+        transform_config = write_config(tmp_path, "transform.json", {"spec": spec})
+        assert main(["transform", "--config", transform_config, "--out", str(tmp_path / "t.json")]) == EXIT_OK
+        cfg = self.experiment_config(tmp_path, suite="consistency", spec=spec, n_grid=[100])
+        assert main(["experiment", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"spec violation: degree {cap + 1} above cap {cap}; raw powers become too ill-conditioned"
+        ]
+        assert not (tmp_path / "report.json").exists()
 
     def test_missing_output_prefix_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch):
         def unreachable(cfg):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from eivpred import estimators, models, predictors, transform
+from eivpred import cli, estimators, models, montecarlo, predictors, transform
 from eivpred.errors import InsufficientData, InvalidInput, NonConvergence
 
 from conftest import (
@@ -165,8 +165,8 @@ class TestOlsFit:
     def test_regressors_are_the_power_basis_up_to_the_cap(self):
         data = models.sample(make_poly_spec(), 100, seed=1, keep_hidden=False)
         cap = estimators.MAX_POLY_DEGREE
-        r, used = estimators._regressors(data, "polynomial", cap)
-        assert used == cap
+        r, z_columns = estimators._regressors(data, "polynomial", cap)
+        assert (z_columns, r.shape[0]) == (0, cap)
         assert r.flags.c_contiguous  # one contiguous column per power
         np.testing.assert_array_equal(r, transform.power_basis(data.x[:, 0], cap).T)
         with pytest.raises(InvalidInput, match=f"degree {cap + 1} above cap {cap}"):
@@ -217,7 +217,7 @@ NLS_ORDERS = [
 
 def fit_from(data, family, starts):
     """The family's table entry for nls_fit, run from ``starts``."""
-    _, make, evaluate = estimators._NLS_FITS[family]
+    _, make, evaluate = estimators.FAMILIES[family].nls
     starts = [np.asarray(p0, dtype=float) for p0 in starts]
     return estimators._least_squares(make, evaluate, data.x[:, 0], data.y[:, 0], starts)
 
@@ -255,7 +255,7 @@ class TestNlsFit:
 
         data = models.sample(make_abs_spec(), 5000, seed=9, keep_hidden=False)
         auto = estimators.nls_fit(data, "absolute_value")
-        make = estimators._NLS_FITS["absolute_value"][1]
+        make = estimators.FAMILIES["absolute_value"].nls[1]
         x, y = data.x[:, 0], data.y[:, 0]
         starts = [estimators._scaled_start(make, x, y, pair) for pair in ((-0.7, 1.4), (0.5, -1.0))]
         flipped, objective, converged = fit_from(data, "absolute_value", starts)
@@ -291,7 +291,7 @@ class TestNlsFit:
         """The analytic Jacobian that each family's ``evaluate`` returns, at
         random points (either orientation), equals the central differences of
         its surface."""
-        _, make, evaluate = estimators._NLS_FITS[family]
+        _, make, evaluate = estimators.FAMILIES[family].nls
         rng = np.random.default_rng(harmonics)
         x = rng.standard_normal(60)
 
@@ -312,7 +312,7 @@ class TestNlsFit:
         """``evaluate(p, x)`` gives the values of ``predict_rows(make(p))`` to
         the bit, in both orientations: a negative gain (absolute value) or
         frequency (trigonometric) is flipped by ``make`` but not by ``evaluate``."""
-        _, make, evaluate = estimators._NLS_FITS[family]
+        _, make, evaluate = estimators.FAMILIES[family].nls
         rng = np.random.default_rng(100 + harmonics)
         x = 2.0 * rng.standard_normal(500)
         size = estimators.min_sample_size(family, harmonics=harmonics) - 1
@@ -336,7 +336,7 @@ class TestNlsFit:
         twice, in one start or across them."""
         spec, harmonics = NLS_SPECS[family]
         data = models.sample(spec, 500, seed=23, keep_hidden=False)
-        start_rule, make, evaluate = estimators._NLS_FITS[family]
+        start_rule, make, evaluate = estimators.FAMILIES[family].nls
         x, y = data.x[:, 0], data.y[:, 0]
         starts = start_rule(x, y, harmonics)
         points = []
@@ -527,3 +527,58 @@ class TestFitStack:
         assert [str(w.message) for w in recwarn.list] == ["regressor covariance condition number inf"]
         assert stack[1].notes == ("ill-conditioned regressors (cond inf)",)
         assert stack[0].notes == ()
+
+
+# one spec per family, for the checks of the family table
+FAMILY_SPECS = {
+    "linear": make_linear_spec(),
+    "polynomial": make_poly_spec(),
+    "quadratic": make_quadratic_spec(),
+    "exponential": make_exponential_spec(),
+    "trigonometric": make_trig_spec(),
+    "absolute_value": make_abs_spec(),
+}
+
+
+def test_the_family_table_covers_every_spec_class_and_transform():
+    names = list(estimators.FAMILIES)
+    assert names == list(models._SPEC_CLASSES) == [cls.family for cls in transform._TRANSFORMS]
+    assert names == list(FAMILY_SPECS)
+    assert estimators.NLS_FAMILIES == tuple(name for name in names if estimators.FAMILIES[name].nls)
+
+
+@pytest.mark.parametrize("family", list(estimators.FAMILIES))
+class TestFamilyContract:
+    """Each record of ``estimators.FAMILIES`` agrees with the code that reads it."""
+
+    def test_coefficient_vector_is_the_fields_concatenated(self, family):
+        record = estimators.FAMILIES[family]
+        params = transform.transform(FAMILY_SPECS[family])
+        assert type(params) is record.observable
+        want = np.concatenate([np.ravel(getattr(params, name)) for name in record.fields])
+        assert _bits(montecarlo._coef_vector(params)) == _bits(want)
+
+    def test_min_sample_size_is_one_more_than_the_fitted_parameters(self, family):
+        """One more than the OLS regressor columns, the intercept's
+        observation, or than the length of an NLS start; and a fit has one
+        coefficient per fitted parameter (times the response dimension)."""
+        record, spec = estimators.FAMILIES[family], FAMILY_SPECS[family]
+        sizes = record.sizes(spec)
+        need = estimators.min_sample_size(family, spec.z_dim, spec.latent_dim, **sizes)
+        data = models.sample(spec, 60, seed=5, keep_hidden=False)
+        coefs = montecarlo._coef_vector(estimators.fit_family(data, family, **sizes).params)
+        if record.ols:
+            r, _ = estimators._regressors(data, family, sizes.get("degree"))
+            assert need == r.shape[0] + 1
+            assert coefs.size == need * spec.response_dim
+        else:
+            x, y = data.x[:, 0], data.y[:, 0]
+            assert {start.size + 1 for start in record.nls[0](x, y, sizes.get("harmonics", 1))} == {need}
+            assert coefs.size == need - 1
+
+    def test_scipy_is_loaded_for_the_nls_fits_only(self, family):
+        want = ["scipy.optimize", "scipy.special"] if estimators.FAMILIES[family].nls else []
+        spec = models.spec_to_dict(FAMILY_SPECS[family])
+        assert cli._scipy_modules("fit-predict", {"family": family}) == want
+        assert cli._scipy_modules("experiment", {"spec": spec}) == want
+        assert cli._scipy_modules("transform", {"spec": spec}) == []

@@ -104,3 +104,34 @@ def test_differing_csv_outputs_are_sized_cell_by_cell():
     assert size(old.replace("chebyshev", "chi_square")) == math.inf
     assert size(old.replace("2.0,", "inf,")) == math.inf
     assert size(old.rsplit("consistency", 1)[0]) == math.inf
+
+
+FAMILY_NAMES = {"linear", "polynomial", "quadratic", "exponential", "trigonometric", "absolute_value"}
+
+
+def test_family_names_are_written_only_where_a_class_declares_its_family():
+    """A family's fit and report facts live in its ``estimators.FAMILIES``
+    record, which is keyed by the ``family`` of its parameter container, so
+    no other module keeps a table keyed by family names or branches on one.
+    A family name is a string constant only where a spec or parameter class
+    declares its ``family``, and in ``oracle.py``, the independent check,
+    which keeps its own dispatch on purpose."""
+    found = []
+    for path in sorted((ROOT / "src" / "eivpred").glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        tree = ast.parse(path.read_text())
+        declared = {
+            id(node.value)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["family"]
+            or isinstance(node, ast.AnnAssign) and ast.unparse(node.target) == "family"
+        }
+        found += [
+            f"{path.name}:{node.lineno} {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in FAMILY_NAMES and id(node) not in declared
+        ]
+    assert found == []
