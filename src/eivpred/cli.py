@@ -19,12 +19,12 @@ import gc
 import importlib
 import json
 import math
+import operator
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
-import jsonschema
 import numpy as np
-from jsonschema.validators import validator_for
 
 from .errors import DatasetError, EivError, SpecError
 from .estimators import FAMILIES, MAX_POLY_DEGREE, NLS_FAMILIES, fit_family
@@ -187,18 +187,188 @@ CONFIG_SCHEMAS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# schema checking
+# ---------------------------------------------------------------------------
+#
+# CONFIG_SCHEMAS are JSON Schema (2020-12), and the tests check them against
+# its metaschema and this interpreter against the jsonschema package.  The
+# interpreter implements only the keywords the schemas use, with jsonschema's
+# messages, order and choice of the one error to report; an ``integer`` is a
+# JSON integer, not an integer-valued float such as 20.0.
+
+
+class ConfigSchemaError(Exception):
+    """A config that its command's schema rejects, with the message of the most relevant violation."""
+
+
+class _Violation(NamedTuple):
+    message: str
+    path: tuple  # the keys and indices from the checked value down to the violating one
+    keyword: str
+    schema: dict  # the (sub)schema holding the keyword
+    instance: object
+    context: tuple = ()  # a failed oneOf's violations, of every alternative, paths from its instance
+
+
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "boolean": lambda value: isinstance(value, bool),
+    "null": lambda value: value is None,
+    "integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
+    "number": lambda value: isinstance(value, (int, float)) and not isinstance(value, bool),
+}
+
+
+def _bound(violates, relation):
+    """A numeric bound keyword; as in jsonschema, NaN violates none, for no comparison with it is true."""
+
+    def check(bound, instance, schema, path):
+        if _TYPES["number"](instance) and violates(instance, bound):
+            yield f"{instance!r} is {relation} of {bound!r}"
+
+    return check
+
+
+def _type(expected, instance, schema, path):
+    if not _TYPES[expected](instance):
+        yield f"{instance!r} is not of type {expected!r}"
+
+
+def _enum(values, instance, schema, path):  # the enum values are strings, so == matches as JSON equality
+    if instance not in values:
+        yield f"{instance!r} is not one of {values!r}"
+
+
+def _const(value, instance, schema, path):
+    if instance != value:
+        yield f"{value!r} was expected"
+
+
+def _required(names, instance, schema, path):
+    if isinstance(instance, dict):
+        yield from (f"{name!r} is a required property" for name in names if name not in instance)
+
+
+def _properties(subschemas, instance, schema, path):
+    if isinstance(instance, dict):
+        for key, subschema in subschemas.items():
+            if key in instance:
+                yield from _violations(instance[key], subschema, (*path, key))
+
+
+def _additional_properties(allowed, instance, schema, path):  # only ``false`` is used
+    if isinstance(instance, dict):
+        extra = sorted(key for key in instance if key not in schema.get("properties", {}))
+        if extra:
+            were = "was" if len(extra) == 1 else "were"
+            yield f"Additional properties are not allowed ({', '.join(map(repr, extra))} {were} unexpected)"
+
+
+def _items(subschema, instance, schema, path):
+    if isinstance(instance, list):
+        for index, item in enumerate(instance):
+            yield from _violations(item, subschema, (*path, index))
+
+
+def _all_of(subschemas, instance, schema, path):
+    for subschema in subschemas:
+        yield from _violations(instance, subschema, path)
+
+
+def _one_of(subschemas, instance, schema, path):
+    context = []
+    for index, subschema in enumerate(subschemas):
+        found = list(_violations(instance, subschema))
+        if not found:
+            others = [each for each in subschemas[index + 1 :] if _is_valid(instance, each)]
+            if others:
+                yield f"{instance!r} is valid under each of {', '.join(map(repr, [*others, subschema]))}"
+            return
+        context += found
+    message = f"{instance!r} is not valid under any of the given schemas"
+    yield _Violation(message, path, "oneOf", schema, instance, tuple(context))
+
+
+def _if(condition, instance, schema, path):  # no schema has an ``else``
+    if _is_valid(instance, condition):
+        yield from _violations(instance, schema.get("then", {}), path)
+
+
+# each keyword's check: (the keyword's value, instance, the schema holding it,
+# the instance's path) -> its messages, or the violations of the subschemas it
+# applies, in jsonschema's order
+_KEYWORDS = {
+    "type": _type,
+    "enum": _enum,
+    "const": _const,
+    "minimum": _bound(operator.lt, "less than the minimum"),
+    "maximum": _bound(operator.gt, "greater than the maximum"),
+    "exclusiveMinimum": _bound(operator.le, "less than or equal to the minimum"),
+    "exclusiveMaximum": _bound(operator.ge, "greater than or equal to the maximum"),
+    "required": _required,
+    "properties": _properties,
+    "additionalProperties": _additional_properties,
+    "items": _items,
+    "allOf": _all_of,
+    "oneOf": _one_of,
+    "if": _if,
+    "then": lambda subschema, instance, schema, path: (),  # read by ``if``
+}
+
+
+def _violations(instance, schema: dict, path: tuple = ()):
+    """Every violation of ``schema`` by ``instance``, in jsonschema's order."""
+    for keyword, value in schema.items():
+        for found in _KEYWORDS[keyword](value, instance, schema, path):
+            if isinstance(found, str):  # the keyword's own violation, as its message
+                found = _Violation(found, path, keyword, schema, instance)
+            yield found
+
+
+def _is_valid(instance, schema: dict) -> bool:
+    return next(_violations(instance, schema), None) is None
+
+
+def _relevance(violation: _Violation) -> tuple:
+    """jsonschema's ``relevance`` key: a larger key is a more relevant violation."""
+    expected = violation.schema.get("type")
+    return (
+        -len(violation.path),
+        violation.path,
+        violation.keyword != "oneOf",
+        not (expected is not None and _TYPES[expected](violation.instance)),
+    )
+
+
+def schema_error(config, schema: dict) -> str | None:
+    """The message of the violation of ``schema`` by ``config`` that
+    ``jsonschema.exceptions.best_match`` picks, or None for a valid config:
+    the most relevant violation, then down through a failed oneOf's
+    alternatives to their least relevant violation, while one is strictly least."""
+    best = max(_violations(config, schema), key=_relevance, default=None)
+    while best is not None and best.context:
+        least = sorted(best.context, key=_relevance)[:2]
+        if len(least) == 2 and _relevance(least[0]) == _relevance(least[1]):
+            break
+        best = least[0]
+    return None if best is None else best.message
+
+
 def _load_config(path: str, command: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         config = json.load(fh)
-    # the schemas are fixed, so their metaschema check runs in the tests, not on every call
-    schema = CONFIG_SCHEMAS[command]
-    error = jsonschema.exceptions.best_match(validator_for(schema)(schema).iter_errors(config))
-    if error is not None:
-        raise error
+    message = schema_error(config, CONFIG_SCHEMAS[command])
+    if message is not None:
+        raise ConfigSchemaError(message)
     if command == "fit-predict":
         cross = config.get("sigma_eps_delta")
         values = [("sigma_eps_delta", cross)]
         values += [(key, point.get(key)) for point in config.get("predict", []) for key in ("z0", "x0")]
+        # NaN passes every bound keyword: no comparison with it is true
+        values += [(key, region.get(key)) for region in config.get("regions", []) for key in ("alpha", "k0")]
         bad = dict.fromkeys(key for key, value in values if not all(map(math.isfinite, _numbers(value))))
         if bad:
             raise ValueError(f"{', '.join(bad)} must hold finite numbers only")
@@ -421,8 +591,8 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:  # ValueError: bad --threads, not UTF-8, not JSON, or unread keys
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
-    except jsonschema.ValidationError as exc:
-        sys.stderr.write(f"config schema error: {exc.message}\n")
+    except ConfigSchemaError as exc:
+        sys.stderr.write(f"config schema error: {exc}\n")
         return EXIT_CONFIG
     # scipy takes most of a second to import, so it is loaded only for the
     # runs that call it, and before the command starts its work; so is the

@@ -513,15 +513,28 @@ class TestFitPredict:
             f"spec violation: every entry of spec field 'latent_cov' must be a finite number, got [[{value}]]"
         ]
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
     @pytest.mark.parametrize(
-        "key, change",
+        "key, change, value",
         [
-            ("sigma_eps_delta", lambda v: {"sigma_eps_delta": [[v]]}),
-            ("x0", lambda v: {"predict": [{"z0": [0.0], "x0": [1.0]}, {"z0": [0.0], "x0": [v]}]}),
-            ("z0", lambda v: {"predict": [{"z0": [v], "x0": [1.0]}]}),
+            *(
+                (key, change, value)
+                for key, change in [
+                    ("sigma_eps_delta", lambda v: {"sigma_eps_delta": [[v]]}),
+                    ("x0", lambda v: {"predict": [{"z0": [0.0], "x0": [1.0]}, {"z0": [0.0], "x0": [v]}]}),
+                    ("z0", lambda v: {"predict": [{"z0": [v], "x0": [1.0]}]}),
+                ]
+                for value in (float("nan"), float("inf"))
+            ),
+            # NaN passes the schema's bounds on a region's alpha and k0, for no
+            # comparison with it is true; an infinity fails them
+            ("alpha", lambda v: {"regions": [{"kind": "chebyshev", "alpha": v}]}, float("nan")),
+            ("k0", lambda v: {"regions": [{"kind": "quadratic_bound", "alpha": 0.1, "k0": v}]}, float("nan")),
         ],
-        ids=["sigma_eps_delta", "x0", "z0"],
+        ids=[
+            *(f"{key}-{value}" for key in ("sigma_eps_delta", "x0", "z0") for value in ("NaN", "Infinity")),
+            "alpha-NaN",
+            "k0-NaN",
+        ],
     )
     def test_non_finite_input_exits_2_before_reading_data(
         self, tmp_path, capsys, monkeypatch, key, change, value
@@ -1043,6 +1056,34 @@ def test_malformed_spec_value_exits_2_with_one_line(tmp_path, capsys, command, s
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"spec violation: {message}"]
+    assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [("experiment", "replications", 20.0), ("simulate", "n", 100.0), ("simulate", "seed", 5.0)],
+    ids=["experiment-replications", "simulate-n", "simulate-seed"],
+)
+def test_integer_valued_float_exits_2_with_one_line(tmp_path, capsys, command, key, value):
+    """JSON Schema counts 20.0 as an integer; a config's integer is a JSON
+    integer, since the CLI passes it on where Python needs an int."""
+    out = str(tmp_path / "report")
+    config = {
+        "simulate": {"spec": linear_spec_dict(), "n": 10, "seed": 1, "out": out},
+        "experiment": {
+            "suite": "consistency",
+            "spec": linear_spec_dict(),
+            "n_grid": [200],
+            "replications": 2,
+            "master_seed": 1,
+            "out": out,
+        },
+    }[command]
+    config[key] = value
+    assert main([command, "--config", write_config(tmp_path, "c.json", config)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"config schema error: {value!r} is not of type 'integer'"]
     assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
 
 

@@ -8,7 +8,9 @@ that runs on more than one worker, with the worker pool's modules, also
 before its suite driver starts.  Once those modules are loaded, and before
 the command starts, the CLI freezes the heap (``gc.freeze``) and keeps freed
 memory in the process (glibc's ``mallopt``), which changes no output.
-Importing the CLI builds none of the dataset writer's lookup tables.
+Importing the CLI builds none of the dataset writer's lookup tables.  The
+CLI checks configs against its schemas itself: no command loads jsonschema
+or the packages it brings (referencing, attrs, rpds).
 """
 
 import json
@@ -21,16 +23,20 @@ from eivpred import models
 from conftest import make_abs_spec, make_exponential_spec, make_poly_spec
 from test_cli import SRC, linear_spec_dict, write_config
 
-# Prints, as JSON, the watched modules (multiprocessing and the scipy ones)
-# loaded after running the CLI on the arguments in sys.argv, and those loaded
-# when the suite driver was entered; and the number of frozen objects
-# (gc.get_freeze_count) when the suite driver was entered and after the run.
+# jsonschema and the packages it loads, which only the tests use
+SCHEMA_LIBRARIES = ("jsonschema", "referencing", "attrs", "rpds")
+
+# Prints, as JSON, the watched modules (multiprocessing, the scipy ones and
+# SCHEMA_LIBRARIES, which the caller defines) loaded after running the CLI on
+# the arguments in sys.argv, and those loaded when the suite driver was
+# entered; and the number of frozen objects (gc.get_freeze_count) when the
+# suite driver was entered and after the run.
 _RUN_CLI = """
 import gc, json, sys
 from eivpred import cli
 
 def watched_modules():
-    watched = ("multiprocessing", "scipy.optimize", "scipy.special")
+    watched = ("multiprocessing", "scipy.optimize", "scipy.special", *SCHEMA_LIBRARIES)
     return sorted(m for m in watched if m in sys.modules)
 
 entered, frozen = [], []
@@ -56,7 +62,7 @@ def run_fresh(code: str, *args: str) -> str:
 
 
 def run_cli(*args: str) -> dict:
-    return json.loads(run_fresh(_RUN_CLI, *args))
+    return json.loads(run_fresh(f"SCHEMA_LIBRARIES = {SCHEMA_LIBRARIES!r}" + _RUN_CLI, *args))
 
 
 # Runs the CLI on sys.argv[2:] and prints its exit code, with the heap setting
@@ -122,6 +128,12 @@ def test_importing_the_cli_loads_no_scipy():
     assert loaded == "[]"
 
 
+def test_importing_the_cli_loads_no_schema_library():
+    code = f"import sys, eivpred.cli; print([m for m in {SCHEMA_LIBRARIES!r} if m in sys.modules])"
+    loaded = run_fresh(code)
+    assert loaded == "[]"
+
+
 def test_importing_the_cli_builds_no_writer_tables():
     """Every CLI run imports the dataset writer; its tables wait for the first save."""
     built = run_fresh("from eivpred import cli, models; print(models._text_tables.cache_info().currsize)")
@@ -134,6 +146,10 @@ def test_runs_without_an_nls_fit_load_no_scipy(tmp_path):
     )
     result = run_cli("simulate", "--config", sim)
     assert result.pop("frozen")[-1] > 0  # the heap stays frozen after main returns
+    assert result == {"code": 0, "loaded": [], "entered": []}
+    tr = write_config(tmp_path, "tr.json", {"spec": linear_spec_dict()})
+    result = run_cli("transform", "--config", tr, "--out", str(tmp_path / "params.json"))
+    assert result.pop("frozen")[-1] > 0
     assert result == {"code": 0, "loaded": [], "entered": []}
     fp = write_config(
         tmp_path,
